@@ -8,6 +8,10 @@ upwind in space with an exact implicit relaxation update, which keeps the time
 step independent of the stiffness parameter epsilon (asymptotic preserving).
 Edges exchange ghost values at the node through the reflection coupling before
 every transport step.
+
+The distribution is stored velocity-major, one C-contiguous (edges, 2N, cells)
+buffer, so the upwind differences run along contiguous cells; ``state.f`` is
+the (edges, cells, 2N) transposed view of that buffer.
 """
 
 from __future__ import annotations
@@ -82,6 +86,12 @@ class NetworkConfig:
             object.__setattr__(self, "spacing", spacing)
             object.__setattr__(self, "cells", spacing.size)
             object.__setattr__(self, "edge_length", float(spacing.sum()))
+        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
+            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
+        for name in ("t_end", "edge_length"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.cells < 10:
@@ -116,6 +126,8 @@ class InitialData:
         if len({a.shape for a in arrays}) != 1:
             raise ValueError("rho0, q0, S0 must have matching lengths")
         for name, arr in zip(("rho0", "q0", "S0"), arrays):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr}")
             object.__setattr__(self, name, arr)
 
     @classmethod
@@ -163,7 +175,7 @@ class NetworkState:
     data: InitialData
     rule: QuadratureRule
     table: HermiteTable
-    f: np.ndarray               # (n_edges, cells, 2N)
+    f: np.ndarray               # (n_edges, cells, 2N) view of a velocity-major buffer
     x: np.ndarray               # cell centers
     dx: np.ndarray              # cell widths
     time: float = 0.0
@@ -176,6 +188,8 @@ class NetworkState:
     relax: np.ndarray = field(default=None, repr=False)
     beta: np.ndarray = field(default=None, repr=False)
     outer_ghost: np.ndarray = field(default=None, repr=False)
+    work: np.ndarray = field(default=None, repr=False)     # (n_edges, N, cells)
+    step_operators: tuple = field(default=None, repr=False)  # (dt, upwind scale, K^T)
 
     def max_speed(self) -> float:
         return float(np.abs(self.speeds).max())
@@ -214,18 +228,19 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     dx = config.cell_widths()
     x = np.cumsum(dx) - dx / 2.0
     maxw = _edge_maxwellians(data, rule, table)
-    f = np.repeat(maxw[:, None, :], config.cells, axis=1)
+    buffer = np.repeat(maxw[:, :, None], config.cells, axis=2)
     moment_rows = table.values[:3].copy()
     maxwell_rows = _maxwellian_rows(rule, table)
     state = NetworkState(
         config=config, data=data, rule=rule, table=table,
-        f=f, x=x, dx=dx,
+        f=buffer.transpose(0, 2, 1), x=x, dx=dx,
         speeds=np.sqrt(2.0) * rule.nodes,
         moment_rows=moment_rows,
         maxwell_rows=maxwell_rows,
         relax=moment_rows.T @ maxwell_rows,
         beta=config.topology().beta_matrix(),
         outer_ghost=maxw[:, :rule.half],
+        work=np.empty((config.n_edges, rule.half, config.cells)),
     )
     state.mass_initial = total_mass(state)
     return state
@@ -244,11 +259,23 @@ def apply_node_coupling(state: NetworkState) -> np.ndarray:
 
 def apply_outer_boundary(state: NetworkState, data: InitialData) -> np.ndarray:
     """Ghost values at x = b for the negative velocities: the initial Maxwellians."""
-    rows = _maxwellian_rows(state.rule, state.table)[:, :state.rule.half]
-    g0 = data.rho0 / np.sqrt(2.0)
-    g1 = data.q0 / np.sqrt(2.0)
-    g2 = (data.S0 - data.rho0) / 2.0
-    return np.outer(g0, rows[0]) + np.outer(g1, rows[1]) + np.outer(g2, rows[2])
+    return _edge_maxwellians(data, state.rule, state.table)[:, :state.rule.half]
+
+
+def _step_operators(state: NetworkState, dt: float) -> tuple:
+    """Upwind scale speed*dt/dx, (2N, cells), and the transposed relaxation
+    operator K = (I + r relax) / (1 + r) with r = dt/epsilon.
+
+    Collisions conserve g0, g1, g2 and ``relax`` reproduces them, so the
+    post-transport Maxwellian is also the post-relaxation one and the exact
+    implicit update f <- (f + r f relax) / (1 + r) is the single product f K.
+    """
+    if state.step_operators is None or state.step_operators[0] != dt:
+        scale = state.speeds[:, None] * (dt / state.dx)
+        r = dt / state.config.epsilon
+        relax_t = (np.eye(state.relax.shape[0]) + r * state.relax.T) / (1.0 + r)
+        state.step_operators = (dt, scale, relax_t)
+    return state.step_operators[1:]
 
 
 def step(state: NetworkState, dt: float) -> NetworkState:
@@ -261,7 +288,6 @@ def step(state: NetworkState, dt: float) -> NetworkState:
     cm = state.speeds[:N]
     ghost_node = apply_node_coupling(state)
     ghost_outer = state.outer_ghost
-    ratio = (dt / state.dx)[None, :, None]
 
     # accumulated mass flux through both boundaries (positive in +x direction)
     h0 = state.moment_rows[0]
@@ -270,17 +296,23 @@ def step(state: NetworkState, dt: float) -> NetworkState:
     flux_outer = sqrt2 * (f[:, -1, N:] @ (h0[N:] * cp) + ghost_outer @ (h0[:N] * cm))
     state.mass_inflow += dt * float(np.sum(flux_node - flux_outer))
 
-    padded_pos = np.concatenate([ghost_node[:, None, :], f[:, :, N:]], axis=1)
-    f[:, :, N:] -= ratio * cp * np.diff(padded_pos, axis=1)
-    padded_neg = np.concatenate([f[:, :, :N], ghost_outer[:, None, :]], axis=1)
-    f[:, :, :N] -= ratio * cm * np.diff(padded_neg, axis=1)
+    # upwind transport along the contiguous cell axis of the velocity-major buffer
+    scale, relax_t = _step_operators(state, dt)
+    fv = f.transpose(0, 2, 1)
+    work = state.work
+    pos = fv[:, N:]
+    np.subtract(pos[:, :, 1:], pos[:, :, :-1], out=work[:, :, 1:])
+    np.subtract(pos[:, :, 0], ghost_node, out=work[:, :, 0])
+    np.multiply(work, scale[N:], out=work)
+    np.subtract(pos, work, out=pos)
+    neg = fv[:, :N]
+    np.subtract(neg[:, :, 1:], neg[:, :, :-1], out=work[:, :, :-1])
+    np.subtract(ghost_outer, neg[:, :, -1], out=work[:, :, -1])
+    np.multiply(work, scale[:N], out=work)
+    np.subtract(neg, work, out=neg)
 
-    # exact implicit relaxation: collisions conserve g0, g1, g2, so the
-    # post-transport Maxwellian is also the post-relaxation one
-    r = dt / state.config.epsilon
-    maxwellian = f @ state.relax
-    f += r * maxwellian
-    f /= 1.0 + r
+    # exact implicit relaxation in one pass: f <- f K
+    np.matmul(relax_t, fv, out=fv)
     state.time += dt
     return state
 

@@ -74,6 +74,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(**kw)
 
+    @pytest.mark.parametrize("name, value", [
+        ("N", 1), ("N", 0), ("N", 8.0),
+        ("t_end", 0.0), ("t_end", -0.1), ("t_end", np.nan), ("t_end", np.inf),
+        ("edge_length", -1.0), ("edge_length", 0.0), ("edge_length", np.nan),
+        ("edge_length", np.inf)])
+    def test_rejection_names_parameter(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rho0", "q0", "S0"])
+    def test_non_finite_initial_data_rejected(self, name, bad):
+        fields = dict(rho0=[1.0, 1.0, 1.0], q0=[0.0, 0.0, 0.0], S0=[1.0, 1.0, 1.0])
+        fields[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            InitialData(**fields)
+
     def test_spacing_overrides(self):
         sp = graded_spacing(1e-4, 1e-3, 5e-4, 0.05)
         cfg = small_config(spacing=sp)
@@ -202,6 +219,46 @@ class TestStep:
                 flux_in -= np.sqrt(2) * h0[k] * c_vec[k] * val_b
         step(state, dt)
         assert total_mass(state) - mass_before == pytest.approx(dt * flux_in, abs=1e-14)
+        assert conservation_residual(state) < 1e-14
+
+
+class TestStepOracle:
+    def test_matches_loop_form_scheme(self):
+        # oracle: the upwind update and the implicit relaxation written cell by
+        # cell, on a graded mesh with a non-symmetric column-stochastic node
+        rng = np.random.default_rng(11)
+        beta = rng.uniform(0.1, 1.0, (3, 3))
+        beta /= beta.sum(axis=0)
+        spacing = graded_spacing(2e-4, 1e-3, 1e-3, 0.01)
+        data = InitialData(rho0=rng.uniform(0.5, 1.5, 3), q0=rng.uniform(-1, 1, 3),
+                           S0=rng.uniform(0.5, 1.5, 3))
+        state = initialize(small_config(N=4, beta=beta, spacing=spacing), data)
+        state.f += rng.normal(scale=1e-2, size=state.f.shape)
+        state.mass_initial = total_mass(state)
+        N, cells, eps = state.rule.half, spacing.size, state.config.epsilon
+        c, dx = state.speeds, spacing
+        g_data = np.stack([data.rho0 / np.sqrt(2), data.q0 / np.sqrt(2),
+                           (data.S0 - data.rho0) / 2], axis=1)
+        outer = g_data @ state.maxwell_rows
+        f = state.f.copy()
+        for fraction in (0.9, 0.9, 0.5, 0.9, 1.0, 0.7):
+            dt = fraction * state.stable_dt()
+            new = np.empty_like(f)
+            for i in range(3):
+                for k in range(2 * N):
+                    for j in range(cells):
+                        if k >= N:
+                            up = f[i, j - 1, k] if j > 0 else sum(
+                                beta[i, m] * f[m, 0, 2 * N - 1 - k] for m in range(3))
+                            new[i, j, k] = f[i, j, k] - dt / dx[j] * c[k] * (f[i, j, k] - up)
+                        else:
+                            up = f[i, j + 1, k] if j < cells - 1 else outer[i, k]
+                            new[i, j, k] = f[i, j, k] - dt / dx[j] * c[k] * (up - f[i, j, k])
+            r = dt / eps
+            maxwellian = (new @ state.moment_rows.T) @ state.maxwell_rows
+            f = (new + r * maxwellian) / (1 + r)
+            step(state, dt)
+            assert np.max(np.abs(state.f - f)) <= 1e-13
         assert conservation_residual(state) < 1e-14
 
 
