@@ -101,7 +101,7 @@ def composite_profile(data: InitialData, solution: NodeSolution,
     """Collect the time-independent layer data of the composite solution."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    rho_left = data.rho0 + (solution.S_inf - data.S0) / 3.0
+    rho_left = macro_state(data, solution).rho_left
     return CompositeProfile(
         epsilon=epsilon,
         rho_inf=solution.rho_inf.copy(),
@@ -134,8 +134,7 @@ def composite_rho(data: InitialData, solution: NodeSolution, epsilon: float,
 
 def viscous_amplitudes(data: InitialData, solution: NodeSolution) -> np.ndarray:
     """Per-edge viscous amplitudes r_hat0 = 3 (rho_L - rho_inf)."""
-    rho_left = data.rho0 + (solution.S_inf - data.S0) / 3.0
-    return 3.0 * (rho_left - solution.rho_inf)
+    return 3.0 * (macro_state(data, solution).rho_left - solution.rho_inf)
 
 
 def viscous_layer_check(data: InitialData, solution: NodeSolution) -> float:

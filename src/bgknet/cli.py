@@ -78,21 +78,22 @@ def _settings(command: str, args: argparse.Namespace) -> dict[str, str]:
     return values
 
 
-def _reference_deltas(coeff_N: int) -> tuple[float, float]:
+def _preset(case: int, coeff_N: int):
+    """Preset data from the n = 3 coefficients at coeff_N, with their (ops, coeff)."""
     ops = coupling.NodeOperators.build(coeff_N)
     coeff = coupling.compute_coefficients(ops, coupling.NodeTopology.symmetric(3))
-    return coeff.delta1, coeff.delta2
+    return kinetic.InitialData.preset(case, coeff.delta1, coeff.delta2), (ops, coeff)
 
 
-def _node_solution(case: int, N: int, coeff_N: int):
-    """Preset data (reference coefficients) and its node solution at resolution N."""
-    d1, d2 = _reference_deltas(coeff_N)
-    data = kinetic.InitialData.preset(case, d1, d2)
-    ops = coupling.NodeOperators.build(N)
+def _node_solution(data, N: int, reference):
+    """Node solution at resolution N, reusing the reference (ops, coeff) at its N."""
     topo = coupling.NodeTopology.symmetric(3)
-    coeff = coupling.compute_coefficients(ops, topo)
+    ops, coeff = reference
+    if N != ops.N:
+        ops = coupling.NodeOperators.build(N)
+        coeff = coupling.compute_coefficients(ops, topo)
     problem = coupling.NodeProblem.from_macro_data(topo, coeff, data.rho0, data.q0, data.S0)
-    return data, ops, coupling.solve_node(problem, ops)
+    return coupling.solve_node(problem, ops)
 
 
 def cmd_deltas(args: argparse.Namespace) -> int:
@@ -131,8 +132,9 @@ def cmd_node(args: argparse.Namespace) -> int:
         raise ValueError("the test-case presets are defined for n = 3 edges")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data, ops, sol = _node_solution(case, N, N)
-    rho_left = data.rho0 + (sol.S_inf - data.S0) / 3.0
+    data, reference = _preset(case, N)
+    sol = _node_solution(data, N, reference)
+    rho_left = acoustic.macro_state(data, sol).rho_left
     rows = [(i + 1, sol.D[i], sol.C[i], sol.B[i], sol.rho_at_0[i], rho_left[i])
             for i in range(3)]
     _write_csv(out / f"node_case{case}_summary.csv",
@@ -149,10 +151,7 @@ def cmd_node(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kinetic_result(cfg: dict[str, str]):
-    case = int(cfg["case"])
-    d1, d2 = _reference_deltas(int(cfg["coeff_N"]))
-    data = kinetic.InitialData.preset(case, d1, d2)
+def _kinetic_result(cfg: dict[str, str], data):
     config = kinetic.NetworkConfig(
         n_edges=3,
         edge_length=float(cfg["length"]),
@@ -162,7 +161,7 @@ def _kinetic_result(cfg: dict[str, str]):
         cfl=float(cfg["cfl"]),
         t_end=float(cfg["t_end"]),
     )
-    return data, config, kinetic.run(config, data)
+    return kinetic.run(config, data)
 
 
 def _write_profiles(out: Path, tag: str, x: np.ndarray, fields: dict[str, np.ndarray]) -> None:
@@ -176,7 +175,8 @@ def cmd_kinetic(args: argparse.Namespace) -> int:
     cfg = _settings("kinetic", args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data, config, result = _kinetic_result(cfg)
+    data, _ = _preset(int(cfg["case"]), int(cfg["coeff_N"]))
+    result = _kinetic_result(cfg, data)
     _write_profiles(out, "kinetic", result.x,
                     {"rho": result.rho[-1], "q": result.q[-1], "S": result.S[-1]})
     # continuous-equivalent node distribution: f_i / (w_i e^{v_i^2} ) * H_0(v_i)
@@ -198,7 +198,8 @@ def cmd_composite(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     case, N = int(cfg["case"]), int(cfg["N"])
     eps, t = float(cfg["eps"]), float(cfg["t_end"])
-    data, ops, sol = _node_solution(case, N, int(cfg["coeff_N"]))
+    data, reference = _preset(case, int(cfg["coeff_N"]))
+    sol = _node_solution(data, N, reference)
     cells = int(cfg["cells"])
     length = float(cfg["length"])
     x = (np.arange(cells) + 0.5) * (length / cells)
@@ -216,8 +217,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     case, N = int(cfg["case"]), int(cfg["N"])
     eps, t = float(cfg["eps"]), float(cfg["t_end"])
     window = float(cfg["window"])
-    data, config, result = _kinetic_result(cfg)
-    _, ops, sol = _node_solution(case, N, int(cfg["coeff_N"]))
+    data, reference = _preset(case, int(cfg["coeff_N"]))
+    result = _kinetic_result(cfg, data)
+    sol = _node_solution(data, N, reference)
     x = result.x
     rho_c = acoustic.composite_rho(data, sol, eps, x, t)
     _, q_c, S_c = acoustic.exact_macro(data, sol, x, t)

@@ -1,13 +1,13 @@
 """Node coupling: invariant extraction, macroscopic conditions, half-space solves.
 
 At a node of degree n the half-space layer problems on all edges are coupled
-through velocity reflection, f^i(0, v) = sum_j beta_ij f^j(0, -v) for v > 0.
-For the symmetric node this reduces the coupling to N invariants per edge,
-Z = R S^{-1} T (D, C, B, gamma)^T, whose staircase structure yields the two
-macroscopic coupling coefficients delta_1 (for S + delta_1 q) and delta_2
-(for rho + delta_2 q) plus the chain coefficients closing the layer unknowns.
-The full node solve returns the asymptotic states and layer amplitudes of
-every edge together with the reconstructed moments at x = 0.
+through velocity reflection, f^i(0, v) = sum_j beta_ij f^j(0, -v) for v > 0,
+which decouples in the eigenbasis of beta into one N x (N+1) map M(mu) per
+eigenvalue. The staircase structure of the symmetric-node map
+M(-1/(n-1)) yields the macroscopic coupling coefficients delta_1 (for
+S + delta_1 q) and delta_2 (for rho + delta_2 q) plus the chain coefficients
+closing the layer unknowns. The full node solve returns the asymptotic states
+and layer amplitudes of every edge and the reconstructed moments at x = 0.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class NodeTopology:
         """Fully symmetric node: beta_ij = 1/(n-1) off the diagonal."""
         return cls(n=n, beta=None)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.beta is None
-
     def beta_matrix(self) -> np.ndarray:
         """Explicit coupling matrix (finite degree only)."""
         if self.beta is not None:
@@ -122,7 +118,11 @@ class NodeTopology:
 
 @dataclass(frozen=True)
 class NodeOperators:
-    """Velocity basis and layer spectrum shared by all node computations at fixed N."""
+    """Velocity basis, layer spectrum and lift shared by all node computations at fixed N.
+
+    ``lifted`` = S^{-1} T maps the reduced unknowns (D, C, B, gamma) of one edge
+    to the distribution values at the 2N velocity nodes, ascending in v.
+    """
 
     rule: QuadratureRule
     table: HermiteTable
@@ -130,6 +130,7 @@ class NodeOperators:
     layer: LayerMatrix
     spectrum: LayerSpectrum
     lift: LiftMatrix
+    lifted: np.ndarray
 
     @classmethod
     def build(cls, N: int) -> "NodeOperators":
@@ -138,7 +139,9 @@ class NodeOperators:
         layer = build_layer_matrix(N)
         spectrum = stable_manifold(layer)
         lift = build_lift(spectrum, N)
-        return cls(rule, table, transform, layer, spectrum, lift)
+        lifted = transform.solve(lift.matrix)
+        readonly(lifted)
+        return cls(rule, table, transform, layer, spectrum, lift, lifted)
 
     @property
     def N(self) -> int:
@@ -147,43 +150,34 @@ class NodeOperators:
 
 @dataclass(frozen=True)
 class InvariantMatrix:
-    """The N x (N+1) node-invariant map M = R S^{-1} T and its pairing matrix R."""
+    """The N x (N+1) node-invariant map M(mu) of a symmetric node of degree n."""
 
     M: np.ndarray
-    R: np.ndarray
     n: int | float
 
 
-def _pairing_matrix(N: int, n: int | float) -> np.ndarray:
-    R = np.zeros((N, 2 * N))
-    for k in range(1, N + 1):
-        if n == INFINITE:
-            # entrywise limit of R/(n-1): select the positive-velocity components
-            R[k - 1, N + k - 1] = 1.0
-        else:
-            R[k - 1, N + k - 1] = n - 1.0
-            R[k - 1, N - k] = 1.0
-    return R
+def _modal_matrix(lifted: np.ndarray, mu: complex) -> np.ndarray:
+    """M(mu): row k is f(v_k) - mu f(-v_k) over the positive velocities v_k."""
+    N = lifted.shape[0] // 2
+    # LAPACK rounds the SVDs of extract_deltas differently by memory layout;
+    # the block itself for mu = 0 and C order otherwise keep the tabulated
+    # delta values bit-stable
+    if mu == 0:
+        return lifted[N:]
+    return np.ascontiguousarray(lifted[N:] - mu * lifted[N - 1::-1])
 
 
-def invariant_matrix(transform: MomentTransform, spectrum: LayerSpectrum,
-                     topology: NodeTopology) -> InvariantMatrix:
-    """Build M = R S^{-1} T for a symmetric node (finite degree or INFINITE)."""
-    if not topology.is_symmetric:
+def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> InvariantMatrix:
+    """M(mu) of a symmetric node: mu = -1/(n-1), or mu = 0 for INFINITE."""
+    if topology.beta is not None:
         raise ValueError("invariant extraction supports only symmetric topologies; "
-                         "use solve_node_general for an arbitrary coupling matrix")
-    N = transform.matrix.shape[0] // 2
-    lift = build_lift(spectrum, N)
-    lifted = transform.solve(lift.matrix)  # S^{-1} T, rows are velocity components
-    R = _pairing_matrix(N, topology.n)
-    if topology.n == INFINITE:
-        M = lifted[N:, :]
-    else:
-        M = R @ lifted
+                         "use solve_node for an arbitrary coupling matrix")
+    mu = 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
+    M = _modal_matrix(ops.lifted, mu)
     if not np.all(np.isfinite(M)):
         raise NumericalError("invariant matrix contains non-finite entries")
-    readonly(M, R)
-    return InvariantMatrix(M, R, topology.n)
+    readonly(M)
+    return InvariantMatrix(M, topology.n)
 
 
 @dataclass(frozen=True)
@@ -266,7 +260,7 @@ def extract_deltas(invariants: InvariantMatrix) -> CouplingCoefficients:
 
 def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
     """Convenience: invariant matrix plus extraction in one call."""
-    return extract_deltas(invariant_matrix(ops.transform, ops.spectrum, topology))
+    return extract_deltas(invariant_matrix(ops, topology))
 
 
 def maxwell_delta(n: int | float) -> tuple[float, float]:
@@ -406,20 +400,46 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, eigenvalues, modal)
 
 
-def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
-    """Solve the coupled half-space problem at a symmetric node.
+def _null_space(M: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis (columns) of M, rank cut at SV_CUTOFF."""
+    _, s, vh = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s > SV_CUTOFF * s[0]))
+    return vh[rank:].conj().T
 
-    Assembles the n(N+1) square system: outgoing characteristics D - a C = r_-,
-    cross-edge equality of the N node invariants (which is the equality of
-    D + delta1 C, of B + delta2 C and of the chain invariants, expressed in the
-    numerically stable row basis of the invariant matrix), flux balance
-    sum C = 0, the zero-characteristic balance sum (D - 3B) = sum (S0 - 3 rho0),
-    and the odd-moment sum conditions on the layer amplitudes.
+
+def _eigenmodes(beta: np.ndarray) -> list[tuple[complex, np.ndarray]]:
+    """Distinct eigenvalues of beta (within 1e-12), each with an orthonormal
+    eigenspace basis: the null space of beta - mu I, because LAPACK's
+    eigenvectors of a repeated eigenvalue can be linearly dependent even for a
+    diagonalizable beta (beta = ones/4, for one).
+    """
+    modes = []
+    for mu in np.linalg.eigvals(beta):
+        if any(abs(mu - seen) <= 1e-12 for seen, _ in modes):
+            continue
+        mu = mu.real if mu.imag == 0 else mu
+        modes.append((mu, _null_space(beta - mu * np.eye(len(beta)))))
+    return modes
+
+
+def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
+    """Solve the coupled half-space problem at a node of finite degree.
+
+    With beta = V diag(mu) V^{-1}, write the edge unknowns (D, C, B, gamma)_i
+    as m_i = sum_k V_ik y_k. The reflection conditions then read
+    M(mu_k) y_k = 0 mode by mode, so y_k lies in the null space of M(mu_k);
+    the eigenvectors of one eigenvalue share one null basis. The outgoing
+    characteristics D - a C = r_- on every edge and the zero-characteristic
+    balance sum (D - 3B) = sum (S0 - 3 rho0) fix the n+1 null-space
+    coefficients. Flux balance and the odd-moment sums follow from
+    conservation.
+
+    Any diagonalizable conservative beta works; a defective one raises
+    DegeneracyError and is left to :func:`solve_node_general`.
     """
     topo = problem.topology
-    if not topo.is_symmetric or topo.n == INFINITE:
-        raise ValueError("solve_node handles finite symmetric nodes; "
-                         "use solve_node_general for arbitrary coupling matrices")
+    if topo.n == INFINITE:
+        raise ValueError("solve_node needs a finite node degree")
     coeff = problem.coefficients
     N = ops.N
     if coeff.N != N:
@@ -431,65 +451,48 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     if incoming.shape != (n,):
         raise ValueError(f"incoming vector must have length {n}, got {incoming.shape}")
 
-    size = N + 1
-    total = n * size
-    A = np.zeros((total, total))
-    b = np.zeros(total)
-    d_col = np.arange(n) * size
-    c_col = d_col + 1
-    b_col = d_col + 2
-    row = 0
-    for i in range(n):
-        A[row, d_col[i]] = 1.0
-        A[row, c_col[i]] = -ACOUSTIC_SPEED
-        b[row] = incoming[i]
-        row += 1
-    # cross-edge equality of all N node invariants at once: the equilibrated
-    # rows of M span exactly the D + delta1 C, B + delta2 C and chain
-    # invariants, but stay well conditioned at large N where the literal
-    # chain coefficients degenerate into null-vector noise ratios
-    inv = invariant_matrix(ops.transform, ops.spectrum, topo)
-    Ms = inv.M / np.max(np.abs(inv.M), axis=1)[:, None]
-    for i in range(n - 1):
-        A[row:row + N, d_col[i]:d_col[i] + size] = Ms
-        A[row:row + N, d_col[i + 1]:d_col[i + 1] + size] = -Ms
-        row += N
-    A[row, c_col] = 1.0
-    row += 1
-    A[row, d_col] = 1.0
-    A[row, b_col] = -3.0
-    b[row] = problem.zero_balance
-    row += 1
-    odd_rows = ops.spectrum.R2plus[1::2, :]  # odd moments g5, g7, ..., g_{2N-1}
-    for j in range(N - 2):
-        for i in range(n):
-            A[row, d_col[i] + 3:d_col[i] + size] = odd_rows[j, :]
-        row += 1
-    assert row == total
-
-    scale = np.max(np.abs(A), axis=1)
-    A /= scale[:, None]
-    b /= scale
+    beta = topo.beta_matrix()
+    modes = _eigenmodes(beta)
+    V = np.hstack([vecs for _, vecs in modes])
+    if V.shape[1] != n or np.linalg.cond(V) > 1.0 / SV_CUTOFF:
+        raise DegeneracyError("coupling matrix has no well-conditioned eigenbasis "
+                              "(defective beta); use solve_node_general")
+    weights, columns = [], []             # one (eigenvector, null vector) pair per unknown
+    for mu, vecs in modes:
+        M = _modal_matrix(ops.lifted, mu)
+        null = _null_space(M / np.max(np.abs(M), axis=1)[:, None])
+        weights.append(np.repeat(vecs, null.shape[1], axis=1))
+        columns.append(np.tile(null, vecs.shape[1]))
+    W, Z = np.hstack(weights), np.hstack(columns)
+    if Z.shape[1] != n + 1:
+        raise DegeneracyError(f"modal null spaces give {Z.shape[1]} unknowns, "
+                              f"expected {n + 1}")
+    A = np.vstack([W * (Z[0] - ACOUSTIC_SPEED * Z[1]),
+                   W.sum(axis=0) * (Z[0] - 3.0 * Z[2])])
+    rhs = np.append(incoming, problem.zero_balance)
     try:
-        m = np.linalg.solve(A, b)
+        c = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
-        smin = np.linalg.svd(A, compute_uv=False)[-1]
-        raise SingularSystemError(
-            f"node system is singular (smallest singular value {smin:.3e})") from exc
-    residual = np.max(np.abs(A @ m - b))
-    if residual > 1e-8 * max(1.0, np.max(np.abs(b))):
-        raise NumericalError(f"node system solved with residual {residual:.3e}")
-    return _package_solution(m.reshape(n, size), ops)
+        raise SingularSystemError("modal node system is singular") from exc
+    m = (W * c) @ Z.T
+    solution = _package_solution(m.real, ops)
+    residual = max(coupling_residual(solution, topo, ops.transform),
+                   np.max(np.abs(A @ c - rhs)), np.max(np.abs(m.imag)))
+    if residual > 1e-8 * max(1.0, np.max(np.abs(rhs))):
+        raise NumericalError(f"modal node solution misses the coupling equations or "
+                             f"a real value by {residual:.3e}")
+    return solution
 
 
 def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
                        zero_balance: float, ops: NodeOperators) -> NodeSolution:
-    """Solve the node problem for an arbitrary conservative coupling matrix.
+    """Reference solve of the node problem from the raw coupling equations.
 
     Uses the raw nN kinetic coupling equations in velocity space plus the n
     outgoing-characteristic conditions and the zero-characteristic balance,
-    solved in the least-squares sense with rank monitoring. For a symmetric
-    coupling matrix the result coincides with :func:`solve_node`.
+    solved in the least-squares sense with rank monitoring. It checks the
+    modal kernel of :func:`solve_node`, with which it coincides for every
+    diagonalizable beta, and it is the only solver for a defective beta.
     """
     beta = topology.beta_matrix()
     n = int(topology.n)
@@ -498,29 +501,19 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
         raise ValueError(f"incoming vector must have length {n}, got {incoming.shape}")
     N = ops.N
     size = N + 1
-    lifted = ops.transform.solve(ops.lift.matrix)  # S^{-1} T
-    rows = n * N + n + 1
-    A = np.zeros((rows, n * size))
-    b = np.zeros(rows)
-    row = 0
+    A = np.zeros((n * N + n + 1, n * size))
+    # reflection rows f^i(v_k) - sum_j beta_ij f^j(-v_k), one block per edge pair
+    blocks = A[:n * N].reshape(n, N, n, size)
     for i in range(n):
-        for p in range(N, 2 * N):
-            A[row, i * size:(i + 1) * size] += lifted[p, :]
-            mirrored = lifted[2 * N - 1 - p, :]
-            for j in range(n):
-                A[row, j * size:(j + 1) * size] -= beta[i, j] * mirrored
-            row += 1
-    for i in range(n):
-        A[row, i * size] = 1.0
-        A[row, i * size + 1] = -ACOUSTIC_SPEED
-        b[row] = incoming[i]
-        row += 1
-    for i in range(n):
-        A[row, i * size] = 1.0
-        A[row, i * size + 2] = -3.0
-    b[row] = zero_balance
-    row += 1
-    assert row == rows
+        for j in range(n):
+            blocks[i, :, j] = -beta[i, j] * ops.lifted[N - 1::-1]
+        blocks[i, :, i] += ops.lifted[N:]
+    edges = np.arange(n)
+    A[n * N + edges, edges * size] = 1.0                 # D - a C = r_-
+    A[n * N + edges, edges * size + 1] = -ACOUSTIC_SPEED
+    A[-1, edges * size] = 1.0                            # sum (D - 3B)
+    A[-1, edges * size + 2] = -3.0
+    b = np.concatenate([np.zeros(n * N), incoming, [zero_balance]])
 
     scale = np.max(np.abs(A), axis=1)
     A /= scale[:, None]

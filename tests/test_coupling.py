@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from bgknet import (
@@ -45,30 +47,35 @@ def preset_problem(case, N, ops_factory, coeff_factory):
 
 class TestInvariantMatrix:
     def test_pairing_structure_finite(self, ops_factory):
+        # row k pairs velocity v_k with its mirror -v_k only:
+        # (n - 1) M_k = (n - 1) f(v_k) + f(-v_k)
         ops = ops_factory(8)
-        inv = invariant_matrix(ops.transform, ops.spectrum, NodeTopology.symmetric(3))
+        inv = invariant_matrix(ops, NodeTopology.symmetric(3))
         N = 8
         assert inv.M.shape == (N, N + 1)
-        assert inv.R.shape == (N, 2 * N)
+        tol = 1e-15 * np.max(np.abs(ops.lifted))
         for k in range(N):
-            row = inv.R[k]
-            assert np.count_nonzero(row) == 2
-            assert row[N + k] == 2.0          # n - 1
-            assert row[N - 1 - k] == 1.0
+            np.testing.assert_allclose(2.0 * inv.M[k],
+                                       2.0 * ops.lifted[N + k] + ops.lifted[N - 1 - k],
+                                       rtol=0.0, atol=tol)
 
     def test_pairing_structure_infinite(self, ops_factory):
+        # mu = 0: row k selects the positive velocity v_k alone
         ops = ops_factory(8)
-        inv = invariant_matrix(ops.transform, ops.spectrum, NodeTopology.symmetric(INFINITE))
+        inv = invariant_matrix(ops, NodeTopology.symmetric(INFINITE))
         for k in range(8):
-            row = inv.R[k]
-            assert np.count_nonzero(row) == 1
-            assert row[8 + k] == 1.0
+            np.testing.assert_array_equal(inv.M[k], ops.lifted[8 + k])
+
+    def test_lifted_is_inverse_transform_of_lift(self, ops_factory):
+        ops = ops_factory(8)
+        np.testing.assert_allclose(ops.transform.apply(ops.lifted), ops.lift.matrix,
+                                   rtol=0.0, atol=1e-13)
 
     def test_rejects_general_topology(self, ops_factory):
         ops = ops_factory(8)
         beta = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            invariant_matrix(ops.transform, ops.spectrum, NodeTopology(2, beta))
+            invariant_matrix(ops, NodeTopology(2, beta))
 
 
 class TestExtractDeltas:
@@ -90,7 +97,10 @@ class TestExtractDeltas:
         r2[:, 4] *= -1.0
         flipped = LayerSpectrum(ops.spectrum.eigenvalues, vec,
                                 ops.spectrum.positive_indices, r2)
-        inv = invariant_matrix(ops.transform, flipped, NodeTopology.symmetric(3))
+        lift = build_lift(flipped, 30)
+        flipped_ops = replace(ops, spectrum=flipped, lift=lift,
+                              lifted=ops.transform.solve(lift.matrix))
+        inv = invariant_matrix(flipped_ops, NodeTopology.symmetric(3))
         coeff = extract_deltas(inv)
         assert abs(coeff.delta1 - base.delta1) < 1e-12
         assert abs(coeff.delta2 - base.delta2) < 1e-12
@@ -98,10 +108,10 @@ class TestExtractDeltas:
     def test_row_scaling_invariance(self, ops_factory, coeff_factory):
         ops = ops_factory(30)
         base = coeff_factory(30, 3)
-        inv = invariant_matrix(ops.transform, ops.spectrum, NodeTopology.symmetric(3))
+        inv = invariant_matrix(ops, NodeTopology.symmetric(3))
         rng = np.random.default_rng(2)
         scales = 10.0 ** rng.uniform(-3, 3, size=inv.M.shape[0])
-        scaled = InvariantMatrix(inv.M * scales[:, None], inv.R, inv.n)
+        scaled = InvariantMatrix(inv.M * scales[:, None], inv.n)
         coeff = extract_deltas(scaled)
         assert abs(coeff.delta1 - base.delta1) < 1e-11
         assert abs(coeff.delta2 - base.delta2) < 1e-11
@@ -134,11 +144,11 @@ class TestExtractDeltas:
 
     def test_degenerate_matrix_rejected(self, ops_factory):
         ops = ops_factory(8)
-        inv = invariant_matrix(ops.transform, ops.spectrum, NodeTopology.symmetric(3))
+        inv = invariant_matrix(ops, NodeTopology.symmetric(3))
         broken = inv.M.copy()
         broken[3] = broken[2]  # duplicate row: rank deficient
         with pytest.raises(DegeneracyError) as err:
-            extract_deltas(InvariantMatrix(broken, inv.R, 3))
+            extract_deltas(InvariantMatrix(broken, 3))
         assert err.value.singular_values is not None
 
 
@@ -368,6 +378,111 @@ class TestSolveNodeGeneral:
         np.testing.assert_allclose(permuted.gamma, base.gamma[perm], atol=1e-9)
 
 
+@st.composite
+def conservative_couplings(draw):
+    """Column-stochastic beta with n in {2..5}, random or near a cyclic shift."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
+    beta = np.reshape(weights, (n, n))
+    beta = beta / beta.sum(axis=0)
+    mix = draw(st.sampled_from([None, 0.0, 1e-6, 1e-2, 0.2]))
+    if mix is not None:  # complex eigenvalues near the roots of unity
+        beta = (1.0 - mix) * np.roll(np.eye(n), 1, axis=0) + mix * beta
+    return NodeTopology(n, beta)
+
+
+def node_data(n):
+    return st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                     st.floats(-1.0, 1.0))
+
+
+def modal_solve(topology, incoming, zero_balance, ops, coeff_factory):
+    coeff = coeff_factory(ops.N, topology.n)
+    return solve_node(NodeProblem(topology, coeff, np.asarray(incoming, dtype=float),
+                                  zero_balance), ops)
+
+
+class TestModalKernel:
+    """solve_node diagonalizes beta; solve_node_general is its raw-equation reference."""
+
+    N = 20
+
+    @given(data=st.data(), topology=conservative_couplings())
+    def test_matches_general_solver(self, ops_factory, coeff_factory, data, topology):
+        incoming, balance = data.draw(node_data(topology.n))
+        ops = ops_factory(self.N)
+        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        general = solve_node_general(topology, incoming, balance, ops)
+        for name in ("D", "C", "B", "gamma"):
+            np.testing.assert_allclose(getattr(modal, name), getattr(general, name),
+                                       rtol=0.0, atol=1e-9)
+        # conservation: flux balance and odd-moment sums are not imposed
+        assert coupling_residual(modal, topology, ops.transform) < 1e-12
+        assert flux_residual(modal) < 1e-12
+        assert odd_moment_residual(modal) < 1e-12
+
+    @given(data=st.data(), topology=conservative_couplings())
+    def test_edge_permutation_equivariance(self, ops_factory, coeff_factory, data, topology):
+        n = topology.n
+        incoming, balance = data.draw(node_data(n))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        ops = ops_factory(self.N)
+        base = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        permuted = modal_solve(NodeTopology(n, topology.beta[np.ix_(perm, perm)]),
+                               np.asarray(incoming)[perm], balance, ops, coeff_factory)
+        for name in ("D", "C", "B", "gamma"):
+            np.testing.assert_allclose(getattr(permuted, name), getattr(base, name)[perm],
+                                       rtol=0.0, atol=1e-10)
+
+    @given(data=st.data(), topology=conservative_couplings(),
+           weights=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    def test_linear_in_data(self, ops_factory, coeff_factory, data, topology, weights):
+        (r1, z1), (r2, z2) = data.draw(node_data(topology.n)), data.draw(node_data(topology.n))
+        a, b = weights
+        ops = ops_factory(self.N)
+        s1 = modal_solve(topology, r1, z1, ops, coeff_factory)
+        s2 = modal_solve(topology, r2, z2, ops, coeff_factory)
+        combined = modal_solve(topology, a * np.asarray(r1) + b * np.asarray(r2),
+                               a * z1 + b * z2, ops, coeff_factory)
+        for name in ("D", "C", "B", "gamma", "g_at_0"):
+            np.testing.assert_allclose(getattr(combined, name),
+                                       a * getattr(s1, name) + b * getattr(s2, name),
+                                       rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("weights", [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])
+    def test_rank_one_coupling(self, ops_factory, coeff_factory, weights):
+        # beta_ij = w_i: a triple eigenvalue 0 whose LAPACK eigenvectors are
+        # linearly dependent although beta is diagonalizable
+        topology = NodeTopology(4, np.outer(weights, np.ones(4)))
+        ops = ops_factory(self.N)
+        incoming, balance = [0.3, -0.2, 0.5, 0.1], -0.4
+        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        general = solve_node_general(topology, incoming, balance, ops)
+        for name in ("D", "C", "B", "gamma"):
+            np.testing.assert_allclose(getattr(modal, name), getattr(general, name),
+                                       rtol=0.0, atol=1e-9)
+
+    def test_defective_coupling_left_to_general_solver(self, ops_factory, coeff_factory):
+        # a single Jordan block for eigenvalue 0: no eigenbasis
+        topology = NodeTopology(3, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                             [0.0, 0.0, 0.0]]))
+        ops = ops_factory(self.N)
+        incoming, balance = [0.3, -0.2, 0.5], 0.1
+        with pytest.raises(DegeneracyError, match="solve_node_general"):
+            modal_solve(topology, incoming, balance, ops, coeff_factory)
+        sol = solve_node_general(topology, incoming, balance, ops)
+        assert coupling_residual(sol, topology, ops.transform) < 1e-12
+
+    def test_identity_coupling_is_degenerate(self, ops_factory, coeff_factory):
+        # full reflection leaves every edge undetermined up to its own layer
+        topology = NodeTopology(3, np.eye(3))
+        ops = ops_factory(self.N)
+        with pytest.raises(DegeneracyError):
+            modal_solve(topology, [0.3, -0.2, 0.5], 0.1, ops, coeff_factory)
+        with pytest.raises(DegeneracyError):
+            solve_node_general(topology, [0.3, -0.2, 0.5], 0.1, ops)
+
+
 class TestNodeDistribution:
     def test_moments_by_quadrature(self, ops_factory, coeff_factory):
         # oracle: continuous velocity integrals of the reconstruction
@@ -414,7 +529,8 @@ class TestImmutability:
         coeff = coeff_factory(8, 3)
         for arr in (ops.rule.nodes, ops.rule.weights, ops.rule.scaled_weights,
                     ops.table.values, ops.spectrum.eigenvalues,
-                    ops.spectrum.R2plus, ops.lift.matrix, coeff.delta_tilde):
+                    ops.spectrum.R2plus, ops.lift.matrix, ops.lifted,
+                    coeff.delta_tilde):
             with pytest.raises(ValueError):
                 arr[..., 0] = 0.0
 
