@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustic, coupling, kinetic
+from .hermite import MAX_HALF_ORDER
 
 __all__ = ["main", "cmd_deltas", "cmd_node", "cmd_kinetic", "cmd_composite", "cmd_compare"]
 
@@ -35,8 +36,15 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the rows, or raise ValueError naming the column of a NaN or infinity."""
+    table = np.array([tuple(row) for row in rows], dtype=float).reshape(-1, len(header))
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: column {header[j]!r} holds the non-finite value "
+                         f"{table[i, j]} (row {i + 1}); nothing was written")
     lines = [",".join(header)]
-    for row in rows:
+    for row in table:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -53,8 +61,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = int(lo), int(hi)
     else:
         lo = hi = int(text)
-    if not (5 <= lo <= hi <= 1000):
-        raise ValueError(f"N range must lie within [5, 1000], got {text!r}")
+    if not (5 <= lo <= hi <= MAX_HALF_ORDER):
+        raise ValueError(f"N range must lie within [5, {MAX_HALF_ORDER}], got {text!r}")
     return lo, hi
 
 
@@ -265,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deltas", help="coupling-coefficient sweep over N")
     common(p)
-    p.add_argument("--N", help="N range MIN:MAX within [5, 1000]")
+    p.add_argument("--N", help=f"N range MIN:MAX within [5, {MAX_HALF_ORDER}]")
     p.add_argument("--n", help="node degree (integer or 'inf')")
 
     p = sub.add_parser("node", help="solve the coupled half-space node problem")

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import DegeneracyError, NumericalError, SingularSystemError
 from .hermite import (
@@ -159,12 +160,7 @@ class InvariantMatrix:
 def _modal_matrix(lifted: np.ndarray, mu: complex) -> np.ndarray:
     """M(mu): row k is f(v_k) - mu f(-v_k) over the positive velocities v_k."""
     N = lifted.shape[0] // 2
-    # LAPACK rounds the SVDs of extract_deltas differently by memory layout;
-    # the block itself for mu = 0 and C order otherwise keep the tabulated
-    # delta values bit-stable
-    if mu == 0:
-        return lifted[N:]
-    return np.ascontiguousarray(lifted[N:] - mu * lifted[N - 1::-1])
+    return lifted[N:] - mu * lifted[N - 1::-1]
 
 
 def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> InvariantMatrix:
@@ -195,27 +191,18 @@ class CouplingCoefficients:
     n: int | float
 
 
-def _left_null_vector(sub: np.ndarray, label: str) -> np.ndarray:
-    u, s, _ = np.linalg.svd(sub)
-    if s[-1] <= SV_CUTOFF * s[0]:
-        raise DegeneracyError(
-            f"left null space of the {label} subproblem is not one-dimensional",
-            singular_values=s,
-        )
-    return u[:, -1]
+def _reduce(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """One QR of the row-equilibrated M with its columns in the order (gamma, D, C, B).
 
-
-def extract_deltas(invariants: InvariantMatrix) -> CouplingCoefficients:
-    """Read delta_1, delta_2 and the chain coefficients off the invariant matrix.
-
-    delta_1 comes from the unique row combination vanishing on the B and gamma
-    columns (normalized to unit D coefficient), delta_2 with D and B exchanged;
-    both via SVDs of the corresponding column submatrices. The chain follows
-    from consecutive component ratios of the right null vector of M, which is
-    the staircase elimination in the column order (D, C, B, gamma_1, ...).
-    Rows are equilibrated first; this leaves every null space unchanged.
+    Returns (R, T, K, norm): R is the (N-2) x (N-2) triangular factor of the
+    gamma block, T = Q_1^H A and K = Q_2^H A for the (D, C, B) columns A, where
+    Q_2 spans the two-dimensional left null space of the gamma block (K comes
+    out triangularized by a 2 x 2 unitary factor, which no use of it sees).
+    The null vectors of M are (x, -R^{-1} T x) with K x = 0. ``norm`` is the
+    Frobenius norm of the equilibrated matrix, the scale for rank decisions.
+    Row equilibration leaves every null space unchanged; the concatenation
+    gives the QR the same C-ordered input whatever the layout of M.
     """
-    M = invariants.M
     N, cols = M.shape
     if cols != N + 1:
         raise ValueError(f"invariant matrix must be N x (N+1), got {M.shape}")
@@ -223,24 +210,58 @@ def extract_deltas(invariants: InvariantMatrix) -> CouplingCoefficients:
     if np.any(scale == 0.0):
         raise DegeneracyError("invariant matrix has an identically zero row")
     Ms = M / scale[:, None]
-    _, s, vt = np.linalg.svd(Ms)
-    if s[-1] <= SV_CUTOFF * s[0]:
-        raise DegeneracyError("invariant matrix is numerically row-rank deficient",
-                              singular_values=s)
-    eta = vt[-1]
+    full = np.linalg.qr(np.concatenate((Ms[:, 3:], Ms[:, :3]), axis=1), mode="r")
+    R, T, K = full[:N - 2, :N - 2], full[:N - 2, N - 2:], full[N - 2:, N - 2:]
+    rcond, _ = get_lapack_funcs("trcon", (R,))(R, norm="1", uplo="U", diag="N")
+    if not rcond > SV_CUTOFF:
+        raise DegeneracyError(f"gamma block of the invariant matrix is rank deficient "
+                              f"(reciprocal condition {rcond:.3e}); singular_values "
+                              "holds the magnitudes of its triangular factor's diagonal",
+                              singular_values=np.abs(np.diag(R)))
+    return R, T, K, float(np.linalg.norm(full))
 
-    w1 = _left_null_vector(Ms[:, 2:], "delta1")
-    z1 = w1 @ Ms
+
+def _null_vectors(R: np.ndarray, T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Null vectors (x, -R^{-1} T x) of the reduced matrix, one per column of X."""
+    return np.vstack([X, -solve_triangular(R, T @ X)])
+
+
+def extract_deltas(invariants: InvariantMatrix) -> CouplingCoefficients:
+    """Read delta_1, delta_2 and the chain coefficients off the invariant matrix.
+
+    One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
+    on the two-dimensional left null space Q_2 of those columns. delta_1
+    comes from the unique row combination of K vanishing on the B column
+    (normalized to unit D coefficient), delta_2 from the one vanishing on the
+    D column. The chain follows from consecutive component ratios of the
+    right null vector of M, which is the staircase elimination in the column
+    order (D, C, B, gamma_1, ...): its (D, C, B) part is K_0 x K_1 and its
+    gamma part follows by back substitution.
+    """
+    M = invariants.M
+    N = M.shape[0]
+    R, T, K, norm = _reduce(M)
+    s = np.linalg.svd(K, compute_uv=False)
+    if s[-1] <= SV_CUTOFF * norm:
+        raise DegeneracyError("invariant matrix is numerically row-rank deficient; "
+                              "singular_values holds those of its 2 x 3 reduction",
+                              singular_values=s)
+    for column, label in ((2, "delta1"), (0, "delta2")):
+        if np.linalg.norm(K[:, column]) <= SV_CUTOFF * norm:
+            raise DegeneracyError(f"left null space of the {label} subproblem is not "
+                                  "one-dimensional", singular_values=s)
+    z1 = K[1, 2] * K[0] - K[0, 2] * K[1]
     delta1 = z1[1] / z1[0]
-    w2 = _left_null_vector(Ms[:, np.r_[0, 3:cols]], "delta2")
-    z2 = w2 @ Ms
+    z2 = K[1, 0] * K[0] - K[0, 0] * K[1]
     delta2 = z2[1] / z2[2]
 
+    eta = _null_vectors(R, T, np.cross(K[0], K[1])[:, None])[:, 0]
+    eta /= np.linalg.norm(eta)
     if not np.all(np.isfinite(eta)):
         raise DegeneracyError("null vector of the invariant matrix is not finite",
                               singular_values=s)
     # Chain coefficients from consecutive null-vector components. Components
-    # below the SVD noise floor carry no information, and any O(1) coefficient
+    # below the rounding floor carry no information, and any O(1) coefficient
     # on those coordinates annihilates the null vector equally well; a ratio of
     # two sub-floor components, however, can come out arbitrarily small and
     # turn the recurrence between consecutive cross-edge differences into a
@@ -400,6 +421,16 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, eigenvalues, modal)
 
 
+def _modal_null_space(lifted: np.ndarray, mu: complex) -> np.ndarray:
+    """Orthonormal null-space basis (columns) of M(mu) from the QR reduction;
+    the rank of the 2 x 3 K is cut at SV_CUTOFF times the matrix norm."""
+    R, T, K, norm = _reduce(_modal_matrix(lifted, mu))
+    _, s, vh = np.linalg.svd(K)
+    rank = int(np.count_nonzero(s > SV_CUTOFF * norm))
+    basis, _ = np.linalg.qr(_null_vectors(R, T, vh[rank:].conj().T))
+    return basis
+
+
 def _null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis (columns) of M, rank cut at SV_CUTOFF."""
     _, s, vh = np.linalg.svd(M)
@@ -459,8 +490,7 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
                               "(defective beta); use solve_node_general")
     weights, columns = [], []             # one (eigenvector, null vector) pair per unknown
     for mu, vecs in modes:
-        M = _modal_matrix(ops.lifted, mu)
-        null = _null_space(M / np.max(np.abs(M), axis=1)[:, None])
+        null = _modal_null_space(ops.lifted, mu)
         weights.append(np.repeat(vecs, null.shape[1], axis=1))
         columns.append(np.tile(null, vecs.shape[1]))
     W, Z = np.hstack(weights), np.hstack(columns)

@@ -11,7 +11,8 @@ class DegeneracyError(NumericalError):
     """A null space or rank came out with an unexpected dimension.
 
     Carries the singular values that triggered the failure so the caller can
-    inspect how far from the expected rank the offending matrix is.
+    inspect how far from the expected rank the offending matrix is; for a
+    rank-deficient triangular factor they are the magnitudes of its diagonal.
     """
 
     def __init__(self, message, singular_values=None):

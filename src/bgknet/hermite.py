@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "MAX_HALF_ORDER",
@@ -79,12 +79,15 @@ class QuadratureRule:
 
     ``scaled_weights`` holds w_i e^{v_i^2}; this is the combination entering the
     discrete Maxwellian and the only form that stays representable at large N.
+    ``basis`` is the Hermite function table H_k(v_i), k < 2N, the weights were
+    computed from; :func:`build_tables` reuses it.
     """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
     scaled_weights: np.ndarray
+    basis: np.ndarray
 
     @property
     def half(self) -> int:
@@ -111,8 +114,8 @@ def build_rule(N: int) -> QuadratureRule:
     scaled = 0.5 * (scaled + scaled[::-1])
     with np.errstate(under="ignore"):
         weights = scaled * np.exp(-nodes * nodes)
-    readonly(nodes, weights, scaled)
-    return QuadratureRule(order, nodes, weights, scaled)
+    readonly(nodes, weights, scaled, table)
+    return QuadratureRule(order, nodes, weights, scaled, table)
 
 
 @dataclass(frozen=True)
@@ -134,28 +137,32 @@ class HermiteTable:
 
 @dataclass(frozen=True)
 class MomentTransform:
-    """The invertible map between nodal values f_i and moments g_k = sum_i H_k(v_i) f_i."""
+    """The invertible map between nodal values f_i and moments g_k = sum_i H_k(v_i) f_i.
+
+    The 2N-node rule integrates polynomials up to degree 4N - 1 exactly, so
+    the discrete orthonormality S diag(w~) S^T = I with w~ = ``scaled_weights``
+    makes the inverse the weighted transpose, S^{-1} = diag(w~) S^T.
+    """
 
     matrix: np.ndarray
-    factorization: tuple
+    scaled_weights: np.ndarray
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Forward transform G = S f (f may carry trailing/leading batch axes)."""
         return self.matrix @ f
 
     def solve(self, g: np.ndarray) -> np.ndarray:
-        """Inverse transform f = S^{-1} g through the stored LU factorization."""
-        return lu_solve(self.factorization, g)
+        """Inverse transform f = diag(w~) S^T g; g is one moment vector or a (2N, k) batch."""
+        f = self.matrix.T @ g
+        return f * self.scaled_weights.reshape((-1,) + (1,) * (f.ndim - 1))
 
 
 def build_tables(rule: QuadratureRule) -> tuple[HermiteTable, MomentTransform]:
-    """Evaluate the basis at the rule's nodes and factorize the moment transform."""
-    values = hermite_functions(rule.nodes, rule.order)
+    """The basis at the rule's nodes (the rule's own table) and the moment transform."""
     alpha = recursion_coefficients(rule.order)
-    factorization = lu_factor(values)  # copies; values stay pristine
-    readonly(values, alpha)
-    table = HermiteTable(rule.nodes, alpha, values)
-    transform = MomentTransform(values, factorization)
+    readonly(alpha)
+    table = HermiteTable(rule.nodes, alpha, rule.basis)
+    transform = MomentTransform(rule.basis, rule.scaled_weights)
     return table, transform
 
 

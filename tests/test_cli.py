@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bgknet.cli import main
+import bgknet
+from bgknet.cli import _parse_range, _write_csv, main
+from bgknet.hermite import MAX_HALF_ORDER
 
 
 def read_csv(path):
@@ -35,15 +42,59 @@ class TestDeltasCommand:
         assert abs(rows[-1, 1] - 1.58) < 0.05
 
     def test_range_validation(self, tmp_path, capsys):
-        code = main(["deltas", "--N", "3:9", "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for bad in ("3:9", f"5:{MAX_HALF_ORDER + 1}", "12:10"):
+            code = main(["deltas", "--N", bad, "--out", str(tmp_path / "x")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and f"[5, {MAX_HALF_ORDER}]" in err
+            assert not (tmp_path / "x" / "deltas.csv").exists()
+
+    def test_range_reaches_the_rule_bound(self):
+        assert _parse_range(f"1400:{MAX_HALF_ORDER}") == (1400, MAX_HALF_ORDER)
+
+    def test_help_states_the_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["deltas", "--help"])
+        assert f"[5, {MAX_HALF_ORDER}]" in " ".join(capsys.readouterr().out.split())
+
+    def test_csv_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS threads only the larger calls, so short sweeps cannot show
+        # a thread-dependent rounding; from about N = 70 on they can
+        src = str(Path(bgknet.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            for degree in ("3", "inf"):
+                out = tmp_path / f"{degree}-{threads}"
+                subprocess.run([sys.executable, "-m", "bgknet", "deltas", "--N", "70:80",
+                                "--n", degree, "--out", str(out)],
+                               env=env, check=True, capture_output=True)
+                outputs[degree, threads] = (out / "deltas.csv").read_bytes()
+        for degree in ("3", "inf"):
+            assert outputs[degree, "1"] == outputs[degree, "2"]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["deltas", "--N", "10:12", "--n", "3", "--out", str(a)])
         main(["deltas", "--N", "10:12", "--n", "3", "--out", str(b)])
         assert tree_bytes(a) == tree_bytes(b)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"t\.csv.*'err'"):
+            _write_csv(path, ["N", "err"], [(1, 0.5), (2, bad)])
+        assert not path.exists()
+
+    def test_writes_seventeen_digit_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["N", "x"], iter([(1, 0.1), (2, -2.5)]))
+        assert path.read_text() == ("N,x\n1.0000000000000000e+00,1.0000000000000001e-01\n"
+                                    "2.0000000000000000e+00,-2.5000000000000000e+00\n")
 
 
 class TestNodeCommand:

@@ -32,8 +32,35 @@ from bgknet import (
     solve_node,
     solve_node_general,
 )
+from bgknet.coupling import SV_CUTOFF, _modal_matrix, _modal_null_space
 
 A = ACOUSTIC_SPEED
+
+
+def svd_extract(M):
+    """The three-SVD extraction that one QR replaced, kept as an oracle.
+
+    Returns delta_1, delta_2 and the right null vector of the row-equilibrated
+    M: delta_1 from the left null vector of the (B, gamma) columns, delta_2
+    from that of the (D, gamma) columns.
+    """
+    Ms = M / np.max(np.abs(M), axis=1)[:, None]
+    eta = np.linalg.svd(Ms)[2][-1]
+
+    def left_null(sub):
+        return np.linalg.svd(sub)[0][:, -1]
+
+    z1 = left_null(Ms[:, 2:]) @ Ms
+    z2 = left_null(Ms[:, np.r_[0, 3:Ms.shape[1]]]) @ Ms
+    return z1[1] / z1[0], z2[1] / z2[2], eta
+
+
+def svd_null_space(M):
+    """Orthonormal null basis of the row-equilibrated M by SVD, rank cut at SV_CUTOFF."""
+    Ms = M / np.max(np.abs(M), axis=1)[:, None]
+    _, s, vh = np.linalg.svd(Ms)
+    rank = int(np.count_nonzero(s > SV_CUTOFF * s[0]))
+    return vh[rank:].conj().T
 
 
 def preset_problem(case, N, ops_factory, coeff_factory):
@@ -141,6 +168,44 @@ class TestExtractDeltas:
         coeff = coeff_factory(30, 3)
         assert coeff.delta_tilde.shape == (28,)
         assert np.all(np.isfinite(coeff.delta_tilde))
+
+    @pytest.mark.parametrize("N", [20, 99, 300])
+    @pytest.mark.parametrize("n", [3, 4, INFINITE])
+    def test_matches_svd_oracle(self, ops_factory, coeff_factory, N, n):
+        coeff = coeff_factory(N, n)
+        delta1, delta2, eta = svd_extract(invariant_matrix(ops_factory(N),
+                                                           NodeTopology.symmetric(n)).M)
+        assert abs(coeff.delta1 - delta1) <= 1e-13
+        assert abs(coeff.delta2 - delta2) <= 1e-13
+        # chain ratios wherever both components are above the rounding floor;
+        # each unit-vector component carries an absolute error of a few eps
+        eps = np.finfo(float).eps
+        numer, denom = np.concatenate(([eta[1]], eta[3:-1])), eta[3:]
+        resolved = (np.abs(numer) >= eps) & (np.abs(denom) >= eps)
+        ratio = -numer / denom
+        rounding = np.abs(ratio) * eps * (1.0 / np.abs(numer) + 1.0 / np.abs(denom))
+        err = np.abs(coeff.delta_tilde - ratio)
+        assert np.all(err[resolved] <= 16.0 * rounding[resolved])
+
+    @pytest.mark.parametrize("n", [3, INFINITE])
+    def test_layout_independent(self, ops_factory, n):
+        M = invariant_matrix(ops_factory(99), NodeTopology.symmetric(n)).M
+        c_order = extract_deltas(InvariantMatrix(np.ascontiguousarray(M), n))
+        f_order = extract_deltas(InvariantMatrix(np.asfortranarray(M), n))
+        assert c_order.delta1 == f_order.delta1
+        assert c_order.delta2 == f_order.delta2
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 1.0, 0.9j])
+    def test_modal_null_space_spans_svd_null_space(self, ops_factory, mu):
+        lifted = ops_factory(60).lifted
+        basis = _modal_null_space(lifted, mu)
+        reference = svd_null_space(_modal_matrix(lifted, mu))
+        assert basis.shape == reference.shape
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                                   rtol=0.0, atol=1e-13)
+        # sine of the largest principal angle between the two subspaces
+        sine = np.linalg.norm(basis - reference @ (reference.conj().T @ basis), 2)
+        assert sine <= 1e-10
 
     def test_degenerate_matrix_rejected(self, ops_factory):
         ops = ops_factory(8)

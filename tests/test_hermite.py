@@ -144,6 +144,36 @@ class TestMomentTransform:
         back = transform.solve(transform.apply(f))
         assert np.max(np.abs(back - f)) < 1e-9 * np.max(np.abs(f))
 
+    @pytest.mark.parametrize("N, bound", [(8, 1e-12), (100, 1e-12), (1000, 2e-12)])
+    def test_weighted_transpose_is_inverse(self, N, bound):
+        # the 2N-node rule is exact to degree 4N - 1: S diag(w~) S^T = I. At
+        # N = 1000 the tridiagonal eigensolver's nodes (off by up to 8e-13)
+        # leave a defect of 1.4e-12 in the highest-degree rows
+        rule = build_rule(N)
+        _, transform = build_tables(rule)
+        S = transform.matrix
+        defect = (S * rule.scaled_weights) @ S.T - np.eye(rule.order)
+        assert np.max(np.abs(defect)) <= bound
+
+    def test_solve_is_weighted_transpose_for_batches(self):
+        rng = np.random.default_rng(3)
+        rule = build_rule(12)
+        _, transform = build_tables(rule)
+        g = rng.standard_normal((rule.order, 4))
+        expected = rule.scaled_weights[:, None] * (transform.matrix.T @ g)
+        np.testing.assert_array_equal(transform.solve(g), expected)
+        for k in range(4):  # gemv and gemm round differently
+            np.testing.assert_allclose(transform.solve(g[:, k]), expected[:, k],
+                                       rtol=0.0, atol=1e-14)
+
+    def test_tables_reuse_the_rule_basis(self):
+        # one Hermite table per N: build_tables takes the rule's own table
+        rule = build_rule(10)
+        table, transform = build_tables(rule)
+        assert table.values is rule.basis and transform.matrix is rule.basis
+        assert not rule.basis.flags.writeable
+        np.testing.assert_array_equal(rule.basis, hermite_functions(rule.nodes, rule.order))
+
     def test_conditioning_residual(self):
         rng = np.random.default_rng(11)
         rule = build_rule(500)
