@@ -519,10 +519,14 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     """Reference solve of the node problem from the raw coupling equations.
 
     Uses the raw nN kinetic coupling equations in velocity space plus the n
-    outgoing-characteristic conditions and the zero-characteristic balance,
-    solved in the least-squares sense with rank monitoring. It checks the
-    modal kernel of :func:`solve_node`, with which it coincides for every
-    diagonalizable beta, and it is the only solver for a defective beta.
+    outgoing-characteristic conditions and the zero-characteristic balance.
+    The row-equilibrated augmented system [A | b] is factorized by one
+    in-place Householder QR (LAPACK ``geqrf``); the rank test is LAPACK
+    ``trcon`` on its triangular factor R, and R x = Q^T b is solved by back
+    substitution. It checks the modal kernel of :func:`solve_node`, with
+    which it coincides for every diagonalizable beta, and it is the only
+    solver for a defective beta. A rank-deficient system raises
+    DegeneracyError carrying the magnitudes of R's diagonal.
     """
     beta = topology.beta_matrix()
     n = int(topology.n)
@@ -531,32 +535,59 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
         raise ValueError(f"incoming vector must have length {n}, got {incoming.shape}")
     N = ops.N
     size = N + 1
-    A = np.zeros((n * N + n + 1, n * size))
+    k = n * size
+    rows = n * N + n + 1                                 # = k + 1
+    positive, mirror = ops.lifted[N:], ops.lifted[N - 1::-1]
+    # one Fortran-ordered buffer holds [A | b] and, after geqrf, its factors
+    Ab = np.zeros((rows, k + 1), order="F")
     # reflection rows f^i(v_k) - sum_j beta_ij f^j(-v_k), one block per edge pair
-    blocks = A[:n * N].reshape(n, N, n, size)
     for i in range(n):
         for j in range(n):
-            blocks[i, :, j] = -beta[i, j] * ops.lifted[N - 1::-1]
-        blocks[i, :, i] += ops.lifted[N:]
+            block = Ab[i * N:(i + 1) * N, j * size:(j + 1) * size]
+            np.multiply(mirror, -beta[i, j], out=block)
+            if i == j:
+                block += positive
     edges = np.arange(n)
-    A[n * N + edges, edges * size] = 1.0                 # D - a C = r_-
-    A[n * N + edges, edges * size + 1] = -ACOUSTIC_SPEED
-    A[-1, edges * size] = 1.0                            # sum (D - 3B)
-    A[-1, edges * size + 2] = -3.0
-    b = np.concatenate([np.zeros(n * N), incoming, [zero_balance]])
+    Ab[n * N + edges, edges * size] = 1.0                # D - a C = r_-
+    Ab[n * N + edges, edges * size + 1] = -ACOUSTIC_SPEED
+    Ab[-1, edges * size] = 1.0                           # sum (D - 3B)
+    Ab[-1, edges * size + 2] = -3.0
+    Ab[n * N:n * N + n, k] = incoming
+    Ab[-1, k] = zero_balance
 
-    scale = np.max(np.abs(A), axis=1)
-    A /= scale[:, None]
-    b /= scale
-    m, _, rank, sv = np.linalg.lstsq(A, b, rcond=SV_CUTOFF)
-    if rank < n * size:
-        raise DegeneracyError(
-            f"coupling system has effective rank {rank} < {n * size}; "
-            "the node problem is degenerate", singular_values=sv)
-    residual = np.max(np.abs(A @ m - b))
-    if residual > 1e-8 * max(1.0, np.max(np.abs(b))):
+    A = Ab[:, :k]
+    scale = np.maximum(A.max(axis=1), -A.min(axis=1))
+    Ab /= scale[:, None]
+    bound = 1e-8 * max(1.0, np.max(np.abs(Ab[n * N:, k])))
+    geqrf, geqrf_lwork, trcon = get_lapack_funcs(("geqrf", "geqrf_lwork", "trcon"), (Ab,))
+    # the default lwork runs geqrf unblocked, several times slower at large N
+    lwork, _ = geqrf_lwork(rows, k + 1)
+    qr, _, _, _ = geqrf(Ab, lwork=int(lwork), overwrite_a=True)
+    # R is the leading k x k upper triangle and Q^T b[:k] the head of column k.
+    # Compact R's columns into the first k^2 entries of the buffer so that
+    # trcon and the back substitution read it with leading dimension k; a
+    # slice with leading dimension k + 1 would make both copy it.
+    flat = qr.reshape(-1, order="F")
+    for j in range(1, k):
+        flat[j * k:j * k + j + 1] = flat[j * rows:j * rows + j + 1]
+    R = flat[:k * k].reshape(k, k, order="F")
+    rcond, _ = trcon(R, norm="1", uplo="U", diag="N")
+    if not rcond > SV_CUTOFF:
+        raise DegeneracyError(f"coupling system is rank deficient (reciprocal condition "
+                              f"{rcond:.3e}); the node problem is degenerate; "
+                              "singular_values holds the magnitudes of its triangular "
+                              "factor's diagonal", singular_values=np.abs(np.diag(R)))
+    m = solve_triangular(R, qr[:k, k], check_finite=False).reshape(n, size)
+
+    # the QR overwrote A: the residual of each equation from n x N products
+    reflection = m @ positive.T - beta @ (m @ mirror.T)
+    residual = np.concatenate([reflection.ravel(),
+                               m[:, 0] - ACOUSTIC_SPEED * m[:, 1] - incoming,
+                               [np.sum(m[:, 0] - 3.0 * m[:, 2]) - zero_balance]])
+    residual = np.max(np.abs(residual / scale))
+    if residual > bound:
         raise NumericalError(f"coupling equations are inconsistent (residual {residual:.3e})")
-    return _package_solution(m.reshape(n, size), ops)
+    return _package_solution(m, ops)
 
 
 def node_distribution(solution: NodeSolution, edge: int, v_samples: np.ndarray) -> np.ndarray:

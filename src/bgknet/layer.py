@@ -82,10 +82,10 @@ def build_layer_matrix(N: int) -> LayerMatrix:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # First *nonzero* component positive: leading components of high-eigenvalue
     # eigenvectors underflow to exact zeros at large N and must be skipped.
-    for j in range(vectors.shape[1]):
-        nz = np.flatnonzero(vectors[:, j])
-        if nz.size and vectors[nz[0], j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
+    # An all-zero column has argmax 0 and a zero lead, so it is left alone.
+    first = np.argmax(vectors != 0.0, axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    np.multiply(vectors, np.where(lead < 0.0, -1.0, 1.0), out=vectors)
     return vectors
 
 

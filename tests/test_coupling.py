@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,50 @@ def svd_null_space(M):
     _, s, vh = np.linalg.svd(Ms)
     rank = int(np.count_nonzero(s > SV_CUTOFF * s[0]))
     return vh[rank:].conj().T
+
+
+def lstsq_general(topology, incoming, zero_balance, ops):
+    """The gelsd (SVD) solve of the raw node system that one QR replaced, kept
+    as an oracle: the same equations and row equilibration, least squares with
+    the rank cut at SV_CUTOFF. Returns the (n, N+1) edge unknowns (D, C, B, gamma).
+    """
+    beta = topology.beta_matrix()
+    n, N = int(topology.n), ops.N
+    size = N + 1
+    system = np.zeros((n * N + n + 1, n * size))
+    blocks = system[:n * N].reshape(n, N, n, size)
+    for i in range(n):
+        for j in range(n):
+            blocks[i, :, j] = -beta[i, j] * ops.lifted[N - 1::-1]
+        blocks[i, :, i] += ops.lifted[N:]
+    edges = np.arange(n)
+    system[n * N + edges, edges * size] = 1.0
+    system[n * N + edges, edges * size + 1] = -A
+    system[-1, edges * size] = 1.0
+    system[-1, edges * size + 2] = -3.0
+    b = np.concatenate([np.zeros(n * N), incoming, [zero_balance]])
+    scale = np.max(np.abs(system), axis=1)
+    m, _, rank, sv = np.linalg.lstsq(system / scale[:, None], b / scale, rcond=SV_CUTOFF)
+    if rank < n * size:
+        raise DegeneracyError(f"effective rank {rank} < {n * size}", singular_values=sv)
+    return m.reshape(n, size)
+
+
+def seeded_beta(kind, n, seed):
+    """Column-stochastic beta: random, near a cyclic shift, rank one or defective."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.05, 1.0, size=(n, n))
+    random = raw / raw.sum(axis=0)
+    if kind == "random":
+        return random
+    if kind == "near-cyclic":
+        return 0.99 * np.roll(np.eye(n), 1, axis=0) + 0.01 * random
+    if kind == "rank-one":
+        return np.outer(random[:, 0], np.ones(n))
+    # defective: e_0 is fixed and e_j -> e_{j-1}, one Jordan block for eigenvalue 0
+    beta = np.eye(n, k=1)
+    beta[0, 0] = 1.0
+    return beta
 
 
 def preset_problem(case, N, ops_factory, coeff_factory):
@@ -441,6 +486,67 @@ class TestSolveNodeGeneral:
         np.testing.assert_allclose(permuted.C, base.C[perm], atol=1e-9)
         np.testing.assert_allclose(permuted.B, base.B[perm], atol=1e-9)
         np.testing.assert_allclose(permuted.gamma, base.gamma[perm], atol=1e-9)
+
+    # a 2 x 2 column-stochastic beta is never defective, so n = 2 has no such case
+    @pytest.mark.parametrize("N", [20, 100])
+    @pytest.mark.parametrize("n, kind", [(n, kind) for n in (2, 3, 5)
+                                         for kind in ("random", "near-cyclic", "rank-one",
+                                                      "defective")
+                                         if (n, kind) != (2, "defective")])
+    def test_matches_lstsq_oracle(self, ops_factory, N, n, kind):
+        topology = NodeTopology(n, seeded_beta(kind, n, seed=10 * N + n))
+        rng = np.random.default_rng(N + n)
+        incoming, balance = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
+        ops = ops_factory(N)
+        sol = solve_node_general(topology, incoming, balance, ops)
+        expected = lstsq_general(topology, incoming, balance, ops)
+        got = np.column_stack([sol.D, sol.C, sol.B, sol.gamma])
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [20, 100])
+    def test_identity_coupling_degenerate_like_oracle(self, ops_factory, N):
+        topology = NodeTopology(3, np.eye(3))
+        ops = ops_factory(N)
+        for solve in (solve_node_general, lstsq_general):
+            with pytest.raises(DegeneracyError) as info:
+                solve(topology, np.array([0.3, -0.2, 0.5]), 0.1, ops)
+            assert info.value.singular_values is not None
+
+    def test_no_copy_of_the_system(self, ops_factory):
+        # the augmented system [A | b] is the only large allocation: the QR
+        # works in its buffer and reads R from it without a copy
+        N, n = 200, 3
+        ops = ops_factory(N)
+        topology = NodeTopology(n, seeded_beta("random", n, seed=7))
+        incoming = np.array([0.3, -0.2, 0.5])
+        lifted_before, incoming_before = ops.lifted.copy(), incoming.copy()
+        system_bytes = (n * N + n + 1) * (n * (N + 1) + 1) * 8
+        tracemalloc.start()
+        try:
+            solve_node_general(topology, incoming, 0.1, ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * system_bytes
+        np.testing.assert_array_equal(ops.lifted, lifted_before)
+        np.testing.assert_array_equal(incoming, incoming_before)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_modal_solver_at_large_N(self, ops_factory, coeff_factory, n):
+        N = 300
+        topology = NodeTopology(n, seeded_beta("random", n, seed=n))
+        rng = np.random.default_rng(n)
+        incoming, balance = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
+        ops = ops_factory(N)
+        general = solve_node_general(topology, incoming, balance, ops)
+        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        for name in ("D", "C", "B", "gamma"):
+            np.testing.assert_allclose(getattr(general, name), getattr(modal, name),
+                                       rtol=0.0, atol=1e-9)
+        for sol in (general, modal):
+            assert coupling_residual(sol, topology, ops.transform) < 1e-12
+            assert flux_residual(sol) < 1e-12
+            assert odd_moment_residual(sol) < 1e-12
 
 
 @st.composite

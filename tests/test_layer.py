@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bgknet import build_layer_matrix, build_lift, layer_profile, stable_manifold
+from bgknet.layer import _fix_signs
 
 
 def quartic_eigenvalues(a, b, c):
@@ -14,6 +16,15 @@ def quartic_eigenvalues(a, b, c):
     y = np.array([(s - disc) / 2, (s + disc) / 2])
     lam = np.sqrt(y)
     return np.sort(np.concatenate([-lam, lam]))
+
+
+def loop_fix_signs(vectors):
+    """The per-column sign loop that one vectorized pass replaced, kept as an oracle."""
+    for j in range(vectors.shape[1]):
+        nz = np.flatnonzero(vectors[:, j])
+        if nz.size and vectors[nz[0], j] < 0.0:
+            vectors[:, j] = -vectors[:, j]
+    return vectors
 
 
 class TestLayerMatrix:
@@ -74,6 +85,17 @@ class TestStableManifold:
             col = spectrum.R2plus[:, j]
             nz = np.flatnonzero(col)
             assert col[nz[0]] > 0
+
+    @pytest.mark.parametrize("N", [5, 20, 99, 300])
+    def test_fix_signs_matches_loop_oracle(self, N):
+        m = build_layer_matrix(N)
+        _, raw = eigh_tridiagonal(np.zeros(m.dim), m.offdiag)
+        # leading exact zeros, a negative value after them and an all-zero column
+        raw[:3, 0] = 0.0
+        raw[3, 0] = -abs(raw[3, 0])
+        raw[:, 1] = 0.0
+        expected = loop_fix_signs(raw.copy())
+        assert _fix_signs(raw).tobytes() == expected.tobytes()
 
     def test_orthonormal_eigenvectors(self):
         spectrum = stable_manifold(build_layer_matrix(12))
