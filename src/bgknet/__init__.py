@@ -20,10 +20,8 @@ from .acoustic import (
 )
 from .coupling import (
     ACOUSTIC_SPEED,
-    HALF_MOMENT_REFERENCE,
     INFINITE,
     CouplingCoefficients,
-    InvariantMatrix,
     MacroCouplingSystem,
     NodeOperators,
     NodeProblem,
@@ -45,15 +43,10 @@ from .coupling import (
 )
 from .errors import DegeneracyError, NumericalError, SingularSystemError
 from .hermite import (
-    HermiteTable,
-    MomentSet,
     MomentTransform,
     QuadratureRule,
     build_rule,
-    build_tables,
-    discrete_maxwellian,
     hermite_functions,
-    moments,
     recursion_coefficients,
 )
 from .kinetic import (
@@ -62,7 +55,6 @@ from .kinetic import (
     NetworkConfig,
     NetworkState,
     apply_node_coupling,
-    apply_outer_boundary,
     conservation_residual,
     graded_spacing,
     initialize,
@@ -73,10 +65,8 @@ from .kinetic import (
 from .layer import (
     LayerMatrix,
     LayerSpectrum,
-    LiftMatrix,
     build_layer_matrix,
     build_lift,
-    layer_profile,
     stable_manifold,
 )
 

@@ -99,8 +99,8 @@ class CompositeProfile:
 def composite_profile(data: InitialData, solution: NodeSolution,
                       epsilon: float) -> CompositeProfile:
     """Collect the time-independent layer data of the composite solution."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     rho_left = macro_state(data, solution).rho_left
     return CompositeProfile(
         epsilon=epsilon,
@@ -110,7 +110,7 @@ def composite_profile(data: InitialData, solution: NodeSolution,
         gamma=solution.gamma.copy(),
         rho_modes=solution.rho_layer_amplitudes.copy(),
         decay_scales=np.sqrt(2.0) * solution.layer_eigenvalues * epsilon,
-        r_hat0=3.0 * (rho_left - solution.rho_inf),
+        r_hat0=viscous_amplitudes(data, solution),
     )
 
 

@@ -159,8 +159,8 @@ def cmd_node(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kinetic_result(cfg: dict[str, str], data):
-    config = kinetic.NetworkConfig(
+def _kinetic_config(cfg: dict[str, str]) -> kinetic.NetworkConfig:
+    return kinetic.NetworkConfig(
         n_edges=3,
         edge_length=float(cfg["length"]),
         cells=int(cfg["cells"]),
@@ -169,7 +169,11 @@ def _kinetic_result(cfg: dict[str, str], data):
         cfl=float(cfg["cfl"]),
         t_end=float(cfg["t_end"]),
     )
-    return kinetic.run(config, data)
+
+
+def _cell_centres(cfg: dict[str, str]) -> np.ndarray:
+    cells = int(cfg["cells"])
+    return (np.arange(cells) + 0.5) * (float(cfg["length"]) / cells)
 
 
 def _write_profiles(out: Path, tag: str, x: np.ndarray, fields: dict[str, np.ndarray]) -> None:
@@ -181,10 +185,11 @@ def _write_profiles(out: Path, tag: str, x: np.ndarray, fields: dict[str, np.nda
 
 def cmd_kinetic(args: argparse.Namespace) -> int:
     cfg = _settings("kinetic", args)
+    config = _kinetic_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data, _ = _preset(int(cfg["case"]), int(cfg["coeff_N"]))
-    result = _kinetic_result(cfg, data)
+    result = kinetic.run(config, data)
     _write_profiles(out, "kinetic", result.x,
                     {"rho": result.rho[-1], "q": result.q[-1], "S": result.S[-1]})
     # continuous-equivalent node distribution: f_i / (w_i e^{v_i^2} ) * H_0(v_i)
@@ -208,9 +213,7 @@ def cmd_composite(args: argparse.Namespace) -> int:
     eps, t = float(cfg["eps"]), float(cfg["t_end"])
     data, reference = _preset(case, int(cfg["coeff_N"]))
     sol = _node_solution(data, N, reference)
-    cells = int(cfg["cells"])
-    length = float(cfg["length"])
-    x = (np.arange(cells) + 0.5) * (length / cells)
+    x = _cell_centres(cfg)
     rho = acoustic.composite_rho(data, sol, eps, x, t)
     _, q, S = acoustic.exact_macro(data, sol, x, t)
     _write_profiles(out, "composite", x, {"rho": rho, "q": q, "S": S})
@@ -220,13 +223,19 @@ def cmd_composite(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _settings("compare", args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config = _kinetic_config(cfg)
     case, N = int(cfg["case"]), int(cfg["N"])
     eps, t = float(cfg["eps"]), float(cfg["t_end"])
     window = float(cfg["window"])
+    wave = coupling.ACOUSTIC_SPEED * t
+    if not (np.isfinite(window) and window >= 0
+            and np.any(np.abs(_cell_centres(cfg) - wave) > window)):
+        raise ValueError(f"window must be finite, >= 0 and leave a cell centre outside "
+                         f"|x - a t_end| <= window, got {window}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     data, reference = _preset(case, int(cfg["coeff_N"]))
-    result = _kinetic_result(cfg, data)
+    result = kinetic.run(config, data)
     sol = _node_solution(data, N, reference)
     x = result.x
     rho_c = acoustic.composite_rho(data, sol, eps, x, t)
@@ -234,7 +243,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_profiles(out, "kinetic", x,
                     {"rho": result.rho[-1], "q": result.q[-1], "S": result.S[-1]})
     _write_profiles(out, "composite", x, {"rho": rho_c, "q": q_c, "S": S_c})
-    keep = np.abs(x - coupling.ACOUSTIC_SPEED * t) > window
+    keep = np.abs(x - wave) > window
     rows = []
     for name, kin, comp in (("rho", result.rho[-1], rho_c),
                             ("q", result.q[-1], q_c),

@@ -19,32 +19,15 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import DegeneracyError, NumericalError, SingularSystemError
-from .hermite import (
-    HermiteTable,
-    MomentTransform,
-    QuadratureRule,
-    build_rule,
-    build_tables,
-    hermite_functions,
-    readonly,
-)
-from .layer import (
-    LayerMatrix,
-    LayerSpectrum,
-    LiftMatrix,
-    build_layer_matrix,
-    build_lift,
-    stable_manifold,
-)
+from .hermite import MomentTransform, QuadratureRule, build_rule, hermite_functions, readonly
+from .layer import LayerSpectrum, build_layer_matrix, build_lift, stable_manifold
 
 __all__ = [
     "ACOUSTIC_SPEED",
     "INFINITE",
     "SV_CUTOFF",
-    "HALF_MOMENT_REFERENCE",
     "NodeTopology",
     "NodeOperators",
-    "InvariantMatrix",
     "CouplingCoefficients",
     "MacroCouplingSystem",
     "NodeProblem",
@@ -72,9 +55,6 @@ INFINITE = math.inf
 
 #: Relative singular-value cutoff used by every rank decision in this module.
 SV_CUTOFF = 1e-10
-
-#: Literature half-moment values (delta_1, delta_2), stored for comparison only.
-HALF_MOMENT_REFERENCE = {3: (0.5301, 0.3402), INFINITE: (1.5833, 0.9975)}
 
 
 @dataclass(frozen=True)
@@ -121,40 +101,30 @@ class NodeTopology:
 class NodeOperators:
     """Velocity basis, layer spectrum and lift shared by all node computations at fixed N.
 
-    ``lifted`` = S^{-1} T maps the reduced unknowns (D, C, B, gamma) of one edge
-    to the distribution values at the 2N velocity nodes, ascending in v.
+    ``lift`` = T maps the reduced unknowns (D, C, B, gamma) of one edge to its
+    moments at x = 0, and ``lifted`` = S^{-1} T to its distribution values at
+    the 2N velocity nodes, ascending in v.
     """
 
     rule: QuadratureRule
-    table: HermiteTable
     transform: MomentTransform
-    layer: LayerMatrix
     spectrum: LayerSpectrum
-    lift: LiftMatrix
+    lift: np.ndarray
     lifted: np.ndarray
 
     @classmethod
     def build(cls, N: int) -> "NodeOperators":
         rule = build_rule(N)
-        table, transform = build_tables(rule)
-        layer = build_layer_matrix(N)
-        spectrum = stable_manifold(layer)
+        transform = MomentTransform(rule.basis, rule.scaled_weights)
+        spectrum = stable_manifold(build_layer_matrix(N))
         lift = build_lift(spectrum, N)
-        lifted = transform.solve(lift.matrix)
+        lifted = transform.solve(lift)
         readonly(lifted)
-        return cls(rule, table, transform, layer, spectrum, lift, lifted)
+        return cls(rule, transform, spectrum, lift, lifted)
 
     @property
     def N(self) -> int:
         return self.rule.half
-
-
-@dataclass(frozen=True)
-class InvariantMatrix:
-    """The N x (N+1) node-invariant map M(mu) of a symmetric node of degree n."""
-
-    M: np.ndarray
-    n: int | float
 
 
 def _modal_matrix(lifted: np.ndarray, mu: complex) -> np.ndarray:
@@ -163,8 +133,9 @@ def _modal_matrix(lifted: np.ndarray, mu: complex) -> np.ndarray:
     return lifted[N:] - mu * lifted[N - 1::-1]
 
 
-def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> InvariantMatrix:
-    """M(mu) of a symmetric node: mu = -1/(n-1), or mu = 0 for INFINITE."""
+def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> np.ndarray:
+    """The read-only N x (N+1) M(mu) of a symmetric node: mu = -1/(n-1), or mu = 0
+    for INFINITE."""
     if topology.beta is not None:
         raise ValueError("invariant extraction supports only symmetric topologies; "
                          "use solve_node for an arbitrary coupling matrix")
@@ -173,7 +144,7 @@ def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> InvariantMat
     if not np.all(np.isfinite(M)):
         raise NumericalError("invariant matrix contains non-finite entries")
     readonly(M)
-    return InvariantMatrix(M, topology.n)
+    return M
 
 
 @dataclass(frozen=True)
@@ -226,8 +197,9 @@ def _null_vectors(R: np.ndarray, T: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.vstack([X, -solve_triangular(R, T @ X)])
 
 
-def extract_deltas(invariants: InvariantMatrix) -> CouplingCoefficients:
-    """Read delta_1, delta_2 and the chain coefficients off the invariant matrix.
+def extract_deltas(M: np.ndarray, n: int | float) -> CouplingCoefficients:
+    """Read delta_1, delta_2 and the chain coefficients off the invariant matrix
+    M of a symmetric node of degree n.
 
     One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
     on the two-dimensional left null space Q_2 of those columns. delta_1
@@ -238,7 +210,6 @@ def extract_deltas(invariants: InvariantMatrix) -> CouplingCoefficients:
     order (D, C, B, gamma_1, ...): its (D, C, B) part is K_0 x K_1 and its
     gamma part follows by back substitution.
     """
-    M = invariants.M
     N = M.shape[0]
     R, T, K, norm = _reduce(M)
     s = np.linalg.svd(K, compute_uv=False)
@@ -275,13 +246,12 @@ def extract_deltas(invariants: InvariantMatrix) -> CouplingCoefficients:
     safe_den = np.where(resolved_den, denom, np.where(denom < 0.0, -floor, floor))
     delta_tilde = np.where(resolved_den | resolved_num, -numer / safe_den, 1.0)
     readonly(delta_tilde)
-    return CouplingCoefficients(float(delta1), float(delta2), delta_tilde,
-                                N, invariants.n)
+    return CouplingCoefficients(float(delta1), float(delta2), delta_tilde, N, n)
 
 
 def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
     """Convenience: invariant matrix plus extraction in one call."""
-    return extract_deltas(invariant_matrix(ops, topology))
+    return extract_deltas(invariant_matrix(ops, topology), topology.n)
 
 
 def maxwell_delta(n: int | float) -> tuple[float, float]:
@@ -415,7 +385,7 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     e1r = ops.spectrum.R2plus[0, :]
     modal = (4.0 / np.sqrt(3.0)) * gamma * e1r[None, :]
     rho_at_0 = B + modal.sum(axis=1)
-    g_at_0 = m @ ops.lift.matrix.T
+    g_at_0 = m @ ops.lift.T
     eigenvalues = ops.spectrum.positive_eigenvalues.copy()
     readonly(D, C, B, gamma, rho_at_0, g_at_0, eigenvalues, modal)
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, eigenvalues, modal)

@@ -20,15 +20,10 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "MAX_HALF_ORDER",
     "QuadratureRule",
-    "HermiteTable",
     "MomentTransform",
-    "MomentSet",
     "recursion_coefficients",
     "hermite_functions",
     "build_rule",
-    "build_tables",
-    "moments",
-    "discrete_maxwellian",
 ]
 
 MAX_HALF_ORDER = 1500
@@ -80,7 +75,8 @@ class QuadratureRule:
     ``scaled_weights`` holds w_i e^{v_i^2}; this is the combination entering the
     discrete Maxwellian and the only form that stays representable at large N.
     ``basis`` is the Hermite function table H_k(v_i), k < 2N, the weights were
-    computed from; :func:`build_tables` reuses it.
+    computed from; it is the one table of the rule's N, and the moment
+    transform is built on it.
     """
 
     order: int
@@ -119,23 +115,6 @@ def build_rule(N: int) -> QuadratureRule:
 
 
 @dataclass(frozen=True)
-class HermiteTable:
-    """Orthonormal Hermite basis evaluated at the quadrature nodes.
-
-    ``values[k, i]`` is the pre-weighted H_k(v_i); ``alpha`` holds the
-    recursion coefficients alpha_1..alpha_{2N}.
-    """
-
-    nodes: np.ndarray
-    alpha: np.ndarray
-    values: np.ndarray
-
-    def polynomial_values(self) -> np.ndarray:
-        """Raw P_k(v_i) table. Overflows for N larger than a few hundred."""
-        return self.values * np.exp(0.5 * self.nodes * self.nodes)
-
-
-@dataclass(frozen=True)
 class MomentTransform:
     """The invertible map between nodal values f_i and moments g_k = sum_i H_k(v_i) f_i.
 
@@ -155,58 +134,3 @@ class MomentTransform:
         """Inverse transform f = diag(w~) S^T g; g is one moment vector or a (2N, k) batch."""
         f = self.matrix.T @ g
         return f * self.scaled_weights.reshape((-1,) + (1,) * (f.ndim - 1))
-
-
-def build_tables(rule: QuadratureRule) -> tuple[HermiteTable, MomentTransform]:
-    """The basis at the rule's nodes (the rule's own table) and the moment transform."""
-    alpha = recursion_coefficients(rule.order)
-    readonly(alpha)
-    table = HermiteTable(rule.nodes, alpha, rule.basis)
-    transform = MomentTransform(rule.basis, rule.scaled_weights)
-    return table, transform
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Moment vector g_0..g_{2N-1} with the derived macroscopic quantities."""
-
-    g: np.ndarray
-
-    @property
-    def rho(self) -> float:
-        return np.sqrt(2.0) * self.g[0]
-
-    @property
-    def q(self) -> float:
-        return np.sqrt(2.0) * self.g[1]
-
-    @property
-    def S(self) -> float:
-        return 2.0 * self.g[2] + self.rho
-
-    @property
-    def h(self) -> float:
-        """Third-order moment, 3 q + 2 sqrt(3) g_3."""
-        return 3.0 * self.q + 2.0 * np.sqrt(3.0) * self.g[3]
-
-
-def moments(f: np.ndarray, transform: MomentTransform) -> MomentSet:
-    """Moments of a nodal distribution vector."""
-    f = np.asarray(f, dtype=float)
-    n = transform.matrix.shape[0]
-    if f.shape != (n,):
-        raise ValueError(f"expected distribution of length {n}, got shape {f.shape}")
-    return MomentSet(transform.apply(f))
-
-
-def discrete_maxwellian(g0: float, g1: float, g2: float,
-                        rule: QuadratureRule, table: HermiteTable) -> np.ndarray:
-    """Discrete linearized Maxwellian M_i = w_i e^{v_i^2} sum_{k<3} H_k(v_i) g_k.
-
-    By discrete orthogonality its moments reproduce (g0, g1, g2) and annihilate
-    g_3..g_{2N-1}.
-    """
-    if rule.order < 4:
-        raise ValueError("discrete Maxwellian needs at least N = 2 (four velocities)")
-    h = table.values
-    return rule.scaled_weights * (h[0] * g0 + h[1] * g1 + h[2] * g2)

@@ -16,12 +16,12 @@ the (edges, cells, 2N) transposed view of that buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import ACOUSTIC_SPEED, NodeTopology
-from .hermite import HermiteTable, QuadratureRule, build_rule, build_tables
+from .hermite import QuadratureRule, build_rule
 
 __all__ = [
     "NetworkConfig",
@@ -31,7 +31,6 @@ __all__ = [
     "graded_spacing",
     "initialize",
     "apply_node_coupling",
-    "apply_outer_boundary",
     "step",
     "run",
     "total_mass",
@@ -88,14 +87,12 @@ class NetworkConfig:
             object.__setattr__(self, "edge_length", float(spacing.sum()))
         if not isinstance(self.N, (int, np.integer)) or self.N < 2:
             raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
-        for name in ("t_end", "edge_length"):
+        for name in ("t_end", "edge_length", "epsilon"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.cells < 10:
-            raise ValueError(f"need at least 10 cells, got {self.cells}")
+        if not isinstance(self.cells, (int, np.integer)) or self.cells < 10:
+            raise ValueError(f"cells must be an integer >= 10, got {self.cells!r}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.n_edges < 2:
@@ -169,27 +166,25 @@ class InitialData:
 
 @dataclass
 class NetworkState:
-    """Mutable solver state plus the precomputed velocity-space operators."""
+    """Mutable solver state plus the velocity-space operators :func:`initialize` sets."""
 
     config: NetworkConfig
     data: InitialData
     rule: QuadratureRule
-    table: HermiteTable
     f: np.ndarray               # (n_edges, cells, 2N) view of a velocity-major buffer
     x: np.ndarray               # cell centers
     dx: np.ndarray              # cell widths
+    speeds: np.ndarray          # physical velocities sqrt(2) v_i
+    moment_rows: np.ndarray     # H_0..H_2 at the nodes: f @ moment_rows.T = (g0, g1, g2)
+    maxwell_rows: np.ndarray    # (g0, g1, g2) @ maxwell_rows is the discrete Maxwellian
+    relax: np.ndarray           # moment_rows.T @ maxwell_rows: f @ relax is f's Maxwellian
+    beta: np.ndarray            # node coupling matrix
+    outer_ghost: np.ndarray     # initial Maxwellians at x = b, negative velocities
+    work: np.ndarray            # (n_edges, N, cells) upwind scratch
     time: float = 0.0
     mass_inflow: float = 0.0    # time-integrated net boundary mass flux
     mass_initial: float = 0.0
-    # cached operators
-    speeds: np.ndarray = field(default=None, repr=False)
-    moment_rows: np.ndarray = field(default=None, repr=False)
-    maxwell_rows: np.ndarray = field(default=None, repr=False)
-    relax: np.ndarray = field(default=None, repr=False)
-    beta: np.ndarray = field(default=None, repr=False)
-    outer_ghost: np.ndarray = field(default=None, repr=False)
-    work: np.ndarray = field(default=None, repr=False)     # (n_edges, N, cells)
-    step_operators: tuple = field(default=None, repr=False)  # (dt, upwind scale, K^T)
+    step_operators: tuple | None = None     # per-dt cache (dt, upwind scale, K^T)
 
     def max_speed(self) -> float:
         return float(np.abs(self.speeds).max())
@@ -206,16 +201,16 @@ class NetworkState:
         return rho, q, S
 
 
-def _maxwellian_rows(rule: QuadratureRule, table: HermiteTable) -> np.ndarray:
-    return table.values[:3] * rule.scaled_weights
+def _maxwellian_rows(rule: QuadratureRule) -> np.ndarray:
+    """(g0, g1, g2) @ rows is the discrete Maxwellian M_i = w_i e^{v_i^2} sum_{k<3} H_k(v_i) g_k;
+    by discrete orthogonality its moments are (g0, g1, g2, 0, ..., 0)."""
+    return rule.basis[:3] * rule.scaled_weights
 
 
-def _edge_maxwellians(data: InitialData, rule: QuadratureRule,
-                      table: HermiteTable) -> np.ndarray:
+def _edge_maxwellians(data: InitialData, rows: np.ndarray) -> np.ndarray:
     g0 = data.rho0 / np.sqrt(2.0)
     g1 = data.q0 / np.sqrt(2.0)
     g2 = (data.S0 - data.rho0) / 2.0
-    rows = _maxwellian_rows(rule, table)
     return np.outer(g0, rows[0]) + np.outer(g1, rows[1]) + np.outer(g2, rows[2])
 
 
@@ -224,15 +219,14 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     if data.n_edges != config.n_edges:
         raise ValueError(f"initial data has {data.n_edges} edges, config {config.n_edges}")
     rule = build_rule(config.N)
-    table, _ = build_tables(rule)
     dx = config.cell_widths()
     x = np.cumsum(dx) - dx / 2.0
-    maxw = _edge_maxwellians(data, rule, table)
+    moment_rows = rule.basis[:3].copy()
+    maxwell_rows = _maxwellian_rows(rule)
+    maxw = _edge_maxwellians(data, maxwell_rows)
     buffer = np.repeat(maxw[:, :, None], config.cells, axis=2)
-    moment_rows = table.values[:3].copy()
-    maxwell_rows = _maxwellian_rows(rule, table)
     state = NetworkState(
-        config=config, data=data, rule=rule, table=table,
+        config=config, data=data, rule=rule,
         f=buffer.transpose(0, 2, 1), x=x, dx=dx,
         speeds=np.sqrt(2.0) * rule.nodes,
         moment_rows=moment_rows,
@@ -255,11 +249,6 @@ def apply_node_coupling(state: NetworkState) -> np.ndarray:
     N = state.rule.half
     mirrored = state.f[:, 0, :N][:, ::-1]
     return state.beta @ mirrored
-
-
-def apply_outer_boundary(state: NetworkState, data: InitialData) -> np.ndarray:
-    """Ghost values at x = b for the negative velocities: the initial Maxwellians."""
-    return _edge_maxwellians(data, state.rule, state.table)[:, :state.rule.half]
 
 
 def _step_operators(state: NetworkState, dt: float) -> tuple:

@@ -21,11 +21,9 @@ from .hermite import readonly
 __all__ = [
     "LayerMatrix",
     "LayerSpectrum",
-    "LiftMatrix",
     "build_layer_matrix",
     "stable_manifold",
     "build_lift",
-    "layer_profile",
 ]
 
 
@@ -61,13 +59,6 @@ class LayerSpectrum:
     @property
     def positive_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[self.positive_indices]
-
-
-@dataclass(frozen=True)
-class LiftMatrix:
-    """2N x (N+1) map from (D, C, B, gamma) to the moment vector at x = 0."""
-
-    matrix: np.ndarray
 
 
 def build_layer_matrix(N: int) -> LayerMatrix:
@@ -109,8 +100,8 @@ def stable_manifold(matrix: LayerMatrix) -> LayerSpectrum:
     return LayerSpectrum(lam, vec, positive, r2plus)
 
 
-def build_lift(spectrum: LayerSpectrum, N: int) -> LiftMatrix:
-    """Assemble the lift from (D, C, B, gamma) to (g_0, ..., g_{2N-1}) at x = 0."""
+def build_lift(spectrum: LayerSpectrum, N: int) -> np.ndarray:
+    """The read-only 2N x (N+1) lift from (D, C, B, gamma) to (g_0, ..., g_{2N-1}) at x = 0."""
     r2 = spectrum.R2plus
     if r2.shape != (2 * (N - 2), N - 2):
         raise ValueError(f"spectrum has shape {r2.shape}, inconsistent with N={N}")
@@ -125,15 +116,4 @@ def build_lift(spectrum: LayerSpectrum, N: int) -> LiftMatrix:
     # g3 row stays zero: bounded layers force g3 = 0
     T[4:, 3:] = r2
     readonly(T)
-    return LiftMatrix(T)
-
-
-def layer_profile(gamma: np.ndarray, x: float, spectrum: LayerSpectrum) -> np.ndarray:
-    """Layer moments at depth x >= 0: g(x) = sum_i gamma_i r_i exp(-x/(sqrt2 lambda_i))."""
-    if x < 0:
-        raise ValueError(f"layer coordinate must be nonnegative, got {x}")
-    gamma = np.asarray(gamma, dtype=float)
-    lam = spectrum.positive_eigenvalues
-    if gamma.shape != lam.shape:
-        raise ValueError(f"gamma has shape {gamma.shape}, expected {lam.shape}")
-    return spectrum.R2plus @ (gamma * np.exp(-x / (np.sqrt(2.0) * lam)))
+    return T

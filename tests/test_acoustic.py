@@ -155,6 +155,8 @@ class TestCompositeRho:
             composite_rho(data, sol, 5e-4, np.array([-0.1]), 0.1)
         with pytest.raises(ValueError):
             composite_rho(data, sol, 0.0, np.array([0.1]), 0.1)
+        with pytest.raises(ValueError, match="^epsilon must"):
+            composite_rho(data, sol, np.nan, np.array([0.1]), 0.1)
 
 
 class TestViscousLayer:

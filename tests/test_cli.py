@@ -155,6 +155,14 @@ class TestKineticCommands:
         assert np.all(np.isfinite(rows))
         assert np.all(rows[:, 1:] >= 0)
 
+    @pytest.mark.parametrize("window", ["1", "-1", "nan"])
+    def test_compare_rejects_bad_window_before_running(self, tmp_path, capsys, window):
+        # window 1 covers every cell centre of the 0.03-long edge
+        out = tmp_path / "w"
+        assert main(["compare", *self.KIN, "--window", window, "--out", str(out)]) == 1
+        assert "error: window must" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_compare_flux_accuracy_case1(self, tmp_path):
         # q carries no wave and no layers in case 1: sup error stays below 1e-2
         out = tmp_path / "cmpq"

@@ -10,11 +10,9 @@ from scipy.integrate import simpson
 
 from bgknet import (
     ACOUSTIC_SPEED,
-    HALF_MOMENT_REFERENCE,
     INFINITE,
     DegeneracyError,
     InitialData,
-    InvariantMatrix,
     LayerSpectrum,
     NodeProblem,
     NodeTopology,
@@ -122,25 +120,26 @@ class TestInvariantMatrix:
         # row k pairs velocity v_k with its mirror -v_k only:
         # (n - 1) M_k = (n - 1) f(v_k) + f(-v_k)
         ops = ops_factory(8)
-        inv = invariant_matrix(ops, NodeTopology.symmetric(3))
+        M = invariant_matrix(ops, NodeTopology.symmetric(3))
         N = 8
-        assert inv.M.shape == (N, N + 1)
+        assert M.shape == (N, N + 1)
+        assert not M.flags.writeable
         tol = 1e-15 * np.max(np.abs(ops.lifted))
         for k in range(N):
-            np.testing.assert_allclose(2.0 * inv.M[k],
+            np.testing.assert_allclose(2.0 * M[k],
                                        2.0 * ops.lifted[N + k] + ops.lifted[N - 1 - k],
                                        rtol=0.0, atol=tol)
 
     def test_pairing_structure_infinite(self, ops_factory):
         # mu = 0: row k selects the positive velocity v_k alone
         ops = ops_factory(8)
-        inv = invariant_matrix(ops, NodeTopology.symmetric(INFINITE))
+        M = invariant_matrix(ops, NodeTopology.symmetric(INFINITE))
         for k in range(8):
-            np.testing.assert_array_equal(inv.M[k], ops.lifted[8 + k])
+            np.testing.assert_array_equal(M[k], ops.lifted[8 + k])
 
     def test_lifted_is_inverse_transform_of_lift(self, ops_factory):
         ops = ops_factory(8)
-        np.testing.assert_allclose(ops.transform.apply(ops.lifted), ops.lift.matrix,
+        np.testing.assert_allclose(ops.transform.apply(ops.lifted), ops.lift,
                                    rtol=0.0, atol=1e-13)
 
     def test_rejects_general_topology(self, ops_factory):
@@ -171,20 +170,18 @@ class TestExtractDeltas:
                                 ops.spectrum.positive_indices, r2)
         lift = build_lift(flipped, 30)
         flipped_ops = replace(ops, spectrum=flipped, lift=lift,
-                              lifted=ops.transform.solve(lift.matrix))
-        inv = invariant_matrix(flipped_ops, NodeTopology.symmetric(3))
-        coeff = extract_deltas(inv)
+                              lifted=ops.transform.solve(lift))
+        coeff = extract_deltas(invariant_matrix(flipped_ops, NodeTopology.symmetric(3)), 3)
         assert abs(coeff.delta1 - base.delta1) < 1e-12
         assert abs(coeff.delta2 - base.delta2) < 1e-12
 
     def test_row_scaling_invariance(self, ops_factory, coeff_factory):
         ops = ops_factory(30)
         base = coeff_factory(30, 3)
-        inv = invariant_matrix(ops, NodeTopology.symmetric(3))
+        M = invariant_matrix(ops, NodeTopology.symmetric(3))
         rng = np.random.default_rng(2)
-        scales = 10.0 ** rng.uniform(-3, 3, size=inv.M.shape[0])
-        scaled = InvariantMatrix(inv.M * scales[:, None], inv.n)
-        coeff = extract_deltas(scaled)
+        scales = 10.0 ** rng.uniform(-3, 3, size=M.shape[0])
+        coeff = extract_deltas(M * scales[:, None], 3)
         assert abs(coeff.delta1 - base.delta1) < 1e-11
         assert abs(coeff.delta2 - base.delta2) < 1e-11
 
@@ -219,7 +216,7 @@ class TestExtractDeltas:
     def test_matches_svd_oracle(self, ops_factory, coeff_factory, N, n):
         coeff = coeff_factory(N, n)
         delta1, delta2, eta = svd_extract(invariant_matrix(ops_factory(N),
-                                                           NodeTopology.symmetric(n)).M)
+                                                           NodeTopology.symmetric(n)))
         assert abs(coeff.delta1 - delta1) <= 1e-13
         assert abs(coeff.delta2 - delta2) <= 1e-13
         # chain ratios wherever both components are above the rounding floor;
@@ -234,9 +231,9 @@ class TestExtractDeltas:
 
     @pytest.mark.parametrize("n", [3, INFINITE])
     def test_layout_independent(self, ops_factory, n):
-        M = invariant_matrix(ops_factory(99), NodeTopology.symmetric(n)).M
-        c_order = extract_deltas(InvariantMatrix(np.ascontiguousarray(M), n))
-        f_order = extract_deltas(InvariantMatrix(np.asfortranarray(M), n))
+        M = invariant_matrix(ops_factory(99), NodeTopology.symmetric(n))
+        c_order = extract_deltas(np.ascontiguousarray(M), n)
+        f_order = extract_deltas(np.asfortranarray(M), n)
         assert c_order.delta1 == f_order.delta1
         assert c_order.delta2 == f_order.delta2
 
@@ -254,11 +251,10 @@ class TestExtractDeltas:
 
     def test_degenerate_matrix_rejected(self, ops_factory):
         ops = ops_factory(8)
-        inv = invariant_matrix(ops, NodeTopology.symmetric(3))
-        broken = inv.M.copy()
+        broken = invariant_matrix(ops, NodeTopology.symmetric(3)).copy()
         broken[3] = broken[2]  # duplicate row: rank deficient
         with pytest.raises(DegeneracyError) as err:
-            extract_deltas(InvariantMatrix(broken, 3))
+            extract_deltas(broken, 3)
         assert err.value.singular_values is not None
 
 
@@ -280,10 +276,6 @@ class TestMaxwellDelta:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             maxwell_delta(1)
-
-    def test_half_moment_reference_present(self):
-        assert HALF_MOMENT_REFERENCE[3] == (0.5301, 0.3402)
-        assert HALF_MOMENT_REFERENCE[INFINITE] == (1.5833, 0.9975)
 
 
 class TestMacroSystem:
@@ -699,8 +691,8 @@ class TestImmutability:
         ops = ops_factory(8)
         coeff = coeff_factory(8, 3)
         for arr in (ops.rule.nodes, ops.rule.weights, ops.rule.scaled_weights,
-                    ops.table.values, ops.spectrum.eigenvalues,
-                    ops.spectrum.R2plus, ops.lift.matrix, ops.lifted,
+                    ops.rule.basis, ops.spectrum.eigenvalues,
+                    ops.spectrum.R2plus, ops.lift, ops.lifted,
                     coeff.delta_tilde):
             with pytest.raises(ValueError):
                 arr[..., 0] = 0.0

@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from bgknet import (
-    build_rule,
-    build_tables,
-    discrete_maxwellian,
-    hermite_functions,
-    moments,
-    recursion_coefficients,
-)
+from bgknet import MomentTransform, build_rule, hermite_functions, recursion_coefficients
+from bgknet.kinetic import _maxwellian_rows
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def transform_of(rule):
+    """The moment transform on the rule's own table, as NodeOperators.build makes it."""
+    return MomentTransform(rule.basis, rule.scaled_weights)
+
+
+def polynomial_values(rule):
+    """Raw P_k(v_i) table from the weighted one; overflows beyond N of a few hundred."""
+    return rule.basis * np.exp(0.5 * rule.nodes * rule.nodes)
 
 
 def gaussian_moment(m: int) -> float:
@@ -74,9 +78,8 @@ class TestBuildRule:
 class TestHermiteTable:
     def test_low_order_polynomials(self):
         rule = build_rule(8)
-        table, _ = build_tables(rule)
         v = rule.nodes
-        p = table.polynomial_values()
+        p = polynomial_values(rule)
         p0 = np.full_like(v, np.pi**-0.25)
         p1 = math.sqrt(2) * np.pi**-0.25 * v
         np.testing.assert_allclose(p[0], p0, rtol=1e-14)
@@ -88,8 +91,7 @@ class TestHermiteTable:
 
     def test_discrete_orthonormality(self):
         rule = build_rule(16)
-        table, _ = build_tables(rule)
-        gram = (table.values * rule.scaled_weights) @ table.values.T
+        gram = (rule.basis * rule.scaled_weights) @ rule.basis.T
         order = rule.order
         for k in range(order):
             for j in range(order):
@@ -98,27 +100,24 @@ class TestHermiteTable:
 
     def test_orthonormality_of_p2(self):
         rule = build_rule(8)
-        table, _ = build_tables(rule)
-        val = np.sum(rule.scaled_weights * table.values[2] ** 2)
+        val = np.sum(rule.scaled_weights * rule.basis[2] ** 2)
         assert abs(val - 1.0) < 1e-12
 
     @pytest.mark.parametrize("N", [8, 64])
     def test_recursion_residual_weighted(self, N):
         rule = build_rule(N)
-        table, _ = build_tables(rule)
         v = rule.nodes
-        h = table.values
-        alpha = table.alpha
+        h = rule.basis
+        alpha = recursion_coefficients(rule.order)
         for k in range(1, rule.order - 1):
             res = v * h[k] - alpha[k] * h[k + 1] - alpha[k - 1] * h[k - 1]
             assert np.max(np.abs(res)) < 1e-12
 
     def test_recursion_residual_polynomial(self):
         rule = build_rule(8)
-        table, _ = build_tables(rule)
         v = rule.nodes
-        p = table.polynomial_values()
-        alpha = table.alpha
+        p = polynomial_values(rule)
+        alpha = recursion_coefficients(rule.order)
         for k in range(1, rule.order - 1):
             res = v * p[k] - alpha[k] * p[k + 1] - alpha[k - 1] * p[k - 1]
             assert np.max(np.abs(res)) < 1e-12 * np.max(np.abs(p[k + 1]))
@@ -128,10 +127,9 @@ class TestHermiteTable:
 
     def test_large_order_table_finite(self):
         rule = build_rule(1000)
-        table, _ = build_tables(rule)
-        assert np.all(np.isfinite(table.values))
+        assert np.all(np.isfinite(rule.basis))
         # the bottom rows remain O(1)-normalized near the turning points
-        assert np.max(np.abs(table.values[-1])) > 1e-3
+        assert np.max(np.abs(rule.basis[-1])) > 1e-3
 
 
 class TestMomentTransform:
@@ -139,7 +137,7 @@ class TestMomentTransform:
     def test_roundtrip(self, N):
         rng = np.random.default_rng(7)
         rule = build_rule(N)
-        _, transform = build_tables(rule)
+        transform = transform_of(rule)
         f = rng.standard_normal(rule.order)
         back = transform.solve(transform.apply(f))
         assert np.max(np.abs(back - f)) < 1e-9 * np.max(np.abs(f))
@@ -150,7 +148,7 @@ class TestMomentTransform:
         # N = 1000 the tridiagonal eigensolver's nodes (off by up to 8e-13)
         # leave a defect of 1.4e-12 in the highest-degree rows
         rule = build_rule(N)
-        _, transform = build_tables(rule)
+        transform = transform_of(rule)
         S = transform.matrix
         defect = (S * rule.scaled_weights) @ S.T - np.eye(rule.order)
         assert np.max(np.abs(defect)) <= bound
@@ -158,7 +156,7 @@ class TestMomentTransform:
     def test_solve_is_weighted_transpose_for_batches(self):
         rng = np.random.default_rng(3)
         rule = build_rule(12)
-        _, transform = build_tables(rule)
+        transform = transform_of(rule)
         g = rng.standard_normal((rule.order, 4))
         expected = rule.scaled_weights[:, None] * (transform.matrix.T @ g)
         np.testing.assert_array_equal(transform.solve(g), expected)
@@ -166,18 +164,19 @@ class TestMomentTransform:
             np.testing.assert_allclose(transform.solve(g[:, k]), expected[:, k],
                                        rtol=0.0, atol=1e-14)
 
-    def test_tables_reuse_the_rule_basis(self):
-        # one Hermite table per N: build_tables takes the rule's own table
-        rule = build_rule(10)
-        table, transform = build_tables(rule)
-        assert table.values is rule.basis and transform.matrix is rule.basis
+    def test_tables_reuse_the_rule_basis(self, ops_factory):
+        # one Hermite table per N: the operators' transform is the rule's own table
+        ops = ops_factory(10)
+        rule = ops.rule
+        assert ops.transform.matrix is rule.basis
+        assert ops.transform.scaled_weights is rule.scaled_weights
         assert not rule.basis.flags.writeable
         np.testing.assert_array_equal(rule.basis, hermite_functions(rule.nodes, rule.order))
 
     def test_conditioning_residual(self):
         rng = np.random.default_rng(11)
         rule = build_rule(500)
-        _, transform = build_tables(rule)
+        transform = transform_of(rule)
         b = rng.standard_normal(rule.order)
         b /= np.linalg.norm(b)
         x = transform.solve(b)
@@ -186,61 +185,47 @@ class TestMomentTransform:
 
 class TestMoments:
     def test_maxwellian_moments(self):
-        # oracle: evaluate sum_i M_i H_k(v_i) directly
+        # oracle: evaluate sum_i M_i H_k(v_i) directly; g0 = rho / sqrt2 = 1 / sqrt2
+        # and g2 = (S - rho) / 2 = 0 is the rest state rho = S = 1, q = 0
         rule = build_rule(8)
-        table, transform = build_tables(rule)
-        m = discrete_maxwellian(1 / math.sqrt(2), 0.0, 0.0, rule, table)
-        direct = np.array([np.sum(m * table.values[k]) for k in range(rule.order)])
+        m = np.array([1 / math.sqrt(2), 0.0, 0.0]) @ _maxwellian_rows(rule)
+        direct = np.array([np.sum(m * rule.basis[k]) for k in range(rule.order)])
         assert abs(direct[0] - 1 / math.sqrt(2)) < 1e-13
         assert np.max(np.abs(direct[1:])) < 1e-13
-        ms = moments(m, transform)
-        assert abs(ms.rho - 1.0) < 1e-12
-        assert abs(ms.q) < 1e-12
-        assert abs(ms.S - 1.0) < 1e-12
+        np.testing.assert_allclose(transform_of(rule).apply(m), direct, rtol=0.0, atol=1e-13)
 
     def test_zero_distribution(self):
         rule = build_rule(4)
-        _, transform = build_tables(rule)
-        ms = moments(np.zeros(rule.order), transform)
-        assert ms.rho == ms.q == ms.S == ms.h == 0.0
+        transform = transform_of(rule)
+        assert np.all(transform.apply(np.zeros(rule.order)) == 0.0)
+        assert np.all(transform.solve(np.zeros(rule.order)) == 0.0)
 
     def test_single_mode(self):
         rule = build_rule(8)
-        table, transform = build_tables(rule)
+        transform = transform_of(rule)
         c = 0.37
-        f = rule.scaled_weights * table.values[1] * c
+        f = rule.scaled_weights * rule.basis[1] * c
         g = transform.apply(f)
         assert abs(g[1] - c) < 1e-13
         others = np.delete(g, 1)
         assert np.max(np.abs(others)) < 1e-13
 
-    def test_third_moment(self):
-        rule = build_rule(8)
-        table, transform = build_tables(rule)
-        f = rule.scaled_weights * (table.values[1] * 0.5 + table.values[3] * 0.25)
-        ms = moments(f, transform)
-        assert abs(ms.h - (3.0 * ms.q + 2.0 * math.sqrt(3) * 0.25)) < 1e-13
-
-    def test_length_mismatch(self):
-        rule = build_rule(8)
-        _, transform = build_tables(rule)
-        with pytest.raises(ValueError):
-            moments(np.zeros(rule.order + 1), transform)
-
 
 class TestDiscreteMaxwellian:
+    # the kinetic solver's Maxwellian rows, the one edge-Maxwellian formula
+
     def test_zero_state(self):
         rule = build_rule(8)
-        table, _ = build_tables(rule)
-        assert np.all(discrete_maxwellian(0.0, 0.0, 0.0, rule, table) == 0.0)
+        assert np.all(np.zeros(3) @ _maxwellian_rows(rule) == 0.0)
 
     def test_moment_closure_random(self):
         rng = np.random.default_rng(3)
         rule = build_rule(16)
-        table, transform = build_tables(rule)
+        transform = transform_of(rule)
+        rows = _maxwellian_rows(rule)
         for _ in range(5):
             g0, g1, g2 = rng.standard_normal(3)
-            m = discrete_maxwellian(g0, g1, g2, rule, table)
+            m = np.array([g0, g1, g2]) @ rows
             g = transform.apply(m)
             assert np.max(np.abs(g[:3] - (g0, g1, g2))) < 1e-10
             assert np.max(np.abs(g[3:])) < 1e-10
@@ -248,8 +233,7 @@ class TestDiscreteMaxwellian:
     def test_unit_density_shape(self):
         # M_i / (w_i e^{v_i^2/2}) = pi^{-1/4} for the (1, 0, 0) state
         rule = build_rule(8)
-        table, _ = build_tables(rule)
-        m = discrete_maxwellian(1.0, 0.0, 0.0, rule, table)
+        m = _maxwellian_rows(rule)[0]
         ratio = m / (rule.weights * np.exp(rule.nodes**2 / 2))
         np.testing.assert_allclose(ratio, np.pi**-0.25, rtol=1e-12)
 
@@ -257,9 +241,8 @@ class TestDiscreteMaxwellian:
 class TestHermiteFunctions:
     def test_against_table(self):
         rule = build_rule(12)
-        table, _ = build_tables(rule)
         again = hermite_functions(rule.nodes, rule.order)
-        np.testing.assert_allclose(again, table.values, atol=1e-15)
+        np.testing.assert_allclose(again, rule.basis, atol=1e-15)
 
     def test_at_zero_velocity(self):
         h = hermite_functions([0.0], 6)

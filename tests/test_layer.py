@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bgknet import build_layer_matrix, build_lift, layer_profile, stable_manifold
+from bgknet import build_layer_matrix, build_lift, stable_manifold
 from bgknet.layer import _fix_signs
 
 
@@ -16,6 +16,12 @@ def quartic_eigenvalues(a, b, c):
     y = np.array([(s - disc) / 2, (s + disc) / 2])
     lam = np.sqrt(y)
     return np.sort(np.concatenate([-lam, lam]))
+
+
+def layer_moments(gamma, x, spectrum):
+    """Layer moments at depth x on the stable manifold:
+    g(x) = sum_i gamma_i r_i exp(-x / (sqrt2 lambda_i)) over the positive eigenpairs."""
+    return spectrum.R2plus @ (gamma * np.exp(-x / (np.sqrt(2.0) * spectrum.positive_eigenvalues)))
 
 
 def loop_fix_signs(vectors):
@@ -107,7 +113,7 @@ class TestLift:
     def test_block_structure(self):
         N = 8
         spectrum = stable_manifold(build_layer_matrix(N))
-        T = build_lift(spectrum, N).matrix
+        T = build_lift(spectrum, N)
         assert T.shape == (2 * N, N + 1)
         # C column touches only the g1 row
         c_col = T[:, 1]
@@ -124,7 +130,7 @@ class TestLift:
     def test_t11_rows(self):
         N = 6
         spectrum = stable_manifold(build_layer_matrix(N))
-        T = build_lift(spectrum, N).matrix
+        T = build_lift(spectrum, N)
         s2 = 1 / np.sqrt(2)
         np.testing.assert_allclose(T[:4, :3],
                                    [[0, 0, s2], [0, s2, 0], [0.5, 0, -0.5], [0, 0, 0]])
@@ -134,22 +140,29 @@ class TestLift:
     @pytest.mark.parametrize("N", [4, 8, 50])
     def test_full_column_rank(self, N):
         spectrum = stable_manifold(build_layer_matrix(N))
-        sv = np.linalg.svd(build_lift(spectrum, N).matrix, compute_uv=False)
+        sv = np.linalg.svd(build_lift(spectrum, N), compute_uv=False)
         assert sv.size == N + 1
         assert sv[-1] > 1e-10 * sv[0]
 
 
 class TestLayerProfile:
     def test_zero_amplitudes(self):
-        spectrum = stable_manifold(build_layer_matrix(6))
-        assert np.all(layer_profile(np.zeros(4), 1.3, spectrum) == 0.0)
+        N = 6
+        spectrum = stable_manifold(build_layer_matrix(N))
+        assert np.all(layer_moments(np.zeros(N - 2), 1.3, spectrum) == 0.0)
+        # at x = 0 the lift gives the layer rows no part of (D, C, B)
+        data = np.concatenate([np.random.default_rng(4).standard_normal(3), np.zeros(N - 2)])
+        assert np.all(build_lift(spectrum, N)[4:] @ data == 0.0)
 
     def test_value_at_origin(self):
+        # the lift's layer rows are the stable-manifold solution at x = 0
         rng = np.random.default_rng(5)
-        spectrum = stable_manifold(build_layer_matrix(8))
-        gamma = rng.standard_normal(6)
-        np.testing.assert_array_equal(layer_profile(gamma, 0.0, spectrum),
-                                      spectrum.R2plus @ gamma)
+        N = 8
+        spectrum = stable_manifold(build_layer_matrix(N))
+        unknowns = rng.standard_normal(N + 1)
+        np.testing.assert_allclose(build_lift(spectrum, N)[4:] @ unknowns,
+                                   layer_moments(unknowns[3:], 0.0, spectrum),
+                                   rtol=0.0, atol=1e-14)
 
     def test_ode_residual_central_difference(self):
         # oracle: sqrt(2) A g'(x) = -g(x) checked with second-order differences
@@ -159,9 +172,10 @@ class TestLayerProfile:
         gamma = rng.standard_normal(6)
         dense = m.dense()
         x, h = 0.7, 1e-4
-        deriv = (layer_profile(gamma, x + h, spectrum) - layer_profile(gamma, x - h, spectrum)) / (2 * h)
+        deriv = (layer_moments(gamma, x + h, spectrum)
+                 - layer_moments(gamma, x - h, spectrum)) / (2 * h)
         lhs = np.sqrt(2.0) * dense @ deriv
-        rhs = -layer_profile(gamma, x, spectrum)
+        rhs = -layer_moments(gamma, x, spectrum)
         assert np.max(np.abs(lhs - rhs)) < 1e-6 * np.max(np.abs(rhs))
 
     def test_single_mode_monotone_decay(self):
@@ -169,10 +183,5 @@ class TestLayerProfile:
         gamma = np.zeros(6)
         gamma[2] = 1.0
         xs = np.linspace(0.0, 5.0, 40)
-        norms = [np.linalg.norm(layer_profile(gamma, x, spectrum)) for x in xs]
+        norms = [np.linalg.norm(layer_moments(gamma, x, spectrum)) for x in xs]
         assert np.all(np.diff(norms) < 0)
-
-    def test_rejects_negative_x(self):
-        spectrum = stable_manifold(build_layer_matrix(6))
-        with pytest.raises(ValueError):
-            layer_profile(np.zeros(4), -0.1, spectrum)
