@@ -7,17 +7,7 @@ and validates the results against a discrete-velocity BGK network simulator
 and the composite asymptotic solution.
 """
 
-from .acoustic import (
-    CompositeProfile,
-    MacroState,
-    characteristics,
-    composite_profile,
-    composite_rho,
-    exact_macro,
-    macro_state,
-    viscous_amplitudes,
-    viscous_layer_check,
-)
+from .acoustic import composite_rho, exact_macro, rho_left, viscous_amplitudes
 from .coupling import (
     ACOUSTIC_SPEED,
     INFINITE,

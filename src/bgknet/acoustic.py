@@ -12,133 +12,61 @@ constant boundary value fixed by the node solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc
 
 from .coupling import ACOUSTIC_SPEED, NodeSolution
 from .kinetic import InitialData
 
-__all__ = [
-    "MacroState",
-    "CompositeProfile",
-    "characteristics",
-    "macro_state",
-    "exact_macro",
-    "composite_profile",
-    "composite_rho",
-    "viscous_amplitudes",
-    "viscous_layer_check",
-]
+__all__ = ["rho_left", "exact_macro", "composite_rho", "viscous_amplitudes"]
 
 
-def characteristics(rho, q, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Characteristic values (r_-, r_0, r_+) = (S - a q, S - a^2 rho, S + a q)."""
-    a = ACOUSTIC_SPEED
-    return S - a * q, S - a * a * rho, S + a * q
+def rho_left(data: InitialData, solution: NodeSolution) -> np.ndarray:
+    """Per-edge bulk density left of the wave, rho_L = rho_0 + (S_inf - S_0)/3."""
+    return data.rho0 + (solution.S_inf - data.S0) / 3.0
 
 
-@dataclass(frozen=True)
-class MacroState:
-    """Per-edge bulk states left of the wave and the initial (right) states."""
-
-    rho_left: np.ndarray
-    q_left: np.ndarray
-    S_left: np.ndarray
-    rho_right: np.ndarray
-    q_right: np.ndarray
-    S_right: np.ndarray
-    wave_speed: float = ACOUSTIC_SPEED
+def _positions(x, t: float) -> np.ndarray:
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"time must be finite and positive, got {t}")
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def macro_state(data: InitialData, solution: NodeSolution) -> MacroState:
-    """Bulk left states from the node solution; rho_L = rho_0 + (S_inf - S_0)/3."""
-    rho_left = data.rho0 + (solution.S_inf - data.S0) / 3.0
-    return MacroState(rho_left, solution.q_inf.copy(), solution.S_inf.copy(),
-                      data.rho0.copy(), data.q0.copy(), data.S0.copy())
+def _wave(left: np.ndarray, right: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """Per-edge profile equal to ``left`` behind the front x = a t, ``right`` ahead."""
+    return np.where((x < ACOUSTIC_SPEED * t)[None, :], left[:, None], right[:, None])
 
 
 def exact_macro(data: InitialData, solution: NodeSolution,
                 x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bulk (rho, q, S) profiles at time t > 0, shape (n_edges, len(x)) each."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ms = macro_state(data, solution)
-    left = (x < ms.wave_speed * t)[None, :]
-    rho = np.where(left, ms.rho_left[:, None], ms.rho_right[:, None])
-    q = np.where(left, ms.q_left[:, None], ms.q_right[:, None])
-    S = np.where(left, ms.S_left[:, None], ms.S_right[:, None])
-    return rho, q, S
-
-
-@dataclass(frozen=True)
-class CompositeProfile:
-    """Layer ingredients of the composite density on every edge.
-
-    ``decay_scales`` are the physical kinetic decay lengths sqrt(2) lambda_i eps;
-    ``rho_modes`` the modal density amplitudes (4/sqrt3) gamma_i (e_1^T r_i);
-    ``r_hat0`` the viscous amplitudes 3 (rho_L - rho_inf) of the zero
-    characteristic, whose viscous scale at time t is sqrt(eps t).
-    """
-
-    epsilon: float
-    rho_inf: np.ndarray
-    rho_left: np.ndarray
-    rho_right: np.ndarray
-    gamma: np.ndarray
-    rho_modes: np.ndarray
-    decay_scales: np.ndarray
-    r_hat0: np.ndarray
-
-    def viscous_scale(self, t: float) -> float:
-        return float(np.sqrt(self.epsilon * t))
-
-
-def composite_profile(data: InitialData, solution: NodeSolution,
-                      epsilon: float) -> CompositeProfile:
-    """Collect the time-independent layer data of the composite solution."""
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    rho_left = macro_state(data, solution).rho_left
-    return CompositeProfile(
-        epsilon=epsilon,
-        rho_inf=solution.rho_inf.copy(),
-        rho_left=rho_left,
-        rho_right=data.rho0.copy(),
-        gamma=solution.gamma.copy(),
-        rho_modes=solution.rho_layer_amplitudes.copy(),
-        decay_scales=np.sqrt(2.0) * solution.layer_eigenvalues * epsilon,
-        r_hat0=viscous_amplitudes(data, solution),
-    )
+    x = _positions(x, t)
+    return (_wave(rho_left(data, solution), data.rho0, x, t),
+            _wave(solution.q_inf, data.q0, x, t),
+            _wave(solution.S_inf, data.S0, x, t))
 
 
 def composite_rho(data: InitialData, solution: NodeSolution, epsilon: float,
                   x: np.ndarray, t: float) -> np.ndarray:
-    """Composite density: bulk wave + viscous erfc corrector + kinetic layer modes."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Composite density: bulk wave + viscous erfc corrector + kinetic layer modes.
+
+    The viscous layer has width sqrt(eps t); kinetic mode i decays over
+    sqrt(2) lambda_i eps with the modal density amplitude of the node solution.
+    """
+    x = _positions(x, t)
     if np.any(x < 0):
         raise ValueError("positions must be nonnegative")
-    prof = composite_profile(data, solution, epsilon)
-    bulk = np.where((x < ACOUSTIC_SPEED * t)[None, :],
-                    prof.rho_left[:, None], prof.rho_right[:, None])
-    viscous = (prof.rho_inf - prof.rho_left)[:, None] \
-        * erfc(x / (2.0 * prof.viscous_scale(t)))[None, :]
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    left = rho_left(data, solution)
+    viscous = (solution.rho_inf - left)[:, None] \
+        * erfc(x / (2.0 * np.sqrt(epsilon * t)))[None, :]
+    decay = np.sqrt(2.0) * solution.layer_eigenvalues * epsilon
     with np.errstate(under="ignore"):
-        kinetic = prof.rho_modes @ np.exp(-x[None, :] / prof.decay_scales[:, None])
-    return bulk + viscous + kinetic
+        kinetic = solution.rho_layer_amplitudes @ np.exp(-x[None, :] / decay[:, None])
+    return _wave(left, data.rho0, x, t) + viscous + kinetic
 
 
 def viscous_amplitudes(data: InitialData, solution: NodeSolution) -> np.ndarray:
-    """Per-edge viscous amplitudes r_hat0 = 3 (rho_L - rho_inf)."""
-    return 3.0 * (macro_state(data, solution).rho_left - solution.rho_inf)
-
-
-def viscous_layer_check(data: InitialData, solution: NodeSolution) -> float:
-    """Residual of sum_i r_hat0^i = 0, i.e. sum (D - 3B) = sum (S_0 - 3 rho_0)."""
-    lhs = np.sum(solution.S_inf - 3.0 * solution.rho_inf)
-    rhs = np.sum(data.S0 - 3.0 * data.rho0)
-    return float(abs(lhs - rhs))
+    """Per-edge viscous amplitudes r_hat0 = 3 (rho_L - rho_inf); they sum to zero."""
+    return 3.0 * (rho_left(data, solution) - solution.rho_inf)

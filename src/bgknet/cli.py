@@ -18,19 +18,6 @@ from .hermite import MAX_HALF_ORDER
 
 __all__ = ["main", "cmd_deltas", "cmd_node", "cmd_kinetic", "cmd_composite", "cmd_compare"]
 
-_DEFAULTS = {
-    "deltas": {"n": "3", "N": "5:99"},
-    "node": {"n": "3", "N": "100", "case": "1", "vmax": "6.0", "vpoints": "1201"},
-    "kinetic": {"case": "1", "eps": "5e-4", "N": "16", "cells": "600",
-                "length": "0.3", "t_end": "0.1", "cfl": "0.9", "coeff_N": "100"},
-    "composite": {"case": "1", "eps": "5e-4", "N": "16", "cells": "600",
-                  "length": "0.3", "t_end": "0.1", "coeff_N": "100"},
-    "compare": {"case": "1", "eps": "5e-4", "N": "16", "cells": "600",
-                "length": "0.3", "t_end": "0.1", "cfl": "0.9", "coeff_N": "100",
-                "window": "0.02"},
-}
-
-
 def _fmt(value: float) -> str:
     return f"{float(value):.16e}"
 
@@ -62,27 +49,71 @@ def _parse_range(text: str) -> tuple[int, int]:
     else:
         lo = hi = int(text)
     if not (5 <= lo <= hi <= MAX_HALF_ORDER):
-        raise ValueError(f"N range must lie within [5, {MAX_HALF_ORDER}], got {text!r}")
+        raise ValueError(f"range must lie within [5, {MAX_HALF_ORDER}], got {text!r}")
     return lo, hi
 
 
-def _settings(command: str, args: argparse.Namespace) -> dict[str, str]:
-    values = dict(_DEFAULTS[command])
+def _positive(kind):
+    """Parser of a finite positive ``kind`` (int or float) from its text."""
+    def parse(text: str):
+        value = kind(text)
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"must be finite and positive, got {value}")
+        return value
+    return parse
+
+
+# Every command's parameters, key -> (default, parse, help). The key is the INI
+# key and, with "_" as "-", the flag; nothing else declares a parameter.
+_RUN = {
+    "case": ("1", int, "test case 1-4"),
+    "eps": ("5e-4", float, "Knudsen parameter"),
+    "N": ("16", int, "half velocity count"),
+    "cells": ("600", int, "cells per edge"),
+    "length": ("0.3", float, "edge length"),
+    "t_end": ("0.1", float, "final time"),
+    "cfl": ("0.9", float, "CFL number of the kinetic step"),
+    "coeff_N": ("100", int, "N used for the preset coefficients"),
+}
+_PARAMETERS = {
+    "deltas": {
+        "n": ("3", _parse_degree, "node degree (integer or 'inf')"),
+        "N": ("5:99", _parse_range, f"N range MIN:MAX within [5, {MAX_HALF_ORDER}]"),
+    },
+    "node": {
+        "n": ("3", _parse_degree, "node degree; the presets need 3"),
+        "N": ("100", int, "half velocity count"),
+        "case": _RUN["case"],
+        "vmax": ("6.0", _positive(float), "largest |v| of the distribution CSV"),
+        "vpoints": ("1201", _positive(int), "velocity count of the distribution CSV"),
+    },
+    "kinetic": _RUN,
+    "composite": {key: spec for key, spec in _RUN.items() if key != "cfl"},
+    "compare": {**_RUN, "window": ("0.02", float, "half-width of the excluded wave window")},
+}
+
+
+def _settings(command: str, args: argparse.Namespace) -> dict:
+    """Parsed parameters: defaults, then the INI section, then the flags."""
+    table = _PARAMETERS[command]
+    text = {key: default for key, (default, _, _) in table.items()}
     if args.config is not None:
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case-sensitive ("N" vs "n")
-        read = parser.read(args.config)
-        if not read:
+        if not parser.read(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
         if parser.has_section(command):
             for key, val in parser.items(command):
-                if key not in values:
+                if key not in table:
                     raise ValueError(f"unknown config key [{command}] {key}")
-                values[key] = val
-    for key in values:
-        override = getattr(args, key, None)
-        if override is not None:
-            values[key] = str(override)
+                text[key] = val
+    values = {}
+    for key, (_, parse, _) in table.items():
+        override = getattr(args, key)
+        try:
+            values[key] = parse(text[key] if override is None else override)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return values
 
 
@@ -105,12 +136,12 @@ def _node_solution(data, N: int, reference):
 
 
 def cmd_deltas(args: argparse.Namespace) -> int:
+    """Coupling-coefficient sweep over N."""
     cfg = _settings("deltas", args)
-    lo, hi = _parse_range(cfg["N"])
-    degree = _parse_degree(cfg["n"])
+    lo, hi = cfg["N"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    topo = coupling.NodeTopology.symmetric(degree)
+    topo = coupling.NodeTopology.symmetric(cfg["n"])
     sweep = {}
     for N in range(lo - 1, hi + 1):
         try:
@@ -132,22 +163,21 @@ def cmd_deltas(args: argparse.Namespace) -> int:
 
 
 def cmd_node(args: argparse.Namespace) -> int:
+    """Solve the coupled half-space node problem."""
     cfg = _settings("node", args)
-    case = int(cfg["case"])
-    N = int(cfg["N"])
-    degree = _parse_degree(cfg["n"])
-    if degree != 3:
+    case, N = cfg["case"], cfg["N"]
+    if cfg["n"] != 3:
         raise ValueError("the test-case presets are defined for n = 3 edges")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data, reference = _preset(case, N)
     sol = _node_solution(data, N, reference)
-    rho_left = acoustic.macro_state(data, sol).rho_left
+    rho_left = acoustic.rho_left(data, sol)
     rows = [(i + 1, sol.D[i], sol.C[i], sol.B[i], sol.rho_at_0[i], rho_left[i])
             for i in range(3)]
     _write_csv(out / f"node_case{case}_summary.csv",
                ["edge", "S_inf", "q_inf", "rho_inf", "rho_node", "rho_left"], rows)
-    v = np.linspace(-float(cfg["vmax"]), float(cfg["vmax"]), int(cfg["vpoints"]))
+    v = np.linspace(-cfg["vmax"], cfg["vmax"], cfg["vpoints"])
     for i in range(3):
         f = coupling.node_distribution(sol, i, v)
         _write_csv(out / f"node_case{case}_edge{i + 1}_distribution.csv",
@@ -159,21 +189,15 @@ def cmd_node(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kinetic_config(cfg: dict[str, str]) -> kinetic.NetworkConfig:
-    return kinetic.NetworkConfig(
-        n_edges=3,
-        edge_length=float(cfg["length"]),
-        cells=int(cfg["cells"]),
-        N=int(cfg["N"]),
-        epsilon=float(cfg["eps"]),
-        cfl=float(cfg["cfl"]),
-        t_end=float(cfg["t_end"]),
-    )
+def _network(cfg: dict) -> kinetic.NetworkConfig:
+    """The validated run settings; composite has no cfl and keeps the default."""
+    cfl = {"cfl": cfg["cfl"]} if "cfl" in cfg else {}
+    return kinetic.NetworkConfig(n_edges=3, edge_length=cfg["length"], cells=cfg["cells"],
+                                 N=cfg["N"], epsilon=cfg["eps"], t_end=cfg["t_end"], **cfl)
 
 
-def _cell_centres(cfg: dict[str, str]) -> np.ndarray:
-    cells = int(cfg["cells"])
-    return (np.arange(cells) + 0.5) * (float(cfg["length"]) / cells)
+def _cell_centres(config: kinetic.NetworkConfig) -> np.ndarray:
+    return (np.arange(config.cells) + 0.5) * (config.edge_length / config.cells)
 
 
 def _write_profiles(out: Path, tag: str, x: np.ndarray, fields: dict[str, np.ndarray]) -> None:
@@ -183,15 +207,32 @@ def _write_profiles(out: Path, tag: str, x: np.ndarray, fields: dict[str, np.nda
                        zip(x, values[i]))
 
 
-def cmd_kinetic(args: argparse.Namespace) -> int:
-    cfg = _settings("kinetic", args)
-    config = _kinetic_config(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data, _ = _preset(int(cfg["case"]), int(cfg["coeff_N"]))
+def _kinetic_profiles(out: Path, config: kinetic.NetworkConfig, data) -> kinetic.KineticResult:
+    """Run the kinetic reference and write its final (rho, q, S) per edge."""
     result = kinetic.run(config, data)
     _write_profiles(out, "kinetic", result.x,
                     {"rho": result.rho[-1], "q": result.q[-1], "S": result.S[-1]})
+    return result
+
+
+def _composite_profiles(out: Path, config: kinetic.NetworkConfig, data, reference,
+                        x: np.ndarray) -> dict[str, np.ndarray]:
+    """Write the composite rho and the bulk (q, S) at t_end per edge."""
+    sol = _node_solution(data, config.N, reference)
+    fields = {"rho": acoustic.composite_rho(data, sol, config.epsilon, x, config.t_end)}
+    _, fields["q"], fields["S"] = acoustic.exact_macro(data, sol, x, config.t_end)
+    _write_profiles(out, "composite", x, fields)
+    return fields
+
+
+def cmd_kinetic(args: argparse.Namespace) -> int:
+    """Kinetic reference run for a test case."""
+    cfg = _settings("kinetic", args)
+    config = _network(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    data, _ = _preset(cfg["case"], cfg["coeff_N"])
+    result = _kinetic_profiles(out, config, data)
     # continuous-equivalent node distribution: f_i / (w_i e^{v_i^2} ) * H_0(v_i)
     h0 = result.state.moment_rows[0]
     scaled = result.state.rule.scaled_weights
@@ -206,51 +247,39 @@ def cmd_kinetic(args: argparse.Namespace) -> int:
 
 
 def cmd_composite(args: argparse.Namespace) -> int:
+    """Composite asymptotic profiles for a test case."""
     cfg = _settings("composite", args)
+    config = _network(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    case, N = int(cfg["case"]), int(cfg["N"])
-    eps, t = float(cfg["eps"]), float(cfg["t_end"])
-    data, reference = _preset(case, int(cfg["coeff_N"]))
-    sol = _node_solution(data, N, reference)
-    x = _cell_centres(cfg)
-    rho = acoustic.composite_rho(data, sol, eps, x, t)
-    _, q, S = acoustic.exact_macro(data, sol, x, t)
-    _write_profiles(out, "composite", x, {"rho": rho, "q": q, "S": S})
+    data, reference = _preset(cfg["case"], cfg["coeff_N"])
+    _composite_profiles(out, config, data, reference, _cell_centres(config))
     print(f"wrote composite profiles to {out}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Kinetic run against the composite profiles, with an error summary."""
     cfg = _settings("compare", args)
-    config = _kinetic_config(cfg)
-    case, N = int(cfg["case"]), int(cfg["N"])
-    eps, t = float(cfg["eps"]), float(cfg["t_end"])
-    window = float(cfg["window"])
-    wave = coupling.ACOUSTIC_SPEED * t
+    config = _network(cfg)
+    window = cfg["window"]
+    wave = coupling.ACOUSTIC_SPEED * config.t_end
     if not (np.isfinite(window) and window >= 0
-            and np.any(np.abs(_cell_centres(cfg) - wave) > window)):
+            and np.any(np.abs(_cell_centres(config) - wave) > window)):
         raise ValueError(f"window must be finite, >= 0 and leave a cell centre outside "
                          f"|x - a t_end| <= window, got {window}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data, reference = _preset(case, int(cfg["coeff_N"]))
-    result = kinetic.run(config, data)
-    sol = _node_solution(data, N, reference)
-    x = result.x
-    rho_c = acoustic.composite_rho(data, sol, eps, x, t)
-    _, q_c, S_c = acoustic.exact_macro(data, sol, x, t)
-    _write_profiles(out, "kinetic", x,
-                    {"rho": result.rho[-1], "q": result.q[-1], "S": result.S[-1]})
-    _write_profiles(out, "composite", x, {"rho": rho_c, "q": q_c, "S": S_c})
-    keep = np.abs(x - wave) > window
+    data, reference = _preset(cfg["case"], cfg["coeff_N"])
+    result = _kinetic_profiles(out, config, data)
+    composite = _composite_profiles(out, config, data, reference, result.x)
+    keep = np.abs(result.x - wave) > window
+    dx = result.state.dx[keep]
     rows = []
-    for name, kin, comp in (("rho", result.rho[-1], rho_c),
-                            ("q", result.q[-1], q_c),
-                            ("S", result.S[-1], S_c)):
+    for name, comp in composite.items():
+        kin = getattr(result, name)[-1]
         for i in range(3):
             diff = np.abs(kin[i] - comp[i])[keep]
-            dx = result.state.dx[keep]
             rows.append((i + 1, float(np.max(diff)), float(np.sum(diff * dx))))
             print(f"{name} edge {i + 1}: sup={rows[-1][1]:.3e} L1={rows[-1][2]:.3e}")
     _write_csv(out / "compare_summary.csv",
@@ -275,40 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "equation on networks: coefficient sweeps, node solves, and "
                     "kinetic/composite validation runs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, fn in _COMMANDS.items():
+        p = sub.add_parser(command, help=fn.__doc__)
         p.add_argument("--config", help="INI file with a section per command")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-
-    p = sub.add_parser("deltas", help="coupling-coefficient sweep over N")
-    common(p)
-    p.add_argument("--N", help=f"N range MIN:MAX within [5, {MAX_HALF_ORDER}]")
-    p.add_argument("--n", help="node degree (integer or 'inf')")
-
-    p = sub.add_parser("node", help="solve the coupled half-space node problem")
-    common(p)
-    p.add_argument("--case", type=int, help="test case 1-4")
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", help="node degree (must be 3 for the presets)")
-    p.add_argument("--vmax", type=float, help="velocity range of the distribution CSV")
-    p.add_argument("--vpoints", type=int)
-
-    for name in ("kinetic", "composite", "compare"):
-        p = sub.add_parser(name, help=f"{name} run for a test case")
-        common(p)
-        p.add_argument("--case", type=int, help="test case 1-4")
-        p.add_argument("--eps", type=float, help="Knudsen parameter")
-        p.add_argument("--N", type=int, help="half velocity count")
-        p.add_argument("--cells", type=int)
-        p.add_argument("--length", type=float, help="edge length")
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--coeff-N", dest="coeff_N", type=int,
-                       help="N used for the preset coefficients (default 100)")
-        if name != "composite":
-            p.add_argument("--cfl", type=float)
-        if name == "compare":
-            p.add_argument("--window", type=float,
-                           help="half-width of the excluded wave window")
+        for key, (default, _, text) in _PARAMETERS[command].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=f"{text} (default: {default})")
     return parser
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .hermite import readonly
+from .hermite import readonly, recursion_coefficients
 
 __all__ = [
     "LayerMatrix",
@@ -65,7 +65,7 @@ def build_layer_matrix(N: int) -> LayerMatrix:
     """Layer matrix for 2N velocities; rejects N < 4 where the system degenerates."""
     if N < 4:
         raise ValueError(f"layer system needs N >= 4, got {N}")
-    offdiag = np.sqrt(np.arange(5, 2 * N) / 2.0)
+    offdiag = recursion_coefficients(2 * N - 1)[4:]  # alpha_5 .. alpha_{2N-1}
     readonly(offdiag)
     return LayerMatrix(2 * (N - 2), offdiag)
 

@@ -7,15 +7,12 @@ from bgknet import (
     InitialData,
     NodeProblem,
     NodeTopology,
-    characteristics,
-    composite_profile,
     composite_rho,
     exact_macro,
-    macro_state,
+    rho_left,
     solve_node,
     solve_node_general,
     viscous_amplitudes,
-    viscous_layer_check,
 )
 
 A = ACOUSTIC_SPEED
@@ -44,19 +41,6 @@ def pass_through_solution(ops, rho_jump=False):
     return data, sol
 
 
-class TestCharacteristics:
-    def test_linear_relations(self):
-        rng = np.random.default_rng(0)
-        rho, q, S = rng.standard_normal((3, 5))
-        rm, r0, rp = characteristics(rho, q, S)
-        np.testing.assert_allclose(rm, S - A * q)
-        np.testing.assert_allclose(r0, S - 3 * rho)
-        np.testing.assert_allclose(rp, S + A * q)
-        # invert back
-        np.testing.assert_allclose(S, (rp + rm) / 2, atol=1e-14)
-        np.testing.assert_allclose(q, (rp - rm) / (2 * A), atol=1e-14)
-
-
 class TestExactMacro:
     def test_golden_bulk_values(self, ops_factory, coeff_factory):
         data, sol = solved_case(1, 100, ops_factory, coeff_factory)
@@ -81,24 +65,24 @@ class TestExactMacro:
         t = 0.1
         x = np.array([0.01, A * t - 0.01, A * t + 0.01, 0.4])
         rho, q, S = exact_macro(data, sol, x, t)
-        ms = macro_state(data, sol)
+        rho_l = rho_left(data, sol)
         for i in range(3):
-            np.testing.assert_allclose(q[i, :2], ms.q_left[i], atol=1e-14)
+            np.testing.assert_allclose(q[i, :2], sol.q_inf[i], atol=1e-14)
             np.testing.assert_allclose(q[i, 2:], data.q0[i], atol=1e-14)
-            np.testing.assert_allclose(S[i, :2], ms.S_left[i], atol=1e-14)
-            np.testing.assert_allclose(rho[i, :2], ms.rho_left[i], atol=1e-14)
+            np.testing.assert_allclose(S[i, :2], sol.S_inf[i], atol=1e-14)
+            np.testing.assert_allclose(rho[i, :2], rho_l[i], atol=1e-14)
             np.testing.assert_allclose(rho[i, 2:], data.rho0[i], atol=1e-14)
 
     def test_rho_left_state_relation(self, ops_factory, coeff_factory):
         data, sol = solved_case(4, 30, ops_factory, coeff_factory)
-        ms = macro_state(data, sol)
-        np.testing.assert_allclose(ms.rho_left,
+        np.testing.assert_allclose(rho_left(data, sol),
                                    data.rho0 + (sol.S_inf - data.S0) / 3, atol=1e-14)
 
     def test_rejects_nonpositive_time(self, ops_factory, coeff_factory):
         data, sol = solved_case(1, 30, ops_factory, coeff_factory)
-        with pytest.raises(ValueError):
-            exact_macro(data, sol, np.array([0.1]), 0.0)
+        for t in (0.0, np.nan):
+            with pytest.raises(ValueError, match="^time must"):
+                exact_macro(data, sol, np.array([0.1]), t)
 
 
 class TestCompositeRho:
@@ -119,24 +103,24 @@ class TestCompositeRho:
         # direct evaluation oracle for the two layer terms in the plateau window
         eps, t = 1e-4, 0.1
         data, sol = solved_case(2, 30, ops_factory, coeff_factory)
-        prof = composite_profile(data, sol, eps)
-        scale = prof.viscous_scale(t)
+        rho_l = rho_left(data, sol)
+        scale = np.sqrt(eps * t)
+        decay = np.sqrt(2) * sol.layer_eigenvalues * eps
         x = np.linspace(3 * scale, A * t - 0.01, 25)
         rho = composite_rho(data, sol, eps, x, t)
         for i in range(3):
-            visc = abs(prof.rho_inf[i] - prof.rho_left[i]) * erfc(x / (2 * scale))
-            tail = np.abs(prof.rho_modes[i]) @ np.exp(-x[None, :] / prof.decay_scales[:, None])
+            visc = abs(sol.rho_inf[i] - rho_l[i]) * erfc(x / (2 * scale))
+            tail = np.abs(sol.rho_layer_amplitudes[i]) @ np.exp(-x[None, :] / decay[:, None])
             bound = visc + tail + 1e-12
-            assert np.all(np.abs(rho[i] - prof.rho_left[i]) <= bound)
-            assert np.all(np.abs(rho[i] - prof.rho_left[i])
-                          <= erfc(1.5) * abs(prof.rho_inf[i] - prof.rho_left[i]) + tail + 1e-12)
+            assert np.all(np.abs(rho[i] - rho_l[i]) <= bound)
+            assert np.all(np.abs(rho[i] - rho_l[i])
+                          <= erfc(1.5) * abs(sol.rho_inf[i] - rho_l[i]) + tail + 1e-12)
 
     def test_far_field_reaches_bulk(self, ops_factory, coeff_factory):
         data, sol = solved_case(2, 30, ops_factory, coeff_factory)
         eps, t = 1e-5, 0.1
         rho = composite_rho(data, sol, eps, np.array([0.05]), t)
-        prof = composite_profile(data, sol, eps)
-        np.testing.assert_allclose(rho[:, 0], prof.rho_left, atol=1e-12)
+        np.testing.assert_allclose(rho[:, 0], rho_left(data, sol), atol=1e-12)
 
     def test_converges_to_exact_macro(self, ops_factory, coeff_factory):
         data, sol = solved_case(2, 30, ops_factory, coeff_factory)
@@ -157,13 +141,16 @@ class TestCompositeRho:
             composite_rho(data, sol, 0.0, np.array([0.1]), 0.1)
         with pytest.raises(ValueError, match="^epsilon must"):
             composite_rho(data, sol, np.nan, np.array([0.1]), 0.1)
+        with pytest.raises(ValueError, match="^time must"):
+            composite_rho(data, sol, 5e-4, np.array([0.1]), np.nan)
 
 
 class TestViscousLayer:
     @pytest.mark.parametrize("case", [1, 2, 3, 4])
     def test_balance_residual_small(self, ops_factory, coeff_factory, case):
         data, sol = solved_case(case, 30, ops_factory, coeff_factory)
-        assert viscous_layer_check(data, sol) < 1e-9
+        # sum_i r_hat0^i = 0 is sum (S_inf - 3 rho_inf) = sum (S_0 - 3 rho_0)
+        assert abs(np.sum(viscous_amplitudes(data, sol))) < 1e-9
 
     def test_case2_amplitudes(self, ops_factory, coeff_factory):
         data, sol = solved_case(2, 30, ops_factory, coeff_factory)

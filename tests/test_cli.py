@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 import bgknet
-from bgknet.cli import _parse_range, _write_csv, main
+from bgknet import coupling
+from bgknet.cli import _COMMANDS, _build_parser, _parse_range, _settings, _write_csv, main
 from bgknet.hermite import MAX_HALF_ORDER
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -20,6 +24,14 @@ def read_csv(path):
 
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.glob("*.csv"))}
+
+
+def help_flags(command, capsys):
+    """Every flag that ``bgknet <command> --help`` lists, but --help itself."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    return set(re.findall(r"(?<![\w-])--[\w-]+", options)) - {"--help"}
 
 
 class TestDeltasCommand:
@@ -115,6 +127,30 @@ class TestNodeCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["composite", "--t-end", "nan"],
+    ["composite", "--length", "nan"],
+    ["composite", "--cells", "0"],
+    ["node", "--vpoints", "0"],
+    ["node", "--vpoints", "-3"],
+    ["node", "--vmax", "nan"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_bad_input_fails_before_any_operator(tmp_path, capsys, monkeypatch, argv):
+    key = argv[1][2:].replace("-", "_")
+    built = []
+
+    def build(cls, N):
+        built.append(N)
+        raise RuntimeError("operators were built")
+
+    monkeypatch.setattr(coupling.NodeOperators, "build", classmethod(build))
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not built
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 class TestKineticCommands:
     KIN = ["--case", "1", "--N", "8", "--cells", "60", "--length", "0.03",
            "--t-end", "0.004", "--coeff-N", "30"]
@@ -194,7 +230,32 @@ class TestConfigFile:
         assert main(["deltas", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_malformed_value_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[kinetic]\ncells = abc\n")
+        assert main(["kinetic", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert "error: cells: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_rejected(self, tmp_path, capsys):
         assert main(["deltas", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path / "x")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_flags_ini_keys_and_readme_agree(tmp_path, capsys, command):
+    flags = help_flags(command, capsys)
+    keys = {flag[2:].replace("-", "_") for flag in flags} - {"config", "out"}
+    parser = _build_parser()
+    assert set(_settings(command, parser.parse_args([command]))) == keys
+    for i, key in enumerate(sorted(keys)):
+        # a malformed value gets past the unknown-key check and is named
+        ini = tmp_path / f"{i}.ini"
+        ini.write_text(f"[{command}]\n{key} = abc\n")
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            _settings(command, parser.parse_args([command, "--config", str(ini)]))
+    section = README.read_text().split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    unnamed = [flag for flag in sorted(flags)
+               if not re.search(re.escape(flag) + r"(?![\w-])", section)]
+    assert not unnamed, f"README's CLI section does not name {unnamed}"

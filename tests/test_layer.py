@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bgknet import build_layer_matrix, build_lift, stable_manifold
+from bgknet import build_layer_matrix, build_lift, recursion_coefficients, stable_manifold
 from bgknet.layer import _fix_signs
 
 
@@ -38,6 +38,14 @@ class TestLayerMatrix:
         m = build_layer_matrix(4)
         assert m.dim == 4
         np.testing.assert_allclose(m.offdiag, np.sqrt([2.5, 3.0, 3.5]), rtol=1e-15)
+
+    @pytest.mark.parametrize("N", [4, 99, 1000])
+    def test_offdiag_is_the_hermite_recursion(self, N):
+        # alpha_5 .. alpha_{2N-1}, bit for bit the closed form sqrt(k/2)
+        offdiag = build_layer_matrix(N).offdiag
+        np.testing.assert_array_equal(offdiag, recursion_coefficients(2 * N - 1)[4:])
+        np.testing.assert_array_equal(offdiag, np.sqrt(np.arange(5, 2 * N) / 2.0))
+        assert not offdiag.flags.writeable
 
     def test_trace_zero(self):
         assert np.trace(build_layer_matrix(4).dense()) == 0.0
