@@ -63,17 +63,29 @@ def _positive(kind):
     return parse
 
 
+def _integer_in(lo: int, hi: int):
+    """Parser of an integer in [lo, hi] from its text."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"must be an integer in [{lo}, {hi}], got {value}")
+        return value
+    return parse
+
+
+_HALF_ORDER = _integer_in(4, MAX_HALF_ORDER)
+
 # Every command's parameters, key -> (default, parse, help). The key is the INI
 # key and, with "_" as "-", the flag; nothing else declares a parameter.
 _RUN = {
-    "case": ("1", int, "test case 1-4"),
+    "case": ("1", _integer_in(1, 4), "test case 1-4"),
     "eps": ("5e-4", float, "Knudsen parameter"),
-    "N": ("16", int, "half velocity count"),
+    "N": ("16", _HALF_ORDER, f"half velocity count in [4, {MAX_HALF_ORDER}]"),
     "cells": ("600", int, "cells per edge"),
     "length": ("0.3", float, "edge length"),
     "t_end": ("0.1", float, "final time"),
     "cfl": ("0.9", float, "CFL number of the kinetic step"),
-    "coeff_N": ("100", int, "N used for the preset coefficients"),
+    "coeff_N": ("100", _HALF_ORDER, "N used for the preset coefficients"),
 }
 _PARAMETERS = {
     "deltas": {
@@ -82,7 +94,7 @@ _PARAMETERS = {
     },
     "node": {
         "n": ("3", _parse_degree, "node degree; the presets need 3"),
-        "N": ("100", int, "half velocity count"),
+        "N": ("100", _HALF_ORDER, f"half velocity count in [4, {MAX_HALF_ORDER}]"),
         "case": _RUN["case"],
         "vmax": ("6.0", _positive(float), "largest |v| of the distribution CSV"),
         "vpoints": ("1201", _positive(int), "velocity count of the distribution CSV"),
@@ -178,8 +190,7 @@ def cmd_node(args: argparse.Namespace) -> int:
     _write_csv(out / f"node_case{case}_summary.csv",
                ["edge", "S_inf", "q_inf", "rho_inf", "rho_node", "rho_left"], rows)
     v = np.linspace(-cfg["vmax"], cfg["vmax"], cfg["vpoints"])
-    for i in range(3):
-        f = coupling.node_distribution(sol, i, v)
+    for i, f in enumerate(coupling.node_distribution(sol, v)):
         _write_csv(out / f"node_case{case}_edge{i + 1}_distribution.csv",
                    ["v", "f"], zip(v, f))
     for i in range(3):
@@ -189,11 +200,22 @@ def cmd_node(args: argparse.Namespace) -> int:
     return 0
 
 
+# NetworkConfig field of each CLI key; its errors begin with the field name
+_FIELDS = {"length": "edge_length", "cells": "cells", "N": "N", "eps": "epsilon",
+           "t_end": "t_end", "cfl": "cfl"}
+
+
 def _network(cfg: dict) -> kinetic.NetworkConfig:
-    """The validated run settings; composite has no cfl and keeps the default."""
-    cfl = {"cfl": cfg["cfl"]} if "cfl" in cfg else {}
-    return kinetic.NetworkConfig(n_edges=3, edge_length=cfg["length"], cells=cfg["cells"],
-                                 N=cfg["N"], epsilon=cfg["eps"], t_end=cfg["t_end"], **cfl)
+    """The validated run settings; composite has no cfl and keeps the default.
+    An invalid setting is reported under its CLI key, like a parse error."""
+    fields = {field: cfg[key] for key, field in _FIELDS.items() if key in cfg}
+    try:
+        return kinetic.NetworkConfig(n_edges=3, **fields)
+    except ValueError as exc:
+        key = {field: key for key, field in _FIELDS.items()}.get(str(exc).split(" ", 1)[0])
+        if key is None:
+            raise
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _cell_centres(config: kinetic.NetworkConfig) -> np.ndarray:

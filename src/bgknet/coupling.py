@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs, rsf2csf, schur, solve_triangular
 
 from .errors import DegeneracyError, NumericalError, SingularSystemError
 from .hermite import MomentTransform, QuadratureRule, build_rule, hermite_functions, readonly
@@ -162,17 +162,20 @@ class CouplingCoefficients:
     n: int | float
 
 
-def _reduce(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One QR of the row-equilibrated M with its columns in the order (gamma, D, C, B).
+def _reduce(M: np.ndarray, rhs: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """One QR of the row-equilibrated M with its columns in the order (gamma, D, C, B),
+    carrying the right-hand-side columns of M y = rhs along.
 
-    Returns (R, T, K, norm): R is the (N-2) x (N-2) triangular factor of the
+    Returns (R, T, K, norm, b): R is the (N-2) x (N-2) triangular factor of the
     gamma block, T = Q_1^H A and K = Q_2^H A for the (D, C, B) columns A, where
     Q_2 spans the two-dimensional left null space of the gamma block (K comes
     out triangularized by a 2 x 2 unitary factor, which no use of it sees).
     The null vectors of M are (x, -R^{-1} T x) with K x = 0. ``norm`` is the
-    Frobenius norm of the equilibrated matrix, the scale for rank decisions.
-    Row equilibration leaves every null space unchanged; the concatenation
-    gives the QR the same C-ordered input whatever the layout of M.
+    Frobenius norm of the equilibrated matrix, the scale for rank decisions,
+    and b = Q^H rhs (N x 0 without rhs) with rhs equilibrated like M's rows.
+    Row equilibration leaves every null space unchanged; the one buffer gives
+    the QR the same C-ordered input whatever the layout of M.
     """
     N, cols = M.shape
     if cols != N + 1:
@@ -180,16 +183,23 @@ def _reduce(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     scale = np.max(np.abs(M), axis=1)
     if np.any(scale == 0.0):
         raise DegeneracyError("invariant matrix has an identically zero row")
-    Ms = M / scale[:, None]
-    full = np.linalg.qr(np.concatenate((Ms[:, 3:], Ms[:, :3]), axis=1), mode="r")
-    R, T, K = full[:N - 2, :N - 2], full[:N - 2, N - 2:], full[N - 2:, N - 2:]
+    scale = scale[:, None]
+    extra = 0 if rhs is None else rhs.shape[1]
+    Ms = np.empty((N, cols + extra), M.dtype if rhs is None else np.result_type(M, rhs))
+    np.divide(M[:, 3:], scale, out=Ms[:, :N - 2])
+    np.divide(M[:, :3], scale, out=Ms[:, N - 2:cols])
+    if extra:
+        np.divide(rhs, scale, out=Ms[:, cols:])
+    del M  # a temporary M(mu) is freed before the QR copies Ms
+    full = np.linalg.qr(Ms, mode="r")
+    R, T, K = full[:N - 2, :N - 2], full[:N - 2, N - 2:cols], full[N - 2:, N - 2:cols]
     rcond, _ = get_lapack_funcs("trcon", (R,))(R, norm="1", uplo="U", diag="N")
     if not rcond > SV_CUTOFF:
         raise DegeneracyError(f"gamma block of the invariant matrix is rank deficient "
                               f"(reciprocal condition {rcond:.3e}); singular_values "
                               "holds the magnitudes of its triangular factor's diagonal",
                               singular_values=np.abs(np.diag(R)))
-    return R, T, K, float(np.linalg.norm(full))
+    return R, T, K, float(np.linalg.norm(full[:, :cols])), full[:, cols:]
 
 
 def _null_vectors(R: np.ndarray, T: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -211,7 +221,7 @@ def extract_deltas(M: np.ndarray, n: int | float) -> CouplingCoefficients:
     gamma part follows by back substitution.
     """
     N = M.shape[0]
-    R, T, K, norm = _reduce(M)
+    R, T, K, norm, _ = _reduce(M)
     s = np.linalg.svd(K, compute_uv=False)
     if s[-1] <= SV_CUTOFF * norm:
         raise DegeneracyError("invariant matrix is numerically row-rank deficient; "
@@ -391,13 +401,30 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, eigenvalues, modal)
 
 
-def _modal_null_space(lifted: np.ndarray, mu: complex) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of M(mu) from the QR reduction;
-    the rank of the 2 x 3 K is cut at SV_CUTOFF times the matrix norm."""
-    R, T, K, norm = _reduce(_modal_matrix(lifted, mu))
-    _, s, vh = np.linalg.svd(K)
+def _modal_solve(lifted: np.ndarray, mu: complex, rhs: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solutions of M(mu) y = rhs from the QR reduction, the kernel of both node solves.
+
+    Returns (particular, null, s): one solution y per column of rhs (none
+    without rhs), the null vectors of M(mu) as columns (not orthonormal), and
+    the singular values s of the 2 x 3 K, whose rank is cut at SV_CUTOFF
+    times the matrix norm. A particular solution takes the minimum-norm x of
+    K x = Q_2^H rhs, exact when K has full row rank, and gamma by back
+    substitution.
+    """
+    R, T, K, norm, b = _reduce(_modal_matrix(lifted, mu), rhs)
+    u, s, vh = np.linalg.svd(K)
     rank = int(np.count_nonzero(s > SV_CUTOFF * norm))
-    basis, _ = np.linalg.qr(_null_vectors(R, T, vh[rank:].conj().T))
+    null = _null_vectors(R, T, vh[rank:].conj().T)
+    split = R.shape[0]
+    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b[split:]) / s[:rank, None])
+    particular = np.vstack([x, solve_triangular(R, b[:split] - T @ x)])
+    return particular, null, s
+
+
+def _modal_null_space(lifted: np.ndarray, mu: complex) -> np.ndarray:
+    """Orthonormal null-space basis (columns) of M(mu)."""
+    basis, _ = np.linalg.qr(_modal_solve(lifted, mu)[1])
     return basis
 
 
@@ -486,17 +513,27 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
 
 def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
                        zero_balance: float, ops: NodeOperators) -> NodeSolution:
-    """Reference solve of the node problem from the raw coupling equations.
+    """Solve the node problem from the raw coupling equations through the Schur
+    form of beta.
 
-    Uses the raw nN kinetic coupling equations in velocity space plus the n
-    outgoing-characteristic conditions and the zero-characteristic balance.
-    The row-equilibrated augmented system [A | b] is factorized by one
-    in-place Householder QR (LAPACK ``geqrf``); the rank test is LAPACK
-    ``trcon`` on its triangular factor R, and R x = Q^T b is solved by back
-    substitution. It checks the modal kernel of :func:`solve_node`, with
-    which it coincides for every diagonalizable beta, and it is the only
-    solver for a defective beta. A rank-deficient system raises
-    DegeneracyError carrying the magnitudes of R's diagonal.
+    The reflection equations X P^T - beta X Mr^T = 0 in the n x (N+1) edge
+    unknowns X (P = f(v_k), Mr = f(-v_k) over the positive v_k) form a
+    generalized Sylvester equation. With beta = Q U Q^H, U upper triangular
+    and sorted so that mu = 1 comes last, Y = Q^H X satisfies the block
+    triangular system M(U_ii) y_i = Mr sum_{j>i} U_ij y_j, solved from the
+    last block to the first (Bartels and Stewart, Comm. ACM 15, 1972). Each
+    block takes one QR of M(U_ii) that carries its right-hand sides and adds
+    its null vectors to the free coefficients: two for mu = 1, whose block is
+    the only rank-deficient one and never sees a right-hand side, and one
+    for every other block. The n outgoing characteristics D - a C = r_- and
+    the zero-characteristic balance fix those n+1 coefficients.
+
+    It checks the modal kernel of :func:`solve_node`, with which it coincides
+    for every diagonalizable beta, and it is the only solver for a defective
+    beta. A rank-deficient system (a disconnected node, beta = I) raises
+    DegeneracyError carrying the singular values of the offending reduction;
+    a solution that misses the raw equilibrated equations raises
+    NumericalError.
     """
     beta = topology.beta_matrix()
     n = int(topology.n)
@@ -504,68 +541,65 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     if incoming.shape != (n,):
         raise ValueError(f"incoming vector must have length {n}, got {incoming.shape}")
     N = ops.N
-    size = N + 1
-    k = n * size
-    rows = n * N + n + 1                                 # = k + 1
     positive, mirror = ops.lifted[N:], ops.lifted[N - 1::-1]
-    # one Fortran-ordered buffer holds [A | b] and, after geqrf, its factors
-    Ab = np.zeros((rows, k + 1), order="F")
-    # reflection rows f^i(v_k) - sum_j beta_ij f^j(-v_k), one block per edge pair
+    # eigenvalues farther than 1e-8 from 1 go to the top left, so the block of
+    # mu = 1 comes last; a 2 x 2 block of a complex pair makes the form complex
+    U, Q, _ = schur(beta, output="real", sort=lambda re, im: abs(complex(re, im) - 1.0) > 1e-8)
+    if np.any(np.diag(U, -1)):
+        U, Q = rsf2csf(U, Q)
+    # y_i = Y[i] c in the free coefficients c, introduced block by block
+    Y = np.zeros((n, N + 1, n + 1), U.dtype)
+    free = 0
+    for i in range(n - 1, -1, -1):
+        mu = U[i, i].real if U[i, i].imag == 0 else U[i, i]
+        coupled = np.tensordot(U[i, i + 1:], Y[i + 1:, :, :free], axes=1)
+        particular, null, s = _modal_solve(ops.lifted, mu, mirror @ coupled if free else None)
+        expected = 2 if i == n - 1 else 1
+        if null.shape[1] != expected:
+            raise DegeneracyError(f"coupling system is rank deficient: the block of eigenvalue "
+                                  f"{mu:.6g} has {null.shape[1]} null vectors, expected "
+                                  f"{expected}; singular_values holds those of its 2 x 3 "
+                                  "reduction", singular_values=s)
+        Y[i, :, :free] = particular
+        Y[i, :, free:free + expected] = null
+        free += expected
+    X = np.tensordot(Q, Y, axes=1)
+    closing = np.vstack([X[:, 0] - ACOUSTIC_SPEED * X[:, 1],      # D - a C = r_-
+                         (X[:, 0] - 3.0 * X[:, 2]).sum(axis=0)])  # sum (D - 3B)
+    s = np.linalg.svd(closing, compute_uv=False)
+    if not s[-1] > SV_CUTOFF * s[0]:
+        raise DegeneracyError("characteristics and balance do not fix the free coefficients; "
+                              "singular_values holds those of their system",
+                              singular_values=s)
+    b = np.append(incoming, zero_balance)
+    m = (X @ np.linalg.solve(closing, b)).real
+
+    # residual of each raw equation, divided by the largest entry of its row:
+    # |f(v_k) - beta_ii f(-v_k)| on the diagonal block, beta_ij |f(-v_k)| off it
+    peak = np.max(np.abs(mirror), axis=1)
+    scale = np.empty((n, N))
+    block = np.empty(mirror.shape)
     for i in range(n):
-        for j in range(n):
-            block = Ab[i * N:(i + 1) * N, j * size:(j + 1) * size]
-            np.multiply(mirror, -beta[i, j], out=block)
-            if i == j:
-                block += positive
-    edges = np.arange(n)
-    Ab[n * N + edges, edges * size] = 1.0                # D - a C = r_-
-    Ab[n * N + edges, edges * size + 1] = -ACOUSTIC_SPEED
-    Ab[-1, edges * size] = 1.0                           # sum (D - 3B)
-    Ab[-1, edges * size + 2] = -3.0
-    Ab[n * N:n * N + n, k] = incoming
-    Ab[-1, k] = zero_balance
-
-    A = Ab[:, :k]
-    scale = np.maximum(A.max(axis=1), -A.min(axis=1))
-    Ab /= scale[:, None]
-    bound = 1e-8 * max(1.0, np.max(np.abs(Ab[n * N:, k])))
-    geqrf, geqrf_lwork, trcon = get_lapack_funcs(("geqrf", "geqrf_lwork", "trcon"), (Ab,))
-    # the default lwork runs geqrf unblocked, several times slower at large N
-    lwork, _ = geqrf_lwork(rows, k + 1)
-    qr, _, _, _ = geqrf(Ab, lwork=int(lwork), overwrite_a=True)
-    # R is the leading k x k upper triangle and Q^T b[:k] the head of column k.
-    # Compact R's columns into the first k^2 entries of the buffer so that
-    # trcon and the back substitution read it with leading dimension k; a
-    # slice with leading dimension k + 1 would make both copy it.
-    flat = qr.reshape(-1, order="F")
-    for j in range(1, k):
-        flat[j * k:j * k + j + 1] = flat[j * rows:j * rows + j + 1]
-    R = flat[:k * k].reshape(k, k, order="F")
-    rcond, _ = trcon(R, norm="1", uplo="U", diag="N")
-    if not rcond > SV_CUTOFF:
-        raise DegeneracyError(f"coupling system is rank deficient (reciprocal condition "
-                              f"{rcond:.3e}); the node problem is degenerate; "
-                              "singular_values holds the magnitudes of its triangular "
-                              "factor's diagonal", singular_values=np.abs(np.diag(R)))
-    m = solve_triangular(R, qr[:k, k], check_finite=False).reshape(n, size)
-
-    # the QR overwrote A: the residual of each equation from n x N products
-    reflection = m @ positive.T - beta @ (m @ mirror.T)
-    residual = np.concatenate([reflection.ravel(),
-                               m[:, 0] - ACOUSTIC_SPEED * m[:, 1] - incoming,
-                               [np.sum(m[:, 0] - 3.0 * m[:, 2]) - zero_balance]])
-    residual = np.max(np.abs(residual / scale))
+        np.multiply(mirror, beta[i, i], out=block)
+        np.subtract(positive, block, out=block)
+        np.maximum(np.max(np.abs(block, out=block), axis=1),
+                   np.max(np.delete(beta[i], i)) * peak, out=scale[i])
+    reflection = (m @ positive.T - beta @ (m @ mirror.T)) / scale
+    characteristic = (m[:, 0] - ACOUSTIC_SPEED * m[:, 1] - incoming) / ACOUSTIC_SPEED
+    balance = (np.sum(m[:, 0] - 3.0 * m[:, 2]) - zero_balance) / 3.0
+    residual = max(np.max(np.abs(reflection)), np.max(np.abs(characteristic)), abs(balance))
+    bound = 1e-8 * max(1.0, np.max(np.abs(incoming)) / ACOUSTIC_SPEED, abs(zero_balance) / 3.0)
     if residual > bound:
         raise NumericalError(f"coupling equations are inconsistent (residual {residual:.3e})")
     return _package_solution(m, ops)
 
 
-def node_distribution(solution: NodeSolution, edge: int, v_samples: np.ndarray) -> np.ndarray:
-    """Distribution at the node, f(v) = H_0(v/sqrt2) sum_k g_k H_k(v/sqrt2)."""
-    g = solution.g_at_0[edge]
+def node_distribution(solution: NodeSolution, v_samples: np.ndarray) -> np.ndarray:
+    """Distribution of every edge at the node, f(v) = H_0(v/sqrt2) sum_k g_k H_k(v/sqrt2),
+    as an (n_edges, len(v_samples)) array; the Hermite table is evaluated once."""
     u = np.asarray(v_samples, dtype=float) / np.sqrt(2.0)
-    h = hermite_functions(u, g.size)
-    return h[0] * (g @ h)
+    h = hermite_functions(u, solution.g_at_0.shape[1])
+    return np.array([h[0] * (g @ h) for g in solution.g_at_0])
 
 
 def coupling_residual(solution: NodeSolution, topology: NodeTopology,

@@ -134,6 +134,10 @@ class TestNodeCommand:
     ["node", "--vpoints", "0"],
     ["node", "--vpoints", "-3"],
     ["node", "--vmax", "nan"],
+    ["node", "--case", "9"],
+    ["node", "--N", "2"],
+    ["kinetic", "--case", "0"],
+    ["compare", "--coeff-N", "3"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_input_fails_before_any_operator(tmp_path, capsys, monkeypatch, argv):
     key = argv[1][2:].replace("-", "_")
@@ -149,6 +153,19 @@ def test_bad_input_fails_before_any_operator(tmp_path, capsys, monkeypatch, argv
     assert err.startswith("error: ") and key in err
     assert not built
     assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["composite", "--eps", "-1"], "eps"),
+    (["composite", "--length", "nan"], "length"),
+    (["kinetic", "--cfl", "2"], "cfl"),
+])
+def test_network_errors_name_the_cli_key(tmp_path, capsys, argv, key):
+    # kinetic.NetworkConfig names its own fields (epsilon, edge_length)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "o").exists()
 
 
 class TestKineticCommands:

@@ -32,6 +32,7 @@ from bgknet import (
     solve_node_general,
 )
 from bgknet.coupling import SV_CUTOFF, _modal_matrix, _modal_null_space
+from bgknet.hermite import hermite_functions
 
 A = ACOUSTIC_SPEED
 
@@ -505,8 +506,8 @@ class TestSolveNodeGeneral:
             assert info.value.singular_values is not None
 
     def test_no_copy_of_the_system(self, ops_factory):
-        # the augmented system [A | b] is the only large allocation: the QR
-        # works in its buffer and reads R from it without a copy
+        # the solve holds no copy of the augmented system [A | b]: its peak
+        # stays below 1.5 times one such system
         N, n = 200, 3
         ops = ops_factory(N)
         topology = NodeTopology(n, seeded_beta("random", n, seed=7))
@@ -522,6 +523,56 @@ class TestSolveNodeGeneral:
         assert peak <= 1.5 * system_bytes
         np.testing.assert_array_equal(ops.lifted, lifted_before)
         np.testing.assert_array_equal(incoming, incoming_before)
+
+    @pytest.mark.parametrize("N", [20, 100])
+    def test_disconnected_node_degenerate_like_oracle(self, ops_factory, N):
+        # two column-stochastic blocks: eigenvalue 1 is double, the node splits
+        beta = np.zeros((5, 5))
+        beta[:2, :2] = [[0.3, 0.6], [0.7, 0.4]]
+        beta[2:, 2:] = seeded_beta("random", 3, seed=N)
+        topology = NodeTopology(5, beta)
+        ops = ops_factory(N)
+        for solve in (solve_node_general, lstsq_general):
+            with pytest.raises(DegeneracyError) as info:
+                solve(topology, np.array([0.3, -0.2, 0.5, 0.1, -0.4]), 0.1, ops)
+            assert info.value.singular_values is not None
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_complex_eigenvalues_match_modal_solver_at_large_N(self, ops_factory,
+                                                               coeff_factory, n):
+        # near a cyclic shift, beta has complex eigenvalues and a complex Schur form
+        N = 300
+        topology = NodeTopology(n, seeded_beta("near-cyclic", n, seed=n))
+        assert np.any(np.abs(np.linalg.eigvals(topology.beta).imag) > 0.5)
+        rng = np.random.default_rng(10 + n)
+        incoming, balance = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
+        ops = ops_factory(N)
+        general = solve_node_general(topology, incoming, balance, ops)
+        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        for name in ("D", "C", "B", "gamma"):
+            np.testing.assert_allclose(getattr(general, name), getattr(modal, name),
+                                       rtol=0.0, atol=1e-9)
+        for sol in (general, modal):
+            assert coupling_residual(sol, topology, ops.transform) < 1e-12
+            assert flux_residual(sol) < 1e-12
+            assert odd_moment_residual(sol) < 1e-12
+
+    def test_peak_memory_below_half_the_dense_system(self, ops_factory):
+        # one N x (N+1) block at a time, complex here: no n(N+1)-column system
+        N, n = 200, 5
+        ops = ops_factory(N)
+        topology = NodeTopology(n, seeded_beta("near-cyclic", n, seed=7))
+        incoming = np.linspace(-0.5, 0.5, n)
+        lifted_before = ops.lifted.copy()
+        dense_bytes = (n * N + n + 1) * (n * (N + 1) + 1) * 8
+        tracemalloc.start()
+        try:
+            solve_node_general(topology, incoming, 0.1, ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * dense_bytes
+        np.testing.assert_array_equal(ops.lifted, lifted_before)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_modal_solver_at_large_N(self, ops_factory, coeff_factory, n):
@@ -653,7 +704,7 @@ class TestNodeDistribution:
         ops = ops_factory(30)
         sol = solve_node(problem, ops)
         v = np.linspace(-14.0, 14.0, 28001)
-        f = node_distribution(sol, 1, v)
+        f = node_distribution(sol, v)[1]
         rho = simpson(f, x=v)
         q = simpson(v * f, x=v)
         S = simpson(v * v * f, x=v)
@@ -671,8 +722,19 @@ class TestNodeDistribution:
         sol = solve_node_general(NodeTopology(2, beta), S0 - A * q0,
                                  float(np.sum(S0 - 3 * rho0)), ops)
         v = np.linspace(-14.0, 14.0, 28001)
-        f = node_distribution(sol, 0, v)
+        f = node_distribution(sol, v)[0]
         assert simpson(v * f, x=v) == pytest.approx(sol.C[0], abs=1e-8)
+
+    def test_one_row_per_edge_from_one_table(self, ops_factory, coeff_factory):
+        # each edge's row is its own product with the shared Hermite table
+        data, topo, coeff, problem = preset_problem(3, 30, ops_factory, coeff_factory)
+        sol = solve_node(problem, ops_factory(30))
+        v = np.linspace(-6.0, 6.0, 121)
+        f = node_distribution(sol, v)
+        h = hermite_functions(v / np.sqrt(2.0), 60)
+        assert f.shape == (3, v.size)
+        for i in range(3):
+            np.testing.assert_array_equal(f[i], h[0] * (sol.g_at_0[i] @ h))
 
     def test_high_resolution_jump_at_zero(self, ops_factory, coeff_factory):
         # the node distribution of test case 2 is discontinuous at v = 0; at
@@ -681,7 +743,7 @@ class TestNodeDistribution:
                                                     coeff_factory)
         sol = solve_node(problem, ops_factory(1000))
         assert sol.rho_at_0[1] == pytest.approx(0.7245, abs=1e-3)
-        f = node_distribution(sol, 1, np.array([-0.05, 0.05, 1.0, 1.05]))
+        f = node_distribution(sol, np.array([-0.05, 0.05, 1.0, 1.05]))[1]
         assert f[1] - f[0] > 0.1            # jump across v = 0
         assert abs(f[3] - f[2]) < 0.02      # smooth away from it
 
