@@ -130,20 +130,18 @@ def _settings(command: str, args: argparse.Namespace) -> dict:
 
 
 def _preset(case: int, coeff_N: int):
-    """Preset data from the n = 3 coefficients at coeff_N, with their (ops, coeff)."""
+    """Preset data from the n = 3 coefficients at coeff_N, with the operators at coeff_N."""
     ops = coupling.NodeOperators.build(coeff_N)
     coeff = coupling.compute_coefficients(ops, coupling.NodeTopology.symmetric(3))
-    return kinetic.InitialData.preset(case, coeff.delta1, coeff.delta2), (ops, coeff)
+    return kinetic.InitialData.preset(case, coeff.delta1, coeff.delta2), ops
 
 
-def _node_solution(data, N: int, reference):
-    """Node solution at resolution N, reusing the reference (ops, coeff) at its N."""
-    topo = coupling.NodeTopology.symmetric(3)
-    ops, coeff = reference
+def _node_solution(data, N: int, ops: coupling.NodeOperators):
+    """Node solution at resolution N, reusing the operators if they have that N."""
     if N != ops.N:
         ops = coupling.NodeOperators.build(N)
-        coeff = coupling.compute_coefficients(ops, topo)
-    problem = coupling.NodeProblem.from_macro_data(topo, coeff, data.rho0, data.q0, data.S0)
+    problem = coupling.NodeProblem.from_macro_data(coupling.NodeTopology.symmetric(3), None,
+                                                   data.rho0, data.q0, data.S0)
     return coupling.solve_node(problem, ops)
 
 
@@ -182,8 +180,8 @@ def cmd_node(args: argparse.Namespace) -> int:
         raise ValueError("the test-case presets are defined for n = 3 edges")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data, reference = _preset(case, N)
-    sol = _node_solution(data, N, reference)
+    data, ops = _preset(case, N)
+    sol = _node_solution(data, N, ops)
     rho_left = acoustic.rho_left(data, sol)
     rows = [(i + 1, sol.D[i], sol.C[i], sol.B[i], sol.rho_at_0[i], rho_left[i])
             for i in range(3)]
@@ -237,10 +235,10 @@ def _kinetic_profiles(out: Path, config: kinetic.NetworkConfig, data) -> kinetic
     return result
 
 
-def _composite_profiles(out: Path, config: kinetic.NetworkConfig, data, reference,
-                        x: np.ndarray) -> dict[str, np.ndarray]:
+def _composite_profiles(out: Path, config: kinetic.NetworkConfig, data,
+                        ops: coupling.NodeOperators, x: np.ndarray) -> dict[str, np.ndarray]:
     """Write the composite rho and the bulk (q, S) at t_end per edge."""
-    sol = _node_solution(data, config.N, reference)
+    sol = _node_solution(data, config.N, ops)
     fields = {"rho": acoustic.composite_rho(data, sol, config.epsilon, x, config.t_end)}
     _, fields["q"], fields["S"] = acoustic.exact_macro(data, sol, x, config.t_end)
     _write_profiles(out, "composite", x, fields)
@@ -274,8 +272,8 @@ def cmd_composite(args: argparse.Namespace) -> int:
     config = _network(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data, reference = _preset(cfg["case"], cfg["coeff_N"])
-    _composite_profiles(out, config, data, reference, _cell_centres(config))
+    data, ops = _preset(cfg["case"], cfg["coeff_N"])
+    _composite_profiles(out, config, data, ops, _cell_centres(config))
     print(f"wrote composite profiles to {out}")
     return 0
 
@@ -292,9 +290,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                          f"|x - a t_end| <= window, got {window}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data, reference = _preset(cfg["case"], cfg["coeff_N"])
+    data, ops = _preset(cfg["case"], cfg["coeff_N"])
     result = _kinetic_profiles(out, config, data)
-    composite = _composite_profiles(out, config, data, reference, result.x)
+    composite = _composite_profiles(out, config, data, ops, result.x)
     keep = np.abs(result.x - wave) > window
     dx = result.state.dx[keep]
     rows = []

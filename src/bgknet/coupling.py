@@ -5,9 +5,9 @@ through velocity reflection, f^i(0, v) = sum_j beta_ij f^j(0, -v) for v > 0,
 which decouples in the eigenbasis of beta into one N x (N+1) map M(mu) per
 eigenvalue. The staircase structure of the symmetric-node map
 M(-1/(n-1)) yields the macroscopic coupling coefficients delta_1 (for
-S + delta_1 q) and delta_2 (for rho + delta_2 q) plus the chain coefficients
-closing the layer unknowns. The full node solve returns the asymptotic states
-and layer amplitudes of every edge and the reconstructed moments at x = 0.
+S + delta_1 q) and delta_2 (for rho + delta_2 q). The full node solve returns
+the asymptotic states and layer amplitudes of every edge and the reconstructed
+moments at x = 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy.linalg import get_lapack_funcs, rsf2csf, schur, solve_triangular
 
 from .errors import DegeneracyError, NumericalError, SingularSystemError
 from .hermite import MomentTransform, QuadratureRule, build_rule, hermite_functions, readonly
-from .layer import LayerSpectrum, build_layer_matrix, build_lift, stable_manifold
+from .layer import build_layer_matrix, build_lift, stable_manifold
 
 __all__ = [
     "ACOUSTIC_SPEED",
@@ -57,6 +57,11 @@ INFINITE = math.inf
 SV_CUTOFF = 1e-10
 
 
+def _check_degree(n: int | float) -> None:
+    if n != INFINITE and (not float(n).is_integer() or n < 2):
+        raise ValueError(f"node degree must be an integer >= 2 or INFINITE, got {n}")
+
+
 @dataclass(frozen=True)
 class NodeTopology:
     """Node degree and coupling weights; ``beta=None`` means the symmetric node."""
@@ -65,9 +70,8 @@ class NodeTopology:
     beta: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_degree(self.n)
         if self.beta is None:
-            if self.n != INFINITE and (not float(self.n).is_integer() or self.n < 2):
-                raise ValueError(f"node degree must be an integer >= 2 or INFINITE, got {self.n}")
             return
         if self.n == INFINITE:
             raise ValueError("an explicit coupling matrix requires a finite node degree")
@@ -75,6 +79,8 @@ class NodeTopology:
         n = int(self.n)
         if beta.shape != (n, n):
             raise ValueError(f"coupling matrix must be {n}x{n}, got {beta.shape}")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("beta must be finite")
         if np.any(beta < 0.0):
             raise ValueError("coupling weights must be nonnegative")
         colsums = beta.sum(axis=0)
@@ -99,16 +105,19 @@ class NodeTopology:
 
 @dataclass(frozen=True)
 class NodeOperators:
-    """Velocity basis, layer spectrum and lift shared by all node computations at fixed N.
+    """Velocity basis, positive layer eigenvalues and lift shared by all node
+    computations at fixed N.
 
     ``lift`` = T maps the reduced unknowns (D, C, B, gamma) of one edge to its
     moments at x = 0, and ``lifted`` = S^{-1} T to its distribution values at
-    the 2N velocity nodes, ascending in v.
+    the 2N velocity nodes, ascending in v. Row 4 of the lift, from column 3
+    on, is e_1^T r_j of the layer eigenvectors; the rest of the layer
+    spectrum is dropped once the lift is built.
     """
 
     rule: QuadratureRule
     transform: MomentTransform
-    spectrum: LayerSpectrum
+    layer_eigenvalues: np.ndarray
     lift: np.ndarray
     lifted: np.ndarray
 
@@ -117,10 +126,11 @@ class NodeOperators:
         rule = build_rule(N)
         transform = MomentTransform(rule.basis, rule.scaled_weights)
         spectrum = stable_manifold(build_layer_matrix(N))
-        lift = build_lift(spectrum, N)
+        lift = build_lift(spectrum.R2plus)
         lifted = transform.solve(lift)
-        readonly(lifted)
-        return cls(rule, transform, spectrum, lift, lifted)
+        eigenvalues = spectrum.positive_eigenvalues
+        readonly(lifted, eigenvalues)
+        return cls(rule, transform, eigenvalues, lift, lifted)
 
     @property
     def N(self) -> int:
@@ -149,17 +159,11 @@ def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CouplingCoefficients:
-    """Macroscopic coupling coefficients and the layer-closing chain.
-
-    ``delta1`` multiplies q in the S-invariant, ``delta2`` in the rho-invariant;
-    ``delta_tilde`` holds the N-2 chain coefficients of the gamma invariants.
-    """
+    """Macroscopic coupling coefficients: ``delta1`` multiplies q in the
+    S-invariant, ``delta2`` in the rho-invariant."""
 
     delta1: float
     delta2: float
-    delta_tilde: np.ndarray
-    N: int
-    n: int | float
 
 
 def _reduce(M: np.ndarray, rhs: np.ndarray | None = None
@@ -202,26 +206,16 @@ def _reduce(M: np.ndarray, rhs: np.ndarray | None = None
     return R, T, K, float(np.linalg.norm(full[:, :cols])), full[:, cols:]
 
 
-def _null_vectors(R: np.ndarray, T: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Null vectors (x, -R^{-1} T x) of the reduced matrix, one per column of X."""
-    return np.vstack([X, -solve_triangular(R, T @ X)])
-
-
-def extract_deltas(M: np.ndarray, n: int | float) -> CouplingCoefficients:
-    """Read delta_1, delta_2 and the chain coefficients off the invariant matrix
-    M of a symmetric node of degree n.
+def extract_deltas(M: np.ndarray) -> CouplingCoefficients:
+    """Read delta_1 and delta_2 off the invariant matrix M of a symmetric node.
 
     One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
     on the two-dimensional left null space Q_2 of those columns. delta_1
     comes from the unique row combination of K vanishing on the B column
     (normalized to unit D coefficient), delta_2 from the one vanishing on the
-    D column. The chain follows from consecutive component ratios of the
-    right null vector of M, which is the staircase elimination in the column
-    order (D, C, B, gamma_1, ...): its (D, C, B) part is K_0 x K_1 and its
-    gamma part follows by back substitution.
+    D column.
     """
-    N = M.shape[0]
-    R, T, K, norm, _ = _reduce(M)
+    _, _, K, norm, _ = _reduce(M)
     s = np.linalg.svd(K, compute_uv=False)
     if s[-1] <= SV_CUTOFF * norm:
         raise DegeneracyError("invariant matrix is numerically row-rank deficient; "
@@ -232,36 +226,13 @@ def extract_deltas(M: np.ndarray, n: int | float) -> CouplingCoefficients:
             raise DegeneracyError(f"left null space of the {label} subproblem is not "
                                   "one-dimensional", singular_values=s)
     z1 = K[1, 2] * K[0] - K[0, 2] * K[1]
-    delta1 = z1[1] / z1[0]
     z2 = K[1, 0] * K[0] - K[0, 0] * K[1]
-    delta2 = z2[1] / z2[2]
-
-    eta = _null_vectors(R, T, np.cross(K[0], K[1])[:, None])[:, 0]
-    eta /= np.linalg.norm(eta)
-    if not np.all(np.isfinite(eta)):
-        raise DegeneracyError("null vector of the invariant matrix is not finite",
-                              singular_values=s)
-    # Chain coefficients from consecutive null-vector components. Components
-    # below the rounding floor carry no information, and any O(1) coefficient
-    # on those coordinates annihilates the null vector equally well; a ratio of
-    # two sub-floor components, however, can come out arbitrarily small and
-    # turn the recurrence between consecutive cross-edge differences into a
-    # noise amplifier. Use the neutral value 1 where numerator and denominator
-    # are both noise, and cap the denominator where only it is.
-    floor = np.finfo(float).eps  # eta has unit norm
-    numer = np.concatenate(([eta[1]], eta[3:-1]))
-    denom = eta[3:]
-    resolved_den = np.abs(denom) >= floor
-    resolved_num = np.abs(numer) >= floor
-    safe_den = np.where(resolved_den, denom, np.where(denom < 0.0, -floor, floor))
-    delta_tilde = np.where(resolved_den | resolved_num, -numer / safe_den, 1.0)
-    readonly(delta_tilde)
-    return CouplingCoefficients(float(delta1), float(delta2), delta_tilde, N, n)
+    return CouplingCoefficients(float(z1[1] / z1[0]), float(z2[1] / z2[2]))
 
 
 def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
     """Convenience: invariant matrix plus extraction in one call."""
-    return extract_deltas(invariant_matrix(ops, topology), topology.n)
+    return extract_deltas(invariant_matrix(ops, topology))
 
 
 def maxwell_delta(n: int | float) -> tuple[float, float]:
@@ -270,12 +241,8 @@ def maxwell_delta(n: int | float) -> tuple[float, float]:
     delta_1 = 4(n-2)/(n sqrt(2 pi)), delta_2 = ((n-2)/n) 2(pi-2)/sqrt(2 pi);
     INFINITE takes the n -> infinity limit.
     """
-    if n == INFINITE:
-        factor = 1.0
-    else:
-        if not float(n).is_integer() or n < 2:
-            raise ValueError(f"node degree must be an integer >= 2 or INFINITE, got {n}")
-        factor = (n - 2.0) / n
+    _check_degree(n)
+    factor = 1.0 if n == INFINITE else (n - 2.0) / n
     root = math.sqrt(2.0 * math.pi)
     return 4.0 * factor / root, factor * 2.0 * (math.pi - 2.0) / root
 
@@ -344,17 +311,20 @@ class NodeProblem:
     """Data of a coupled half-space problem at one node."""
 
     topology: NodeTopology
-    coefficients: CouplingCoefficients
     incoming: np.ndarray
     zero_balance: float
 
     @classmethod
-    def from_macro_data(cls, topology: NodeTopology, coefficients: CouplingCoefficients,
+    def from_macro_data(cls, topology: NodeTopology,
+                        coefficients: CouplingCoefficients | None,
                         rho0: np.ndarray, q0: np.ndarray, S0: np.ndarray) -> "NodeProblem":
-        """Build incoming characteristics r_- = S0 - a q0 and the zero-characteristic balance."""
+        """Build incoming characteristics r_- = S0 - a q0 and the zero-characteristic balance.
+
+        ``coefficients`` is neither stored nor read, and may be None; the
+        solve needs no coupling coefficients.
+        """
         rho0, q0, S0 = (np.asarray(v, dtype=float) for v in (rho0, q0, S0))
-        return cls(topology, coefficients, S0 - ACOUSTIC_SPEED * q0,
-                   float(np.sum(S0 - 3.0 * rho0)))
+        return cls(topology, S0 - ACOUSTIC_SPEED * q0, float(np.sum(S0 - 3.0 * rho0)))
 
 
 @dataclass(frozen=True)
@@ -392,13 +362,12 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     # m has shape (n_edges, N+1) with per-edge ordering (D, C, B, gamma)
     D, C, B = m[:, 0].copy(), m[:, 1].copy(), m[:, 2].copy()
     gamma = m[:, 3:].copy()
-    e1r = ops.spectrum.R2plus[0, :]
+    e1r = ops.lift[4, 3:]
     modal = (4.0 / np.sqrt(3.0)) * gamma * e1r[None, :]
     rho_at_0 = B + modal.sum(axis=1)
     g_at_0 = m @ ops.lift.T
-    eigenvalues = ops.spectrum.positive_eigenvalues.copy()
-    readonly(D, C, B, gamma, rho_at_0, g_at_0, eigenvalues, modal)
-    return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, eigenvalues, modal)
+    readonly(D, C, B, gamma, rho_at_0, g_at_0, modal)
+    return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, ops.layer_eigenvalues, modal)
 
 
 def _modal_solve(lifted: np.ndarray, mu: complex, rhs: np.ndarray | None = None
@@ -415,7 +384,8 @@ def _modal_solve(lifted: np.ndarray, mu: complex, rhs: np.ndarray | None = None
     R, T, K, norm, b = _reduce(_modal_matrix(lifted, mu), rhs)
     u, s, vh = np.linalg.svd(K)
     rank = int(np.count_nonzero(s > SV_CUTOFF * norm))
-    null = _null_vectors(R, T, vh[rank:].conj().T)
+    X = vh[rank:].conj().T
+    null = np.vstack([X, -solve_triangular(R, T @ X)])
     split = R.shape[0]
     x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b[split:]) / s[:rank, None])
     particular = np.vstack([x, solve_triangular(R, b[:split] - T @ x)])
@@ -468,12 +438,6 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     topo = problem.topology
     if topo.n == INFINITE:
         raise ValueError("solve_node needs a finite node degree")
-    coeff = problem.coefficients
-    N = ops.N
-    if coeff.N != N:
-        raise ValueError(f"coefficients were computed for N={coeff.N}, operators have N={N}")
-    if coeff.n != topo.n:
-        raise ValueError(f"coefficients were computed for n={coeff.n}, topology has n={topo.n}")
     n = int(topo.n)
     incoming = np.asarray(problem.incoming, dtype=float)
     if incoming.shape != (n,):

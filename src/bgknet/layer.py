@@ -46,9 +46,9 @@ class LayerMatrix:
 class LayerSpectrum:
     """Eigen-decomposition of a LayerMatrix with the stable manifold extracted.
 
-    Eigenvalues are ascending; ``R2plus`` stacks the eigenvectors of the N-2
-    positive eigenvalues (ascending), each flipped so its first nonzero
-    component is positive.
+    Eigenvalues are ascending; ``R2plus`` is the view of the eigenvectors of
+    the N-2 positive eigenvalues (ascending, so the last N-2 columns), each
+    flipped so its first nonzero component is positive.
     """
 
     eigenvalues: np.ndarray
@@ -95,16 +95,15 @@ def stable_manifold(matrix: LayerMatrix) -> LayerSpectrum:
         raise NumericalError(
             f"expected {expected} positive layer eigenvalues, found {positive.size}"
         )
-    r2plus = vec[:, positive]
+    r2plus = vec[:, -expected:]
     readonly(lam, vec, positive, r2plus)
     return LayerSpectrum(lam, vec, positive, r2plus)
 
 
-def build_lift(spectrum: LayerSpectrum, N: int) -> np.ndarray:
-    """The read-only 2N x (N+1) lift from (D, C, B, gamma) to (g_0, ..., g_{2N-1}) at x = 0."""
-    r2 = spectrum.R2plus
-    if r2.shape != (2 * (N - 2), N - 2):
-        raise ValueError(f"spectrum has shape {r2.shape}, inconsistent with N={N}")
+def build_lift(r2: np.ndarray) -> np.ndarray:
+    """The read-only 2N x (N+1) lift from (D, C, B, gamma) to (g_0, ..., g_{2N-1}) at x = 0,
+    from the 2(N-2) x (N-2) stable-manifold basis ``LayerSpectrum.R2plus``."""
+    N = r2.shape[1] + 2
     e1r = r2[0, :]
     T = np.zeros((2 * N, N + 1))
     T[0, 2] = 1.0 / np.sqrt(2.0)                   # g0 = B/sqrt2 + (2 sqrt2/sqrt3) g4

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,10 +13,11 @@ from bgknet import (
     INFINITE,
     DegeneracyError,
     InitialData,
-    LayerSpectrum,
+    NodeOperators,
     NodeProblem,
     NodeTopology,
     SingularSystemError,
+    build_layer_matrix,
     build_lift,
     build_macro_system,
     coupling_residual,
@@ -30,6 +31,7 @@ from bgknet import (
     odd_moment_residual,
     solve_node,
     solve_node_general,
+    stable_manifold,
 )
 from bgknet.coupling import SV_CUTOFF, _modal_matrix, _modal_null_space
 from bgknet.hermite import hermite_functions
@@ -53,6 +55,41 @@ def svd_extract(M):
     z1 = left_null(Ms[:, 2:]) @ Ms
     z2 = left_null(Ms[:, np.r_[0, 3:Ms.shape[1]]]) @ Ms
     return z1[1] / z1[0], z2[1] / z2[2], eta
+
+
+def chain_coefficients(eta):
+    """The paper's chain coefficients from consecutive components of the unit
+    null vector eta = (D, C, B, gamma_1, ...): C + dt_1 gamma_1 and
+    gamma_{k-1} + dt_k gamma_k are the invariants that close the layer unknowns.
+
+    Components below the rounding floor carry no information, and any O(1)
+    coefficient on those coordinates annihilates the null vector equally well;
+    a ratio of two sub-floor components, however, can come out arbitrarily
+    small and turn the recurrence between consecutive cross-edge differences
+    into a noise amplifier. The neutral value 1 stands where numerator and
+    denominator are both noise, and the denominator is capped where only it is.
+    """
+    floor = np.finfo(float).eps
+    numer = np.concatenate(([eta[1]], eta[3:-1]))
+    denom = eta[3:]
+    resolved_den = np.abs(denom) >= floor
+    resolved_num = np.abs(numer) >= floor
+    safe_den = np.where(resolved_den, denom, np.where(denom < 0.0, -floor, floor))
+    return np.where(resolved_den | resolved_num, -numer / safe_den, 1.0)
+
+
+def held_buffers(obj, held=None):
+    """Distinct array buffers reachable through the dataclass fields of obj,
+    as {id of the owning array: its bytes}; a view counts as its owner."""
+    held = {} if held is None else held
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        held[id(obj)] = obj.nbytes
+    elif is_dataclass(obj):
+        for field in fields(obj):
+            held_buffers(getattr(obj, field.name), held)
+    return held
 
 
 def svd_null_space(M):
@@ -164,15 +201,11 @@ class TestExtractDeltas:
     def test_sign_flip_invariance(self, ops_factory, coeff_factory):
         ops = ops_factory(30)
         base = coeff_factory(30, 3)
-        vec = ops.spectrum.eigenvectors.copy()
-        r2 = ops.spectrum.R2plus.copy()
+        r2 = stable_manifold(build_layer_matrix(30)).R2plus.copy()
         r2[:, 4] *= -1.0
-        flipped = LayerSpectrum(ops.spectrum.eigenvalues, vec,
-                                ops.spectrum.positive_indices, r2)
-        lift = build_lift(flipped, 30)
-        flipped_ops = replace(ops, spectrum=flipped, lift=lift,
-                              lifted=ops.transform.solve(lift))
-        coeff = extract_deltas(invariant_matrix(flipped_ops, NodeTopology.symmetric(3)), 3)
+        lift = build_lift(r2)
+        flipped_ops = replace(ops, lift=lift, lifted=ops.transform.solve(lift))
+        coeff = extract_deltas(invariant_matrix(flipped_ops, NodeTopology.symmetric(3)))
         assert abs(coeff.delta1 - base.delta1) < 1e-12
         assert abs(coeff.delta2 - base.delta2) < 1e-12
 
@@ -182,7 +215,7 @@ class TestExtractDeltas:
         M = invariant_matrix(ops, NodeTopology.symmetric(3))
         rng = np.random.default_rng(2)
         scales = 10.0 ** rng.uniform(-3, 3, size=M.shape[0])
-        coeff = extract_deltas(M * scales[:, None], 3)
+        coeff = extract_deltas(M * scales[:, None])
         assert abs(coeff.delta1 - base.delta1) < 1e-11
         assert abs(coeff.delta2 - base.delta2) < 1e-11
 
@@ -207,11 +240,6 @@ class TestExtractDeltas:
         coeff = coeff_factory(30, n)
         assert coeff.delta1 > 0 and coeff.delta2 > 0
 
-    def test_chain_length(self, coeff_factory):
-        coeff = coeff_factory(30, 3)
-        assert coeff.delta_tilde.shape == (28,)
-        assert np.all(np.isfinite(coeff.delta_tilde))
-
     @pytest.mark.parametrize("N", [20, 99, 300])
     @pytest.mark.parametrize("n", [3, 4, INFINITE])
     def test_matches_svd_oracle(self, ops_factory, coeff_factory, N, n):
@@ -220,21 +248,25 @@ class TestExtractDeltas:
                                                            NodeTopology.symmetric(n)))
         assert abs(coeff.delta1 - delta1) <= 1e-13
         assert abs(coeff.delta2 - delta2) <= 1e-13
-        # chain ratios wherever both components are above the rounding floor;
-        # each unit-vector component carries an absolute error of a few eps
+        # the chain of the QR kernel's null vector against the SVD one, wherever
+        # both components are above the rounding floor; each unit-vector
+        # component carries an absolute error of a few eps
+        mu = 0.0 if n == INFINITE else -1.0 / (n - 1.0)
+        null = _modal_null_space(ops_factory(N).lifted, mu)
+        assert null.shape[1] == 1
         eps = np.finfo(float).eps
         numer, denom = np.concatenate(([eta[1]], eta[3:-1])), eta[3:]
         resolved = (np.abs(numer) >= eps) & (np.abs(denom) >= eps)
         ratio = -numer / denom
         rounding = np.abs(ratio) * eps * (1.0 / np.abs(numer) + 1.0 / np.abs(denom))
-        err = np.abs(coeff.delta_tilde - ratio)
+        err = np.abs(chain_coefficients(null[:, 0]) - ratio)
         assert np.all(err[resolved] <= 16.0 * rounding[resolved])
 
     @pytest.mark.parametrize("n", [3, INFINITE])
     def test_layout_independent(self, ops_factory, n):
         M = invariant_matrix(ops_factory(99), NodeTopology.symmetric(n))
-        c_order = extract_deltas(np.ascontiguousarray(M), n)
-        f_order = extract_deltas(np.asfortranarray(M), n)
+        c_order = extract_deltas(np.ascontiguousarray(M))
+        f_order = extract_deltas(np.asfortranarray(M))
         assert c_order.delta1 == f_order.delta1
         assert c_order.delta2 == f_order.delta2
 
@@ -255,7 +287,7 @@ class TestExtractDeltas:
         broken = invariant_matrix(ops, NodeTopology.symmetric(3)).copy()
         broken[3] = broken[2]  # duplicate row: rank deficient
         with pytest.raises(DegeneracyError) as err:
-            extract_deltas(broken, 3)
+            extract_deltas(broken)
         assert err.value.singular_values is not None
 
 
@@ -275,8 +307,9 @@ class TestMaxwellDelta:
         assert maxwell_delta(2) == (0.0, 0.0)
 
     def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError):
-            maxwell_delta(1)
+        for n in (1, 3.5):
+            with pytest.raises(ValueError):
+                maxwell_delta(n)
 
 
 class TestMacroSystem:
@@ -325,9 +358,8 @@ class TestMacroSystem:
 
 
 class TestSolveNode:
-    def test_zero_data(self, ops_factory, coeff_factory):
-        _, topo, coeff, _ = preset_problem(1, 30, ops_factory, coeff_factory)
-        problem = NodeProblem(topo, coeff, np.zeros(3), 0.0)
+    def test_zero_data(self, ops_factory):
+        problem = NodeProblem(NodeTopology.symmetric(3), np.zeros(3), 0.0)
         sol = solve_node(problem, ops_factory(30))
         for arr in (sol.D, sol.C, sol.B, sol.gamma, sol.rho_at_0):
             assert np.max(np.abs(arr)) < 1e-12
@@ -350,12 +382,13 @@ class TestSolveNode:
         assert np.max(np.abs(r_inv - r_inv[0])) < 1e-9
 
     def test_chain_invariants_across_edges(self, ops_factory, coeff_factory):
-        # the reported chain coefficients close the layer amplitudes: the
+        # the paper's chain coefficients close the layer amplitudes: the
         # invariants C + dt_1 gamma_1 and gamma_{k-1} + dt_k gamma_k agree
         # across edges wherever the chain is numerically resolved
         data, topo, coeff, problem = preset_problem(3, 30, ops_factory, coeff_factory)
-        sol = solve_node(problem, ops_factory(30))
-        dt = coeff.delta_tilde
+        ops = ops_factory(30)
+        sol = solve_node(problem, ops)
+        dt = chain_coefficients(svd_extract(invariant_matrix(ops, topo))[2])
         first = sol.C + dt[0] * sol.gamma[:, 0]
         assert np.max(np.abs(first - first[0])) < 1e-10
         for k in range(2, 12):
@@ -401,22 +434,18 @@ class TestSolveNode:
         data, topo, coeff, problem = preset_problem(1, 30, ops_factory, coeff_factory)
         ops = ops_factory(30)
         sol = solve_node(problem, ops)
-        e1r = ops.spectrum.R2plus[0]
+        spectrum = stable_manifold(build_layer_matrix(30))
+        np.testing.assert_array_equal(sol.layer_eigenvalues, spectrum.positive_eigenvalues)
+        e1r = spectrum.R2plus[0]
         expected = sol.B + 4 / np.sqrt(3) * (sol.gamma @ e1r)
         np.testing.assert_allclose(sol.rho_at_0, expected, atol=1e-13)
         np.testing.assert_allclose(sol.rho_layer_amplitudes.sum(axis=1),
                                    sol.rho_at_0 - sol.B, atol=1e-13)
 
-    def test_rejects_infinite_topology(self, ops_factory, coeff_factory):
-        coeff = coeff_factory(30, INFINITE)
-        problem = NodeProblem(NodeTopology.symmetric(INFINITE), coeff, np.zeros(3), 0.0)
+    def test_rejects_infinite_topology(self, ops_factory):
+        problem = NodeProblem(NodeTopology.symmetric(INFINITE), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
             solve_node(problem, ops_factory(30))
-
-    def test_rejects_mismatched_resolution(self, ops_factory, coeff_factory):
-        _, topo, coeff, problem = preset_problem(1, 30, ops_factory, coeff_factory)
-        with pytest.raises(ValueError):
-            solve_node(problem, ops_factory(20))
 
 
 class TestSolveNodeGeneral:
@@ -538,8 +567,7 @@ class TestSolveNodeGeneral:
             assert info.value.singular_values is not None
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_complex_eigenvalues_match_modal_solver_at_large_N(self, ops_factory,
-                                                               coeff_factory, n):
+    def test_complex_eigenvalues_match_modal_solver_at_large_N(self, ops_factory, n):
         # near a cyclic shift, beta has complex eigenvalues and a complex Schur form
         N = 300
         topology = NodeTopology(n, seeded_beta("near-cyclic", n, seed=n))
@@ -548,7 +576,7 @@ class TestSolveNodeGeneral:
         incoming, balance = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
         ops = ops_factory(N)
         general = solve_node_general(topology, incoming, balance, ops)
-        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        modal = modal_solve(topology, incoming, balance, ops)
         for name in ("D", "C", "B", "gamma"):
             np.testing.assert_allclose(getattr(general, name), getattr(modal, name),
                                        rtol=0.0, atol=1e-9)
@@ -575,14 +603,14 @@ class TestSolveNodeGeneral:
         np.testing.assert_array_equal(ops.lifted, lifted_before)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_modal_solver_at_large_N(self, ops_factory, coeff_factory, n):
+    def test_matches_modal_solver_at_large_N(self, ops_factory, n):
         N = 300
         topology = NodeTopology(n, seeded_beta("random", n, seed=n))
         rng = np.random.default_rng(n)
         incoming, balance = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
         ops = ops_factory(N)
         general = solve_node_general(topology, incoming, balance, ops)
-        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        modal = modal_solve(topology, incoming, balance, ops)
         for name in ("D", "C", "B", "gamma"):
             np.testing.assert_allclose(getattr(general, name), getattr(modal, name),
                                        rtol=0.0, atol=1e-9)
@@ -610,10 +638,9 @@ def node_data(n):
                      st.floats(-1.0, 1.0))
 
 
-def modal_solve(topology, incoming, zero_balance, ops, coeff_factory):
-    coeff = coeff_factory(ops.N, topology.n)
-    return solve_node(NodeProblem(topology, coeff, np.asarray(incoming, dtype=float),
-                                  zero_balance), ops)
+def modal_solve(topology, incoming, zero_balance, ops):
+    return solve_node(NodeProblem(topology, np.asarray(incoming, dtype=float), zero_balance),
+                      ops)
 
 
 class TestModalKernel:
@@ -622,10 +649,10 @@ class TestModalKernel:
     N = 20
 
     @given(data=st.data(), topology=conservative_couplings())
-    def test_matches_general_solver(self, ops_factory, coeff_factory, data, topology):
+    def test_matches_general_solver(self, ops_factory, data, topology):
         incoming, balance = data.draw(node_data(topology.n))
         ops = ops_factory(self.N)
-        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        modal = modal_solve(topology, incoming, balance, ops)
         general = solve_node_general(topology, incoming, balance, ops)
         for name in ("D", "C", "B", "gamma"):
             np.testing.assert_allclose(getattr(modal, name), getattr(general, name),
@@ -636,63 +663,63 @@ class TestModalKernel:
         assert odd_moment_residual(modal) < 1e-12
 
     @given(data=st.data(), topology=conservative_couplings())
-    def test_edge_permutation_equivariance(self, ops_factory, coeff_factory, data, topology):
+    def test_edge_permutation_equivariance(self, ops_factory, data, topology):
         n = topology.n
         incoming, balance = data.draw(node_data(n))
         perm = np.array(data.draw(st.permutations(range(n))))
         ops = ops_factory(self.N)
-        base = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        base = modal_solve(topology, incoming, balance, ops)
         permuted = modal_solve(NodeTopology(n, topology.beta[np.ix_(perm, perm)]),
-                               np.asarray(incoming)[perm], balance, ops, coeff_factory)
+                               np.asarray(incoming)[perm], balance, ops)
         for name in ("D", "C", "B", "gamma"):
             np.testing.assert_allclose(getattr(permuted, name), getattr(base, name)[perm],
                                        rtol=0.0, atol=1e-10)
 
     @given(data=st.data(), topology=conservative_couplings(),
            weights=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
-    def test_linear_in_data(self, ops_factory, coeff_factory, data, topology, weights):
+    def test_linear_in_data(self, ops_factory, data, topology, weights):
         (r1, z1), (r2, z2) = data.draw(node_data(topology.n)), data.draw(node_data(topology.n))
         a, b = weights
         ops = ops_factory(self.N)
-        s1 = modal_solve(topology, r1, z1, ops, coeff_factory)
-        s2 = modal_solve(topology, r2, z2, ops, coeff_factory)
+        s1 = modal_solve(topology, r1, z1, ops)
+        s2 = modal_solve(topology, r2, z2, ops)
         combined = modal_solve(topology, a * np.asarray(r1) + b * np.asarray(r2),
-                               a * z1 + b * z2, ops, coeff_factory)
+                               a * z1 + b * z2, ops)
         for name in ("D", "C", "B", "gamma", "g_at_0"):
             np.testing.assert_allclose(getattr(combined, name),
                                        a * getattr(s1, name) + b * getattr(s2, name),
                                        rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("weights", [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])
-    def test_rank_one_coupling(self, ops_factory, coeff_factory, weights):
+    def test_rank_one_coupling(self, ops_factory, weights):
         # beta_ij = w_i: a triple eigenvalue 0 whose LAPACK eigenvectors are
         # linearly dependent although beta is diagonalizable
         topology = NodeTopology(4, np.outer(weights, np.ones(4)))
         ops = ops_factory(self.N)
         incoming, balance = [0.3, -0.2, 0.5, 0.1], -0.4
-        modal = modal_solve(topology, incoming, balance, ops, coeff_factory)
+        modal = modal_solve(topology, incoming, balance, ops)
         general = solve_node_general(topology, incoming, balance, ops)
         for name in ("D", "C", "B", "gamma"):
             np.testing.assert_allclose(getattr(modal, name), getattr(general, name),
                                        rtol=0.0, atol=1e-9)
 
-    def test_defective_coupling_left_to_general_solver(self, ops_factory, coeff_factory):
+    def test_defective_coupling_left_to_general_solver(self, ops_factory):
         # a single Jordan block for eigenvalue 0: no eigenbasis
         topology = NodeTopology(3, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                                              [0.0, 0.0, 0.0]]))
         ops = ops_factory(self.N)
         incoming, balance = [0.3, -0.2, 0.5], 0.1
         with pytest.raises(DegeneracyError, match="solve_node_general"):
-            modal_solve(topology, incoming, balance, ops, coeff_factory)
+            modal_solve(topology, incoming, balance, ops)
         sol = solve_node_general(topology, incoming, balance, ops)
         assert coupling_residual(sol, topology, ops.transform) < 1e-12
 
-    def test_identity_coupling_is_degenerate(self, ops_factory, coeff_factory):
+    def test_identity_coupling_is_degenerate(self, ops_factory):
         # full reflection leaves every edge undetermined up to its own layer
         topology = NodeTopology(3, np.eye(3))
         ops = ops_factory(self.N)
         with pytest.raises(DegeneracyError):
-            modal_solve(topology, [0.3, -0.2, 0.5], 0.1, ops, coeff_factory)
+            modal_solve(topology, [0.3, -0.2, 0.5], 0.1, ops)
         with pytest.raises(DegeneracyError):
             solve_node_general(topology, [0.3, -0.2, 0.5], 0.1, ops)
 
@@ -749,13 +776,10 @@ class TestNodeDistribution:
 
 
 class TestImmutability:
-    def test_constructed_arrays_are_readonly(self, ops_factory, coeff_factory):
+    def test_constructed_arrays_are_readonly(self, ops_factory):
         ops = ops_factory(8)
-        coeff = coeff_factory(8, 3)
         for arr in (ops.rule.nodes, ops.rule.weights, ops.rule.scaled_weights,
-                    ops.rule.basis, ops.spectrum.eigenvalues,
-                    ops.spectrum.R2plus, ops.lift, ops.lifted,
-                    coeff.delta_tilde):
+                    ops.rule.basis, ops.layer_eigenvalues, ops.lift, ops.lifted):
             with pytest.raises(ValueError):
                 arr[..., 0] = 0.0
 
@@ -767,6 +791,19 @@ class TestImmutability:
             sol.gamma[0, 0] = 1.0
         with pytest.raises(ValueError):
             sol.rho_at_0[0] = 1.0
+        with pytest.raises(ValueError):
+            sol.layer_eigenvalues[0] = 1.0
+
+
+class TestOperatorMemory:
+    def test_holds_only_what_the_solves_read(self):
+        # the Hermite table, the lift and its nodal values, plus O(N): no
+        # layer eigenvectors and no copy of the stable-manifold basis
+        N = 300
+        ops = NodeOperators.build(N)
+        held = sum(held_buffers(ops).values())
+        budget = ops.rule.basis.nbytes + ops.lift.nbytes + ops.lifted.nbytes + 64 * N * 8
+        assert held <= budget
 
 
 class TestTopologyValidation:
@@ -785,6 +822,20 @@ class TestTopologyValidation:
     def test_degree_one_rejected(self):
         with pytest.raises(ValueError):
             NodeTopology.symmetric(1)
+
+    def test_fractional_degree_with_matrix_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            NodeTopology(3.5, NodeTopology.symmetric(3).beta_matrix())
+
+    def test_degree_one_with_matrix_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            NodeTopology(1, np.array([[1.0]]))
+
+    def test_non_finite_matrix_rejected(self):
+        beta = NodeTopology.symmetric(3).beta_matrix().copy()
+        beta[0, 1] = np.nan
+        with pytest.raises(ValueError, match="beta"):
+            NodeTopology(3, beta)
 
     def test_symmetric_matrix(self):
         beta = NodeTopology.symmetric(3).beta_matrix()

@@ -100,6 +100,15 @@ class TestStableManifold:
             nz = np.flatnonzero(col)
             assert col[nz[0]] > 0
 
+    @pytest.mark.parametrize("N", [4, 300])
+    def test_stable_basis_is_a_view(self, N):
+        # R2plus is the suffix of positive-eigenvalue columns, held without a copy
+        spectrum = stable_manifold(build_layer_matrix(N))
+        assert spectrum.R2plus.shape == (2 * (N - 2), N - 2)
+        assert np.shares_memory(spectrum.R2plus, spectrum.eigenvectors)
+        np.testing.assert_array_equal(spectrum.R2plus,
+                                      spectrum.eigenvectors[:, spectrum.positive_indices])
+
     @pytest.mark.parametrize("N", [5, 20, 99, 300])
     def test_fix_signs_matches_loop_oracle(self, N):
         m = build_layer_matrix(N)
@@ -121,7 +130,7 @@ class TestLift:
     def test_block_structure(self):
         N = 8
         spectrum = stable_manifold(build_layer_matrix(N))
-        T = build_lift(spectrum, N)
+        T = build_lift(spectrum.R2plus)
         assert T.shape == (2 * N, N + 1)
         # C column touches only the g1 row
         c_col = T[:, 1]
@@ -138,7 +147,7 @@ class TestLift:
     def test_t11_rows(self):
         N = 6
         spectrum = stable_manifold(build_layer_matrix(N))
-        T = build_lift(spectrum, N)
+        T = build_lift(spectrum.R2plus)
         s2 = 1 / np.sqrt(2)
         np.testing.assert_allclose(T[:4, :3],
                                    [[0, 0, s2], [0, s2, 0], [0.5, 0, -0.5], [0, 0, 0]])
@@ -148,7 +157,7 @@ class TestLift:
     @pytest.mark.parametrize("N", [4, 8, 50])
     def test_full_column_rank(self, N):
         spectrum = stable_manifold(build_layer_matrix(N))
-        sv = np.linalg.svd(build_lift(spectrum, N), compute_uv=False)
+        sv = np.linalg.svd(build_lift(spectrum.R2plus), compute_uv=False)
         assert sv.size == N + 1
         assert sv[-1] > 1e-10 * sv[0]
 
@@ -160,7 +169,7 @@ class TestLayerProfile:
         assert np.all(layer_moments(np.zeros(N - 2), 1.3, spectrum) == 0.0)
         # at x = 0 the lift gives the layer rows no part of (D, C, B)
         data = np.concatenate([np.random.default_rng(4).standard_normal(3), np.zeros(N - 2)])
-        assert np.all(build_lift(spectrum, N)[4:] @ data == 0.0)
+        assert np.all(build_lift(spectrum.R2plus)[4:] @ data == 0.0)
 
     def test_value_at_origin(self):
         # the lift's layer rows are the stable-manifold solution at x = 0
@@ -168,7 +177,7 @@ class TestLayerProfile:
         N = 8
         spectrum = stable_manifold(build_layer_matrix(N))
         unknowns = rng.standard_normal(N + 1)
-        np.testing.assert_allclose(build_lift(spectrum, N)[4:] @ unknowns,
+        np.testing.assert_allclose(build_lift(spectrum.R2plus)[4:] @ unknowns,
                                    layer_moments(unknowns[3:], 0.0, spectrum),
                                    rtol=0.0, atol=1e-14)
 
