@@ -2,9 +2,10 @@
 
 At a node of degree n the half-space layer problems on all edges are coupled
 through velocity reflection, f^i(0, v) = sum_j beta_ij f^j(0, -v) for v > 0,
-which decouples in the eigenbasis of beta into one N x (N+1) map M(mu) per
-eigenvalue. The staircase structure of the symmetric-node map
-M(-1/(n-1)) yields the macroscopic coupling coefficients delta_1 (for
+which decouples in the eigenbasis of beta into one N x (N+1) map
+M(mu) = (1 - mu) E + (1 + mu) O per eigenvalue, E and O the even and odd
+parts of the layer distributions in v. The staircase structure of the
+symmetric-node map M(-1/(n-1)) yields the macroscopic coupling coefficients delta_1 (for
 S + delta_1 q) and delta_2 (for rho + delta_2 q). The full node solve returns
 the asymptotic states and layer amplitudes of every edge and the reconstructed
 moments at x = 0.
@@ -19,7 +20,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, rsf2csf, schur, solve_triangular
 
 from .errors import DegeneracyError, NumericalError, SingularSystemError
-from .hermite import MomentTransform, QuadratureRule, build_rule, hermite_functions, readonly
+from .hermite import (MomentTransform, QuadratureRule, build_rule, check_half_order,
+                      hermite_functions, readonly)
 from .layer import build_layer_matrix, build_lift, stable_manifold
 
 __all__ = [
@@ -75,7 +77,10 @@ class NodeTopology:
             return
         if self.n == INFINITE:
             raise ValueError("an explicit coupling matrix requires a finite node degree")
-        beta = np.asarray(self.beta, dtype=float)
+        beta = np.asarray(self.beta)
+        if np.iscomplexobj(beta):
+            raise ValueError("beta must be real, got a complex coupling matrix")
+        beta = np.asarray(beta, dtype=float)
         n = int(self.n)
         if beta.shape != (n, n):
             raise ValueError(f"coupling matrix must be {n}x{n}, got {beta.shape}")
@@ -105,54 +110,75 @@ class NodeTopology:
 
 @dataclass(frozen=True)
 class NodeOperators:
-    """Velocity basis, positive layer eigenvalues and lift shared by all node
-    computations at fixed N.
+    """Velocity basis, positive layer eigenvalues, lift and its parity halves
+    shared by all node computations at fixed N.
 
     ``lift`` = T maps the reduced unknowns (D, C, B, gamma) of one edge to its
-    moments at x = 0, and ``lifted`` = S^{-1} T to its distribution values at
-    the 2N velocity nodes, ascending in v. Row 4 of the lift, from column 3
-    on, is e_1^T r_j of the layer eigenvectors; the rest of the layer
-    spectrum is dropped once the lift is built.
+    moments at x = 0, and f = S^{-1} T to its distribution values. By the
+    parity H_k(-v) = (-1)^k H_k(v), the even moments of T give ``even`` =
+    E = (f(v) + f(-v))/2 and the odd ones ``odd`` = O = (f(v) - f(-v))/2 over
+    the N positive velocities v, ascending, so f(v) = E + O and
+    f(-v) = E - O. The lift puts C only in g_1 and D and B only in g_0 and
+    g_2, so E's C column and O's D and B columns are exactly zero. Row 4 of
+    the lift, from column 3 on, is e_1^T r_j of the layer eigenvectors; the
+    rest of the layer spectrum is dropped once the lift is built.
     """
 
     rule: QuadratureRule
     transform: MomentTransform
     layer_eigenvalues: np.ndarray
     lift: np.ndarray
-    lifted: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
 
     @classmethod
     def build(cls, N: int) -> "NodeOperators":
-        rule = build_rule(N)
-        transform = MomentTransform(rule.basis, rule.scaled_weights)
+        check_half_order(N)
+        # the layer eigenvectors go before the Hermite table is made, so the
+        # two largest arrays of the build are never alive together
         spectrum = stable_manifold(build_layer_matrix(N))
         lift = build_lift(spectrum.R2plus)
-        lifted = transform.solve(lift)
         eigenvalues = spectrum.positive_eigenvalues
-        readonly(lifted, eigenvalues)
-        return cls(rule, transform, eigenvalues, lift, lifted)
+        del spectrum
+        rule = build_rule(N)
+        positive, weights = rule.basis[:, N:], rule.scaled_weights[N:, None]
+        even = positive[0::2].T @ lift[0::2]
+        odd = positive[1::2].T @ lift[1::2]
+        even *= weights
+        odd *= weights
+        readonly(eigenvalues, even, odd)
+        transform = MomentTransform(rule.basis, rule.scaled_weights)
+        return cls(rule, transform, eigenvalues, lift, even, odd)
 
     @property
     def N(self) -> int:
         return self.rule.half
 
 
-def _modal_matrix(lifted: np.ndarray, mu: complex) -> np.ndarray:
-    """M(mu): row k is f(v_k) - mu f(-v_k) over the positive velocities v_k."""
-    N = lifted.shape[0] // 2
-    return lifted[N:] - mu * lifted[N - 1::-1]
+def _modal_terms(ops: NodeOperators, mu: complex) -> tuple[tuple[complex, np.ndarray], ...]:
+    """M(mu) = (1 - mu) E + (1 + mu) O as (weight, matrix) terms: row k of M(mu)
+    is f(v_k) - mu f(-v_k) over the positive velocities v_k."""
+    return (1.0 - mu, ops.even), (1.0 + mu, ops.odd)
+
+
+def _modal_matrix(ops: NodeOperators, mu: complex) -> np.ndarray:
+    """M(mu) as one N x (N+1) array."""
+    (a, E), (b, O) = _modal_terms(ops, mu)
+    return a * E + b * O
+
+
+def _symmetric_mu(topology: NodeTopology) -> float:
+    """The eigenvalue mu = -1/(n-1) of a symmetric node's M(mu), mu = 0 for INFINITE."""
+    if topology.beta is not None:
+        raise ValueError("invariant extraction supports only symmetric topologies; "
+                         "use solve_node for an arbitrary coupling matrix")
+    return 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
 
 
 def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> np.ndarray:
     """The read-only N x (N+1) M(mu) of a symmetric node: mu = -1/(n-1), or mu = 0
     for INFINITE."""
-    if topology.beta is not None:
-        raise ValueError("invariant extraction supports only symmetric topologies; "
-                         "use solve_node for an arbitrary coupling matrix")
-    mu = 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
-    M = _modal_matrix(ops.lifted, mu)
-    if not np.all(np.isfinite(M)):
-        raise NumericalError("invariant matrix contains non-finite entries")
+    M = _modal_matrix(ops, _symmetric_mu(topology))
     readonly(M)
     return M
 
@@ -166,10 +192,11 @@ class CouplingCoefficients:
     delta2: float
 
 
-def _reduce(M: np.ndarray, rhs: np.ndarray | None = None
+def _reduce(terms: tuple[tuple[complex, np.ndarray], ...], rhs: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """One QR of the row-equilibrated M with its columns in the order (gamma, D, C, B),
-    carrying the right-hand-side columns of M y = rhs along.
+    """One QR of the row-equilibrated M = sum of w A over the (weight, matrix)
+    ``terms``, its columns in the order (gamma, D, C, B), carrying the
+    right-hand-side columns of M y = rhs along.
 
     Returns (R, T, K, norm, b): R is the (N-2) x (N-2) triangular factor of the
     gamma block, T = Q_1^H A and K = Q_2^H A for the (D, C, B) columns A, where
@@ -178,23 +205,31 @@ def _reduce(M: np.ndarray, rhs: np.ndarray | None = None
     The null vectors of M are (x, -R^{-1} T x) with K x = 0. ``norm`` is the
     Frobenius norm of the equilibrated matrix, the scale for rank decisions,
     and b = Q^H rhs (N x 0 without rhs) with rhs equilibrated like M's rows.
-    Row equilibration leaves every null space unchanged; the one buffer gives
-    the QR the same C-ordered input whatever the layout of M.
+    Row equilibration leaves every null space unchanged. M is summed straight
+    into the one buffer [gamma | D C B | rhs] the QR gets, so no copy of M
+    stays alive beside it and the QR sees the same C-ordered input whatever
+    the layout of the terms.
     """
-    N, cols = M.shape
+    (w, A), *rest = terms
+    N, cols = A.shape
     if cols != N + 1:
-        raise ValueError(f"invariant matrix must be N x (N+1), got {M.shape}")
-    scale = np.max(np.abs(M), axis=1)
+        raise ValueError(f"invariant matrix must be N x (N+1), got {A.shape}")
+    extra = 0 if rhs is None else rhs.shape[1]
+    operands = [x for term in terms for x in term] + ([] if rhs is None else [rhs])
+    Ms = np.empty((N, cols + extra), np.result_type(*operands))
+    for dest, columns in ((Ms[:, :N - 2], np.s_[:, 3:]), (Ms[:, N - 2:cols], np.s_[:, :3])):
+        np.multiply(A[columns], w, out=dest)
+        for weight, term in rest:
+            dest += weight * term[columns]
+    scale = np.max(np.abs(Ms[:, :cols]), axis=1)
+    if not np.all(np.isfinite(scale)):
+        raise NumericalError("invariant matrix contains non-finite entries")
     if np.any(scale == 0.0):
         raise DegeneracyError("invariant matrix has an identically zero row")
     scale = scale[:, None]
-    extra = 0 if rhs is None else rhs.shape[1]
-    Ms = np.empty((N, cols + extra), M.dtype if rhs is None else np.result_type(M, rhs))
-    np.divide(M[:, 3:], scale, out=Ms[:, :N - 2])
-    np.divide(M[:, :3], scale, out=Ms[:, N - 2:cols])
+    Ms[:, :cols] /= scale
     if extra:
         np.divide(rhs, scale, out=Ms[:, cols:])
-    del M  # a temporary M(mu) is freed before the QR copies Ms
     full = np.linalg.qr(Ms, mode="r")
     R, T, K = full[:N - 2, :N - 2], full[:N - 2, N - 2:cols], full[N - 2:, N - 2:cols]
     rcond, _ = get_lapack_funcs("trcon", (R,))(R, norm="1", uplo="U", diag="N")
@@ -206,16 +241,8 @@ def _reduce(M: np.ndarray, rhs: np.ndarray | None = None
     return R, T, K, float(np.linalg.norm(full[:, :cols])), full[:, cols:]
 
 
-def extract_deltas(M: np.ndarray) -> CouplingCoefficients:
-    """Read delta_1 and delta_2 off the invariant matrix M of a symmetric node.
-
-    One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
-    on the two-dimensional left null space Q_2 of those columns. delta_1
-    comes from the unique row combination of K vanishing on the B column
-    (normalized to unit D coefficient), delta_2 from the one vanishing on the
-    D column.
-    """
-    _, _, K, norm, _ = _reduce(M)
+def _deltas(K: np.ndarray, norm: float) -> CouplingCoefficients:
+    """delta_1 and delta_2 from the 2 x 3 reduction K of a symmetric node's M."""
     s = np.linalg.svd(K, compute_uv=False)
     if s[-1] <= SV_CUTOFF * norm:
         raise DegeneracyError("invariant matrix is numerically row-rank deficient; "
@@ -230,9 +257,25 @@ def extract_deltas(M: np.ndarray) -> CouplingCoefficients:
     return CouplingCoefficients(float(z1[1] / z1[0]), float(z2[1] / z2[2]))
 
 
+def extract_deltas(M: np.ndarray) -> CouplingCoefficients:
+    """Read delta_1 and delta_2 off the invariant matrix M of a symmetric node.
+
+    One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
+    on the two-dimensional left null space Q_2 of those columns. delta_1
+    comes from the unique row combination of K vanishing on the B column
+    (normalized to unit D coefficient), delta_2 from the one vanishing on the
+    D column. M is copied into the QR's buffer and left as it is.
+    """
+    _, _, K, norm, _ = _reduce(((1.0, M),))
+    return _deltas(K, norm)
+
+
 def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
-    """Convenience: invariant matrix plus extraction in one call."""
-    return extract_deltas(invariant_matrix(ops, topology))
+    """delta_1 and delta_2 of a symmetric node, bit for bit those of
+    ``extract_deltas(invariant_matrix(ops, topology))``; M(mu) is summed from
+    E and O straight into the QR's buffer and never held on its own."""
+    _, _, K, norm, _ = _reduce(_modal_terms(ops, _symmetric_mu(topology)))
+    return _deltas(K, norm)
 
 
 def maxwell_delta(n: int | float) -> tuple[float, float]:
@@ -370,7 +413,7 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, ops.layer_eigenvalues, modal)
 
 
-def _modal_solve(lifted: np.ndarray, mu: complex, rhs: np.ndarray | None = None
+def _modal_solve(ops: NodeOperators, mu: complex, rhs: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solutions of M(mu) y = rhs from the QR reduction, the kernel of both node solves.
 
@@ -381,7 +424,7 @@ def _modal_solve(lifted: np.ndarray, mu: complex, rhs: np.ndarray | None = None
     K x = Q_2^H rhs, exact when K has full row rank, and gamma by back
     substitution.
     """
-    R, T, K, norm, b = _reduce(_modal_matrix(lifted, mu), rhs)
+    R, T, K, norm, b = _reduce(_modal_terms(ops, mu), rhs)
     u, s, vh = np.linalg.svd(K)
     rank = int(np.count_nonzero(s > SV_CUTOFF * norm))
     X = vh[rank:].conj().T
@@ -392,9 +435,9 @@ def _modal_solve(lifted: np.ndarray, mu: complex, rhs: np.ndarray | None = None
     return particular, null, s
 
 
-def _modal_null_space(lifted: np.ndarray, mu: complex) -> np.ndarray:
+def _modal_null_space(ops: NodeOperators, mu: complex) -> np.ndarray:
     """Orthonormal null-space basis (columns) of M(mu)."""
-    basis, _ = np.linalg.qr(_modal_solve(lifted, mu)[1])
+    basis, _ = np.linalg.qr(_modal_solve(ops, mu)[1])
     return basis
 
 
@@ -451,7 +494,7 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
                               "(defective beta); use solve_node_general")
     weights, columns = [], []             # one (eigenvector, null vector) pair per unknown
     for mu, vecs in modes:
-        null = _modal_null_space(ops.lifted, mu)
+        null = _modal_null_space(ops, mu)
         weights.append(np.repeat(vecs, null.shape[1], axis=1))
         columns.append(np.tile(null, vecs.shape[1]))
     W, Z = np.hstack(weights), np.hstack(columns)
@@ -481,10 +524,10 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     form of beta.
 
     The reflection equations X P^T - beta X Mr^T = 0 in the n x (N+1) edge
-    unknowns X (P = f(v_k), Mr = f(-v_k) over the positive v_k) form a
-    generalized Sylvester equation. With beta = Q U Q^H, U upper triangular
-    and sorted so that mu = 1 comes last, Y = Q^H X satisfies the block
-    triangular system M(U_ii) y_i = Mr sum_{j>i} U_ij y_j, solved from the
+    unknowns X (P = f(v_k) = E + O, Mr = f(-v_k) = E - O over the positive
+    v_k) form a generalized Sylvester equation. With beta = Q U Q^H, U upper
+    triangular and sorted so that mu = 1 comes last, Y = Q^H X satisfies the
+    block triangular system M(U_ii) y_i = Mr sum_{j>i} U_ij y_j, solved from the
     last block to the first (Bartels and Stewart, Comm. ACM 15, 1972). Each
     block takes one QR of M(U_ii) that carries its right-hand sides and adds
     its null vectors to the free coefficients: two for mu = 1, whose block is
@@ -504,8 +547,7 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     incoming = np.asarray(incoming, dtype=float)
     if incoming.shape != (n,):
         raise ValueError(f"incoming vector must have length {n}, got {incoming.shape}")
-    N = ops.N
-    positive, mirror = ops.lifted[N:], ops.lifted[N - 1::-1]
+    N, E, O = ops.N, ops.even, ops.odd
     # eigenvalues farther than 1e-8 from 1 go to the top left, so the block of
     # mu = 1 comes last; a 2 x 2 block of a complex pair makes the form complex
     U, Q, _ = schur(beta, output="real", sort=lambda re, im: abs(complex(re, im) - 1.0) > 1e-8)
@@ -517,7 +559,7 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     for i in range(n - 1, -1, -1):
         mu = U[i, i].real if U[i, i].imag == 0 else U[i, i]
         coupled = np.tensordot(U[i, i + 1:], Y[i + 1:, :, :free], axes=1)
-        particular, null, s = _modal_solve(ops.lifted, mu, mirror @ coupled if free else None)
+        particular, null, s = _modal_solve(ops, mu, E @ coupled - O @ coupled if free else None)
         expected = 2 if i == n - 1 else 1
         if null.shape[1] != expected:
             raise DegeneracyError(f"coupling system is rank deficient: the block of eigenvalue "
@@ -540,15 +582,17 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
 
     # residual of each raw equation, divided by the largest entry of its row:
     # |f(v_k) - beta_ii f(-v_k)| on the diagonal block, beta_ij |f(-v_k)| off it
-    peak = np.max(np.abs(mirror), axis=1)
+    block = np.empty(E.shape)
+    peak = np.max(np.abs(np.subtract(E, O, out=block), out=block), axis=1)
     scale = np.empty((n, N))
-    block = np.empty(mirror.shape)
     for i in range(n):
-        np.multiply(mirror, beta[i, i], out=block)
-        np.subtract(positive, block, out=block)
-        np.maximum(np.max(np.abs(block, out=block), axis=1),
+        # M(beta_ii) = (1 + beta_ii)(r E + O), r = (1 - beta_ii)/(1 + beta_ii), in place
+        np.multiply(E, (1.0 - beta[i, i]) / (1.0 + beta[i, i]), out=block)
+        block += O
+        np.maximum((1.0 + beta[i, i]) * np.max(np.abs(block, out=block), axis=1),
                    np.max(np.delete(beta[i], i)) * peak, out=scale[i])
-    reflection = (m @ positive.T - beta @ (m @ mirror.T)) / scale
+    even, odd = m @ E.T, m @ O.T
+    reflection = (even + odd - beta @ (even - odd)) / scale
     characteristic = (m[:, 0] - ACOUSTIC_SPEED * m[:, 1] - incoming) / ACOUSTIC_SPEED
     balance = (np.sum(m[:, 0] - 3.0 * m[:, 2]) - zero_balance) / 3.0
     residual = max(np.max(np.abs(reflection)), np.max(np.abs(characteristic)), abs(balance))

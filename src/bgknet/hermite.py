@@ -53,18 +53,24 @@ def hermite_functions(points, count: int) -> np.ndarray:
     log_scale = -0.5 * x * x - 0.25 * np.log(np.pi)
     u_prev = np.zeros_like(x)
     u = np.ones_like(x)
+    mag, work = np.empty_like(x), np.empty_like(x)
     with np.errstate(under="ignore"):
-        out[0] = u * np.exp(log_scale)
+        np.exp(log_scale, out=out[0])
         alpha = recursion_coefficients(count)
         for k in range(count - 1):
-            a_k = alpha[k - 1] if k >= 1 else 0.0
-            u, u_prev = (x * u - a_k * u_prev) / alpha[k], u
-            mag = np.maximum(np.abs(u), np.abs(u_prev))
-            mag[mag == 0.0] = 1.0
+            # u_{k+1} = (x u_k - alpha_k u_{k-1}) / alpha_{k+1}, built in u_prev's buffer
+            np.multiply(u_prev, alpha[k - 1] if k >= 1 else 0.0, out=u_prev)
+            np.multiply(x, u, out=work)
+            np.subtract(work, u_prev, out=u_prev)
+            np.divide(u_prev, alpha[k], out=u_prev)
+            u, u_prev = u_prev, u
+            # after the rescale max(|u|, |u_prev|) = 1, so mag is never zero
+            np.maximum(np.abs(u, out=mag), np.abs(u_prev, out=work), out=mag)
             u /= mag
             u_prev /= mag
-            log_scale += np.log(mag)
-            out[k + 1] = u * np.exp(log_scale)
+            log_scale += np.log(mag, out=mag)
+            row = np.exp(log_scale, out=out[k + 1])
+            row *= u
     return out
 
 
@@ -91,23 +97,34 @@ class QuadratureRule:
         return self.order // 2
 
 
+def check_half_order(N) -> None:
+    """Reject an N that is not an integer in [1, MAX_HALF_ORDER]."""
+    if not isinstance(N, (int, np.integer)) or not 1 <= N <= MAX_HALF_ORDER:
+        raise ValueError(f"N must be an integer in [1, {MAX_HALF_ORDER}], got {N!r}")
+
+
 def build_rule(N: int) -> QuadratureRule:
     """Build the 2N-point Gauss-Hermite rule by the Golub-Welsch construction.
 
     Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix with
     off-diagonal alpha_k = sqrt(k/2); weights are sqrt(pi) times the squared
     first components of the normalized eigenvectors, evaluated through the
-    stable identity w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2.
+    stable identity w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2. The table is
+    evaluated at the N positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v),
+    which the recursion satisfies bit for bit on the exactly symmetric nodes.
     """
-    if not isinstance(N, (int, np.integer)) or not 1 <= N <= MAX_HALF_ORDER:
-        raise ValueError(f"N must be an integer in [1, {MAX_HALF_ORDER}], got {N!r}")
+    check_half_order(N)
     order = 2 * N
     offdiag = recursion_coefficients(order - 1)
     nodes = eigh_tridiagonal(np.zeros(order), offdiag, eigvals_only=True)
     nodes = 0.5 * (nodes - nodes[::-1])  # enforce exact +- symmetry
-    table = hermite_functions(nodes, order)
-    scaled = 1.0 / np.einsum("ki,ki->i", table, table)
-    scaled = 0.5 * (scaled + scaled[::-1])
+    half = hermite_functions(nodes[N:], order)
+    scaled_half = 1.0 / np.einsum("ki,ki->i", half, half)
+    table = np.empty((order, order))
+    table[:, N:] = half
+    np.negative(half[1::2, ::-1], out=table[1::2, :N])
+    table[0::2, :N] = half[0::2, ::-1]
+    scaled = np.concatenate((scaled_half[::-1], scaled_half))
     with np.errstate(under="ignore"):
         weights = scaled * np.exp(-nodes * nodes)
     readonly(nodes, weights, scaled, table)

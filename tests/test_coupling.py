@@ -20,6 +20,7 @@ from bgknet import (
     build_layer_matrix,
     build_lift,
     build_macro_system,
+    compute_coefficients,
     coupling_residual,
     extract_deltas,
     flux_residual,
@@ -78,6 +79,19 @@ def chain_coefficients(eta):
     return np.where(resolved_den | resolved_num, -numer / safe_den, 1.0)
 
 
+def nodal_lift(ops):
+    """The 2N x (N+1) nodal lift S^{-1} T, ascending in v, rebuilt from its
+    parity halves: f(v) = E + O at the positive nodes, f(-v) = E - O at their
+    mirrors."""
+    return np.vstack([(ops.even - ops.odd)[::-1], ops.even + ops.odd])
+
+
+def parity_halves(f):
+    """E and O of a 2N-row nodal array f, ascending in v."""
+    N = f.shape[0] // 2
+    return 0.5 * (f[N:] + f[N - 1::-1]), 0.5 * (f[N:] - f[N - 1::-1])
+
+
 def held_buffers(obj, held=None):
     """Distinct array buffers reachable through the dataclass fields of obj,
     as {id of the owning array: its bytes}; a view counts as its owner."""
@@ -107,13 +121,14 @@ def lstsq_general(topology, incoming, zero_balance, ops):
     """
     beta = topology.beta_matrix()
     n, N = int(topology.n), ops.N
+    f = nodal_lift(ops)
     size = N + 1
     system = np.zeros((n * N + n + 1, n * size))
     blocks = system[:n * N].reshape(n, N, n, size)
     for i in range(n):
         for j in range(n):
-            blocks[i, :, j] = -beta[i, j] * ops.lifted[N - 1::-1]
-        blocks[i, :, i] += ops.lifted[N:]
+            blocks[i, :, j] = -beta[i, j] * f[N - 1::-1]
+        blocks[i, :, i] += f[N:]
     edges = np.arange(n)
     system[n * N + edges, edges * size] = 1.0
     system[n * N + edges, edges * size + 1] = -A
@@ -162,22 +177,23 @@ class TestInvariantMatrix:
         N = 8
         assert M.shape == (N, N + 1)
         assert not M.flags.writeable
-        tol = 1e-15 * np.max(np.abs(ops.lifted))
+        f = nodal_lift(ops)
+        tol = 1e-15 * np.max(np.abs(f))
         for k in range(N):
-            np.testing.assert_allclose(2.0 * M[k],
-                                       2.0 * ops.lifted[N + k] + ops.lifted[N - 1 - k],
+            np.testing.assert_allclose(2.0 * M[k], 2.0 * f[N + k] + f[N - 1 - k],
                                        rtol=0.0, atol=tol)
 
     def test_pairing_structure_infinite(self, ops_factory):
         # mu = 0: row k selects the positive velocity v_k alone
         ops = ops_factory(8)
         M = invariant_matrix(ops, NodeTopology.symmetric(INFINITE))
+        f = nodal_lift(ops)
         for k in range(8):
-            np.testing.assert_array_equal(M[k], ops.lifted[8 + k])
+            np.testing.assert_array_equal(M[k], f[8 + k])
 
     def test_lifted_is_inverse_transform_of_lift(self, ops_factory):
         ops = ops_factory(8)
-        np.testing.assert_allclose(ops.transform.apply(ops.lifted), ops.lift,
+        np.testing.assert_allclose(ops.transform.apply(nodal_lift(ops)), ops.lift,
                                    rtol=0.0, atol=1e-13)
 
     def test_rejects_general_topology(self, ops_factory):
@@ -204,7 +220,8 @@ class TestExtractDeltas:
         r2 = stable_manifold(build_layer_matrix(30)).R2plus.copy()
         r2[:, 4] *= -1.0
         lift = build_lift(r2)
-        flipped_ops = replace(ops, lift=lift, lifted=ops.transform.solve(lift))
+        even, odd = parity_halves(ops.transform.solve(lift))
+        flipped_ops = replace(ops, lift=lift, even=even, odd=odd)
         coeff = extract_deltas(invariant_matrix(flipped_ops, NodeTopology.symmetric(3)))
         assert abs(coeff.delta1 - base.delta1) < 1e-12
         assert abs(coeff.delta2 - base.delta2) < 1e-12
@@ -252,7 +269,7 @@ class TestExtractDeltas:
         # both components are above the rounding floor; each unit-vector
         # component carries an absolute error of a few eps
         mu = 0.0 if n == INFINITE else -1.0 / (n - 1.0)
-        null = _modal_null_space(ops_factory(N).lifted, mu)
+        null = _modal_null_space(ops_factory(N), mu)
         assert null.shape[1] == 1
         eps = np.finfo(float).eps
         numer, denom = np.concatenate(([eta[1]], eta[3:-1])), eta[3:]
@@ -272,9 +289,9 @@ class TestExtractDeltas:
 
     @pytest.mark.parametrize("mu", [-0.5, 0.0, 1.0, 0.9j])
     def test_modal_null_space_spans_svd_null_space(self, ops_factory, mu):
-        lifted = ops_factory(60).lifted
-        basis = _modal_null_space(lifted, mu)
-        reference = svd_null_space(_modal_matrix(lifted, mu))
+        ops = ops_factory(60)
+        basis = _modal_null_space(ops, mu)
+        reference = svd_null_space(_modal_matrix(ops, mu))
         assert basis.shape == reference.shape
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
                                    rtol=0.0, atol=1e-13)
@@ -541,7 +558,7 @@ class TestSolveNodeGeneral:
         ops = ops_factory(N)
         topology = NodeTopology(n, seeded_beta("random", n, seed=7))
         incoming = np.array([0.3, -0.2, 0.5])
-        lifted_before, incoming_before = ops.lifted.copy(), incoming.copy()
+        lifted_before, incoming_before = nodal_lift(ops), incoming.copy()
         system_bytes = (n * N + n + 1) * (n * (N + 1) + 1) * 8
         tracemalloc.start()
         try:
@@ -550,7 +567,7 @@ class TestSolveNodeGeneral:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * system_bytes
-        np.testing.assert_array_equal(ops.lifted, lifted_before)
+        np.testing.assert_array_equal(nodal_lift(ops), lifted_before)
         np.testing.assert_array_equal(incoming, incoming_before)
 
     @pytest.mark.parametrize("N", [20, 100])
@@ -591,7 +608,7 @@ class TestSolveNodeGeneral:
         ops = ops_factory(N)
         topology = NodeTopology(n, seeded_beta("near-cyclic", n, seed=7))
         incoming = np.linspace(-0.5, 0.5, n)
-        lifted_before = ops.lifted.copy()
+        lifted_before = nodal_lift(ops)
         dense_bytes = (n * N + n + 1) * (n * (N + 1) + 1) * 8
         tracemalloc.start()
         try:
@@ -600,7 +617,7 @@ class TestSolveNodeGeneral:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * dense_bytes
-        np.testing.assert_array_equal(ops.lifted, lifted_before)
+        np.testing.assert_array_equal(nodal_lift(ops), lifted_before)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_modal_solver_at_large_N(self, ops_factory, n):
@@ -779,7 +796,7 @@ class TestImmutability:
     def test_constructed_arrays_are_readonly(self, ops_factory):
         ops = ops_factory(8)
         for arr in (ops.rule.nodes, ops.rule.weights, ops.rule.scaled_weights,
-                    ops.rule.basis, ops.layer_eigenvalues, ops.lift, ops.lifted):
+                    ops.rule.basis, ops.layer_eigenvalues, ops.lift, ops.even, ops.odd):
             with pytest.raises(ValueError):
                 arr[..., 0] = 0.0
 
@@ -795,15 +812,81 @@ class TestImmutability:
             sol.layer_eigenvalues[0] = 1.0
 
 
+class TestParityHalves:
+    """E and O against the 2N-row S^{-1} T they replace, ops.transform.solve(ops.lift)."""
+
+    @pytest.mark.parametrize("N", [8, 60, 300])
+    def test_match_the_nodal_lift(self, ops_factory, N):
+        ops = ops_factory(N)
+        f = ops.transform.solve(ops.lift)
+        np.testing.assert_allclose(ops.even + ops.odd, f[N:], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(ops.even - ops.odd, f[N - 1::-1], rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("N", [8, 60, 300])
+    def test_structural_zero_columns(self, ops_factory, N):
+        # the lift puts C only in g_1 and D, B only in g_0 and g_2
+        ops = ops_factory(N)
+        assert np.all(ops.even[:, 1] == 0.0)
+        assert np.all(ops.odd[:, 0] == 0.0)
+        assert np.all(ops.odd[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("N", [60, 300])
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5, 0.9])
+    def test_deltas_match_the_nodal_lift(self, ops_factory, N, mu):
+        ops = ops_factory(N)
+        f = ops.transform.solve(ops.lift)
+        expected = extract_deltas(f[N:] - mu * f[N - 1::-1])
+        got = extract_deltas(_modal_matrix(ops, mu))
+        assert abs(got.delta1 - expected.delta1) <= 1e-14 * abs(expected.delta1)
+        assert abs(got.delta2 - expected.delta2) <= 1e-14 * abs(expected.delta2)
+
+    @pytest.mark.parametrize("n", [3, 4, INFINITE])
+    def test_coefficients_bit_for_bit_those_of_the_held_matrix(self, ops_factory, n):
+        ops, topology = ops_factory(99), NodeTopology.symmetric(n)
+        assert (compute_coefficients(ops, topology)
+                == extract_deltas(invariant_matrix(ops, topology)))
+
+
 class TestOperatorMemory:
+    N = 300
+    unit = N * (N + 1) * 8  # one N x (N+1) array of doubles
+
     def test_holds_only_what_the_solves_read(self):
-        # the Hermite table, the lift and its nodal values, plus O(N): no
-        # layer eigenvectors and no copy of the stable-manifold basis
-        N = 300
+        # the Hermite table, the lift and its parity halves E and O, plus O(N):
+        # no layer eigenvectors, no copy of the stable-manifold basis and no
+        # 2N-row S^{-1} T
+        N = self.N
         ops = NodeOperators.build(N)
         held = sum(held_buffers(ops).values())
-        budget = ops.rule.basis.nbytes + ops.lift.nbytes + ops.lifted.nbytes + 64 * N * 8
+        budget = (ops.rule.basis.nbytes + ops.lift.nbytes + ops.even.nbytes + ops.odd.nbytes
+                  + 64 * N * 8)
         assert held <= budget
+
+    def test_build_peak_is_what_it_holds(self):
+        # the layer eigenvectors are freed before the Hermite table is made,
+        # and E and O come from half the table each: the traced peak stays
+        # within half an N x (N+1) array of the operators themselves
+        tracemalloc.start()
+        try:
+            ops = NodeOperators.build(self.N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(held_buffers(ops).values()) + 0.5 * self.unit
+
+    def test_coefficients_hold_no_matrix_beside_the_qr(self, ops_factory):
+        # M(mu) is summed into the QR's one input buffer; the QR's own copy and
+        # its triangular factor make three N x (N+1) arrays at the peak
+        ops = ops_factory(self.N)
+        topology = NodeTopology.symmetric(3)
+        compute_coefficients(ops, topology)
+        tracemalloc.start()
+        try:
+            compute_coefficients(ops, topology)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * self.unit
 
 
 class TestTopologyValidation:
@@ -834,6 +917,13 @@ class TestTopologyValidation:
     def test_non_finite_matrix_rejected(self):
         beta = NodeTopology.symmetric(3).beta_matrix().copy()
         beta[0, 1] = np.nan
+        with pytest.raises(ValueError, match="beta"):
+            NodeTopology(3, beta)
+
+    def test_complex_matrix_rejected(self):
+        # a cast to float would drop the imaginary part with only a warning
+        beta = NodeTopology.symmetric(3).beta_matrix().astype(complex)
+        beta[0, 1] += 0.3j
         with pytest.raises(ValueError, match="beta"):
             NodeTopology(3, beta)
 

@@ -19,6 +19,29 @@ def polynomial_values(rule):
     return rule.basis * np.exp(0.5 * rule.nodes * rule.nodes)
 
 
+def loop_hermite_functions(points, count):
+    """The recursion with fresh temporaries at every step, kept as the bit-level
+    oracle of the buffered kernel."""
+    x = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.empty((count, x.size))
+    log_scale = -0.5 * x * x - 0.25 * np.log(np.pi)
+    u_prev = np.zeros_like(x)
+    u = np.ones_like(x)
+    with np.errstate(under="ignore"):
+        out[0] = u * np.exp(log_scale)
+        alpha = recursion_coefficients(count)
+        for k in range(count - 1):
+            a_k = alpha[k - 1] if k >= 1 else 0.0
+            u, u_prev = (x * u - a_k * u_prev) / alpha[k], u
+            mag = np.maximum(np.abs(u), np.abs(u_prev))
+            mag[mag == 0.0] = 1.0
+            u /= mag
+            u_prev /= mag
+            log_scale += np.log(mag)
+            out[k + 1] = u * np.exp(log_scale)
+    return out
+
+
 def gaussian_moment(m: int) -> float:
     """Exact integral of v^m e^{-v^2} over the real line."""
     if m % 2:
@@ -239,6 +262,13 @@ class TestDiscreteMaxwellian:
 
 
 class TestHermiteFunctions:
+    @pytest.mark.parametrize("N", [20, 160, 1000])
+    def test_bit_identical_to_the_loop(self, N):
+        nodes = build_rule(N).nodes
+        for points in (nodes, nodes[N:], np.linspace(-4.0, 4.0, 1201)):
+            np.testing.assert_array_equal(hermite_functions(points, 2 * N),
+                                          loop_hermite_functions(points, 2 * N))
+
     def test_against_table(self):
         rule = build_rule(12)
         again = hermite_functions(rule.nodes, rule.order)
