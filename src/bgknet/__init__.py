@@ -20,9 +20,7 @@ from .coupling import (
     build_macro_system,
     compute_coefficients,
     coupling_residual,
-    extract_deltas,
     flux_residual,
-    invariant_matrix,
     macro_coupling_solve,
     macro_determinant,
     maxwell_delta,

@@ -37,9 +37,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _parse_degree(text: str) -> int | float:
+    """A symmetric node degree with a coupling: an integer >= 3 or 'inf' (at n = 2,
+    pure transmission, delta_1 = delta_2 = 0)."""
     if text.strip().lower() in {"inf", "infinite", "infinity"}:
         return coupling.INFINITE
-    return int(text)
+    value = int(text)
+    if value < 3:
+        raise ValueError(f"must be an integer >= 3 or 'inf', got {value}")
+    return value
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -89,11 +94,11 @@ _RUN = {
 }
 _PARAMETERS = {
     "deltas": {
-        "n": ("3", _parse_degree, "node degree (integer or 'inf')"),
+        "n": ("3", _parse_degree, "node degree (integer >= 3 or 'inf')"),
         "N": ("5:99", _parse_range, f"N range MIN:MAX within [5, {MAX_HALF_ORDER}]"),
     },
     "node": {
-        "n": ("3", _parse_degree, "node degree; the presets need 3"),
+        "n": ("3", _integer_in(3, 3), "node degree; the presets need 3"),
         "N": ("100", _HALF_ORDER, f"half velocity count in [4, {MAX_HALF_ORDER}]"),
         "case": _RUN["case"],
         "vmax": ("6.0", _positive(float), "largest |v| of the distribution CSV"),
@@ -176,8 +181,6 @@ def cmd_node(args: argparse.Namespace) -> int:
     """Solve the coupled half-space node problem."""
     cfg = _settings("node", args)
     case, N = cfg["case"], cfg["N"]
-    if cfg["n"] != 3:
-        raise ValueError("the test-case presets are defined for n = 3 edges")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data, ops = _preset(case, N)

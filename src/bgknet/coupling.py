@@ -34,8 +34,6 @@ __all__ = [
     "MacroCouplingSystem",
     "NodeProblem",
     "NodeSolution",
-    "invariant_matrix",
-    "extract_deltas",
     "compute_coefficients",
     "maxwell_delta",
     "build_macro_system",
@@ -155,32 +153,14 @@ class NodeOperators:
         return self.rule.half
 
 
-def _modal_terms(ops: NodeOperators, mu: complex) -> tuple[tuple[complex, np.ndarray], ...]:
-    """M(mu) = (1 - mu) E + (1 + mu) O as (weight, matrix) terms: row k of M(mu)
-    is f(v_k) - mu f(-v_k) over the positive velocities v_k."""
-    return (1.0 - mu, ops.even), (1.0 + mu, ops.odd)
-
-
-def _modal_matrix(ops: NodeOperators, mu: complex) -> np.ndarray:
-    """M(mu) as one N x (N+1) array."""
-    (a, E), (b, O) = _modal_terms(ops, mu)
-    return a * E + b * O
-
-
-def _symmetric_mu(topology: NodeTopology) -> float:
-    """The eigenvalue mu = -1/(n-1) of a symmetric node's M(mu), mu = 0 for INFINITE."""
-    if topology.beta is not None:
-        raise ValueError("invariant extraction supports only symmetric topologies; "
-                         "use solve_node for an arbitrary coupling matrix")
-    return 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
-
-
-def invariant_matrix(ops: NodeOperators, topology: NodeTopology) -> np.ndarray:
-    """The read-only N x (N+1) M(mu) of a symmetric node: mu = -1/(n-1), or mu = 0
-    for INFINITE."""
-    M = _modal_matrix(ops, _symmetric_mu(topology))
-    readonly(M)
-    return M
+def _sum_modal(ops: NodeOperators, mu: complex, out: np.ndarray) -> None:
+    """Sum M(mu) = (1 - mu) E + (1 + mu) O into the N x (N+1) ``out``, its columns
+    in the order (gamma, D, C, B): row k of M(mu) is f(v_k) - mu f(-v_k) over
+    the positive velocities v_k."""
+    N = ops.N
+    for dest, columns in ((out[:, :N - 2], np.s_[:, 3:]), (out[:, N - 2:], np.s_[:, :3])):
+        np.multiply(ops.even[columns], 1.0 - mu, out=dest)
+        dest += (1.0 + mu) * ops.odd[columns]
 
 
 @dataclass(frozen=True)
@@ -192,35 +172,26 @@ class CouplingCoefficients:
     delta2: float
 
 
-def _reduce(terms: tuple[tuple[complex, np.ndarray], ...], rhs: np.ndarray | None = None
+def _reduce(ops: NodeOperators, mu: complex, rhs: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """One QR of the row-equilibrated M = sum of w A over the (weight, matrix)
-    ``terms``, its columns in the order (gamma, D, C, B), carrying the
-    right-hand-side columns of M y = rhs along.
+    """One QR of the row-equilibrated M(mu), its columns in the order (gamma, D,
+    C, B), carrying the right-hand-side columns of M(mu) y = rhs along.
 
     Returns (R, T, K, norm, b): R is the (N-2) x (N-2) triangular factor of the
     gamma block, T = Q_1^H A and K = Q_2^H A for the (D, C, B) columns A, where
     Q_2 spans the two-dimensional left null space of the gamma block (K comes
     out triangularized by a 2 x 2 unitary factor, which no use of it sees).
-    The null vectors of M are (x, -R^{-1} T x) with K x = 0. ``norm`` is the
-    Frobenius norm of the equilibrated matrix, the scale for rank decisions,
-    and b = Q^H rhs (N x 0 without rhs) with rhs equilibrated like M's rows.
-    Row equilibration leaves every null space unchanged. M is summed straight
-    into the one buffer [gamma | D C B | rhs] the QR gets, so no copy of M
-    stays alive beside it and the QR sees the same C-ordered input whatever
-    the layout of the terms.
+    The null vectors of M(mu) are (x, -R^{-1} T x) with K x = 0. ``norm`` is
+    the Frobenius norm of the equilibrated matrix, the scale for rank
+    decisions, and b = Q^H rhs (N x 0 without rhs) with rhs equilibrated like
+    M(mu)'s rows. Row equilibration leaves every null space unchanged. M(mu)
+    is summed straight into the one buffer [gamma | D C B | rhs] the QR gets,
+    so no copy of it stays alive beside the QR.
     """
-    (w, A), *rest = terms
-    N, cols = A.shape
-    if cols != N + 1:
-        raise ValueError(f"invariant matrix must be N x (N+1), got {A.shape}")
-    extra = 0 if rhs is None else rhs.shape[1]
-    operands = [x for term in terms for x in term] + ([] if rhs is None else [rhs])
-    Ms = np.empty((N, cols + extra), np.result_type(*operands))
-    for dest, columns in ((Ms[:, :N - 2], np.s_[:, 3:]), (Ms[:, N - 2:cols], np.s_[:, :3])):
-        np.multiply(A[columns], w, out=dest)
-        for weight, term in rest:
-            dest += weight * term[columns]
+    N, cols = ops.N, ops.N + 1
+    rhs = np.empty((N, 0)) if rhs is None else rhs
+    Ms = np.empty((N, cols + rhs.shape[1]), np.result_type(mu, ops.even, rhs))
+    _sum_modal(ops, mu, Ms[:, :cols])
     scale = np.max(np.abs(Ms[:, :cols]), axis=1)
     if not np.all(np.isfinite(scale)):
         raise NumericalError("invariant matrix contains non-finite entries")
@@ -228,8 +199,7 @@ def _reduce(terms: tuple[tuple[complex, np.ndarray], ...], rhs: np.ndarray | Non
         raise DegeneracyError("invariant matrix has an identically zero row")
     scale = scale[:, None]
     Ms[:, :cols] /= scale
-    if extra:
-        np.divide(rhs, scale, out=Ms[:, cols:])
+    np.divide(rhs, scale, out=Ms[:, cols:])
     full = np.linalg.qr(Ms, mode="r")
     R, T, K = full[:N - 2, :N - 2], full[:N - 2, N - 2:cols], full[N - 2:, N - 2:cols]
     rcond, _ = get_lapack_funcs("trcon", (R,))(R, norm="1", uplo="U", diag="N")
@@ -241,8 +211,21 @@ def _reduce(terms: tuple[tuple[complex, np.ndarray], ...], rhs: np.ndarray | Non
     return R, T, K, float(np.linalg.norm(full[:, :cols])), full[:, cols:]
 
 
-def _deltas(K: np.ndarray, norm: float) -> CouplingCoefficients:
-    """delta_1 and delta_2 from the 2 x 3 reduction K of a symmetric node's M."""
+def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
+    """delta_1 and delta_2 of a symmetric node, read off the QR of M(mu) at
+    mu = -1/(n-1), or mu = 0 for INFINITE.
+
+    One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
+    on the two-dimensional left null space Q_2 of those columns. delta_1
+    comes from the unique row combination of K vanishing on the B column
+    (normalized to unit D coefficient), delta_2 from the one vanishing on the
+    D column.
+    """
+    if topology.beta is not None:
+        raise ValueError("compute_coefficients supports only symmetric topologies; "
+                         "use solve_node for an arbitrary coupling matrix")
+    mu = 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
+    _, _, K, norm, _ = _reduce(ops, mu)
     s = np.linalg.svd(K, compute_uv=False)
     if s[-1] <= SV_CUTOFF * norm:
         raise DegeneracyError("invariant matrix is numerically row-rank deficient; "
@@ -257,27 +240,6 @@ def _deltas(K: np.ndarray, norm: float) -> CouplingCoefficients:
     return CouplingCoefficients(float(z1[1] / z1[0]), float(z2[1] / z2[2]))
 
 
-def extract_deltas(M: np.ndarray) -> CouplingCoefficients:
-    """Read delta_1 and delta_2 off the invariant matrix M of a symmetric node.
-
-    One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
-    on the two-dimensional left null space Q_2 of those columns. delta_1
-    comes from the unique row combination of K vanishing on the B column
-    (normalized to unit D coefficient), delta_2 from the one vanishing on the
-    D column. M is copied into the QR's buffer and left as it is.
-    """
-    _, _, K, norm, _ = _reduce(((1.0, M),))
-    return _deltas(K, norm)
-
-
-def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
-    """delta_1 and delta_2 of a symmetric node, bit for bit those of
-    ``extract_deltas(invariant_matrix(ops, topology))``; M(mu) is summed from
-    E and O straight into the QR's buffer and never held on its own."""
-    _, _, K, norm, _ = _reduce(_modal_terms(ops, _symmetric_mu(topology)))
-    return _deltas(K, norm)
-
-
 def maxwell_delta(n: int | float) -> tuple[float, float]:
     """First-two-half-moment (Maxwell) approximation of the coupling coefficients.
 
@@ -288,6 +250,21 @@ def maxwell_delta(n: int | float) -> tuple[float, float]:
     factor = 1.0 if n == INFINITE else (n - 2.0) / n
     root = math.sqrt(2.0 * math.pi)
     return 4.0 * factor / root, factor * 2.0 * (math.pi - 2.0) / root
+
+
+def _node_data(n: int | float, incoming, zero_balance) -> tuple[np.ndarray, float]:
+    """``incoming`` as a float vector of length n (any length for INFINITE) and
+    ``zero_balance`` as a float; a wrong length or a non-finite value raises a
+    ValueError that names the parameter."""
+    incoming = np.asarray(incoming, dtype=float)
+    if incoming.ndim != 1 or n not in (INFINITE, incoming.size):
+        raise ValueError(f"incoming must be a vector of length {n}, got shape {incoming.shape}")
+    if not np.all(np.isfinite(incoming)):
+        raise ValueError(f"incoming must be finite, got {incoming}")
+    zero_balance = float(zero_balance)
+    if not math.isfinite(zero_balance):
+        raise ValueError(f"zero_balance must be finite, got {zero_balance}")
+    return incoming, zero_balance
 
 
 @dataclass(frozen=True)
@@ -301,9 +278,7 @@ class MacroCouplingSystem:
 def build_macro_system(delta1: float, delta2: float, n: int,
                        incoming: np.ndarray, zero_balance: float) -> MacroCouplingSystem:
     """Assemble the macroscopic block system for unknowns m = (D^i, C^i, B^i)."""
-    incoming = np.asarray(incoming, dtype=float)
-    if incoming.shape != (n,):
-        raise ValueError(f"incoming data must have length {n}, got {incoming.shape}")
+    incoming, zero_balance = _node_data(n, incoming, zero_balance)
     diff = np.zeros((n, n))
     idx = np.arange(1, n)
     diff[idx, idx - 1] = 1.0
@@ -351,11 +326,17 @@ def macro_coupling_solve(coefficients: CouplingCoefficients, incoming: np.ndarra
 
 @dataclass(frozen=True)
 class NodeProblem:
-    """Data of a coupled half-space problem at one node."""
+    """Data of a coupled half-space problem at one node, checked when built:
+    ``incoming`` has one finite entry per edge and ``zero_balance`` is finite."""
 
     topology: NodeTopology
     incoming: np.ndarray
     zero_balance: float
+
+    def __post_init__(self):
+        incoming, zero_balance = _node_data(self.topology.n, self.incoming, self.zero_balance)
+        object.__setattr__(self, "incoming", incoming)
+        object.__setattr__(self, "zero_balance", zero_balance)
 
     @classmethod
     def from_macro_data(cls, topology: NodeTopology,
@@ -424,7 +405,7 @@ def _modal_solve(ops: NodeOperators, mu: complex, rhs: np.ndarray | None = None
     K x = Q_2^H rhs, exact when K has full row rank, and gamma by back
     substitution.
     """
-    R, T, K, norm, b = _reduce(_modal_terms(ops, mu), rhs)
+    R, T, K, norm, b = _reduce(ops, mu, rhs)
     u, s, vh = np.linalg.svd(K)
     rank = int(np.count_nonzero(s > SV_CUTOFF * norm))
     X = vh[rank:].conj().T
@@ -482,10 +463,6 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     if topo.n == INFINITE:
         raise ValueError("solve_node needs a finite node degree")
     n = int(topo.n)
-    incoming = np.asarray(problem.incoming, dtype=float)
-    if incoming.shape != (n,):
-        raise ValueError(f"incoming vector must have length {n}, got {incoming.shape}")
-
     beta = topo.beta_matrix()
     modes = _eigenmodes(beta)
     V = np.hstack([vecs for _, vecs in modes])
@@ -503,7 +480,7 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
                               f"expected {n + 1}")
     A = np.vstack([W * (Z[0] - ACOUSTIC_SPEED * Z[1]),
                    W.sum(axis=0) * (Z[0] - 3.0 * Z[2])])
-    rhs = np.append(incoming, problem.zero_balance)
+    rhs = np.append(problem.incoming, problem.zero_balance)
     try:
         c = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -512,7 +489,7 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     solution = _package_solution(m.real, ops)
     residual = max(coupling_residual(solution, topo, ops.transform),
                    np.max(np.abs(A @ c - rhs)), np.max(np.abs(m.imag)))
-    if residual > 1e-8 * max(1.0, np.max(np.abs(rhs))):
+    if not residual <= 1e-8 * max(1.0, np.max(np.abs(rhs))):
         raise NumericalError(f"modal node solution misses the coupling equations or "
                              f"a real value by {residual:.3e}")
     return solution
@@ -544,9 +521,7 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     """
     beta = topology.beta_matrix()
     n = int(topology.n)
-    incoming = np.asarray(incoming, dtype=float)
-    if incoming.shape != (n,):
-        raise ValueError(f"incoming vector must have length {n}, got {incoming.shape}")
+    incoming, zero_balance = _node_data(n, incoming, zero_balance)
     N, E, O = ops.N, ops.even, ops.odd
     # eigenvalues farther than 1e-8 from 1 go to the top left, so the block of
     # mu = 1 comes last; a 2 x 2 block of a complex pair makes the form complex
@@ -586,10 +561,8 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     peak = np.max(np.abs(np.subtract(E, O, out=block), out=block), axis=1)
     scale = np.empty((n, N))
     for i in range(n):
-        # M(beta_ii) = (1 + beta_ii)(r E + O), r = (1 - beta_ii)/(1 + beta_ii), in place
-        np.multiply(E, (1.0 - beta[i, i]) / (1.0 + beta[i, i]), out=block)
-        block += O
-        np.maximum((1.0 + beta[i, i]) * np.max(np.abs(block, out=block), axis=1),
+        _sum_modal(ops, beta[i, i], block)  # M(beta_ii), the order of its columns aside
+        np.maximum(np.max(np.abs(block, out=block), axis=1),
                    np.max(np.delete(beta[i], i)) * peak, out=scale[i])
     even, odd = m @ E.T, m @ O.T
     reflection = (even + odd - beta @ (even - odd)) / scale
@@ -597,7 +570,7 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     balance = (np.sum(m[:, 0] - 3.0 * m[:, 2]) - zero_balance) / 3.0
     residual = max(np.max(np.abs(reflection)), np.max(np.abs(characteristic)), abs(balance))
     bound = 1e-8 * max(1.0, np.max(np.abs(incoming)) / ACOUSTIC_SPEED, abs(zero_balance) / 3.0)
-    if residual > bound:
+    if not residual <= bound:
         raise NumericalError(f"coupling equations are inconsistent (residual {residual:.3e})")
     return _package_solution(m, ops)
 

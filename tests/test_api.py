@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,20 @@ def test_public_names_are_consistent(module):
     exec(f"from bgknet.{module} import *", {})  # a stale __all__ entry raises here
     unlisted = package_imports(module) - set(getattr(bgknet, module).__all__)
     assert not unlisted, f"bgknet imports {sorted(unlisted)} from {module} outside its __all__"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_matches_the_package(capsys):
+    # the Library quickstart runs, and every `name(` the README calls is in bgknet
+    text = README.read_text()
+    quickstart = re.search(r"^## Library quickstart\n+```python\n(.*?)^```", text,
+                           re.MULTILINE | re.DOTALL)
+    assert quickstart, "README has no Library quickstart block"
+    exec(compile(quickstart.group(1), "README quickstart", "exec"), {})
+    assert capsys.readouterr().out
+    called = set(re.findall(r"`([A-Za-z_]\w*)\(", text))
+    assert called, "README calls no function in backticks"
+    missing = sorted(name for name in called if not hasattr(bgknet, name))
+    assert not missing, f"README calls {missing}, which bgknet does not have"

@@ -138,6 +138,10 @@ class TestNodeCommand:
     ["node", "--N", "2"],
     ["kinetic", "--case", "0"],
     ["compare", "--coeff-N", "3"],
+    ["deltas", "--n", "1"],
+    ["deltas", "--n", "2"],
+    ["node", "--n", "4"],
+    ["node", "--n", "inf"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_input_fails_before_any_operator(tmp_path, capsys, monkeypatch, argv):
     key = argv[1][2:].replace("-", "_")
@@ -150,7 +154,7 @@ def test_bad_input_fails_before_any_operator(tmp_path, capsys, monkeypatch, argv
     monkeypatch.setattr(coupling.NodeOperators, "build", classmethod(build))
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith(f"error: {key}: ")
     assert not built
     assert not list(tmp_path.rglob("*.csv"))
     assert not (tmp_path / "o").exists()

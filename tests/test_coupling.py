@@ -22,9 +22,7 @@ from bgknet import (
     build_macro_system,
     compute_coefficients,
     coupling_residual,
-    extract_deltas,
     flux_residual,
-    invariant_matrix,
     macro_coupling_solve,
     macro_determinant,
     maxwell_delta,
@@ -34,7 +32,7 @@ from bgknet import (
     solve_node_general,
     stable_manifold,
 )
-from bgknet.coupling import SV_CUTOFF, _modal_matrix, _modal_null_space
+from bgknet.coupling import SV_CUTOFF, _modal_null_space, _sum_modal
 from bgknet.hermite import hermite_functions
 
 A = ACOUSTIC_SPEED
@@ -84,6 +82,23 @@ def nodal_lift(ops):
     parity halves: f(v) = E + O at the positive nodes, f(-v) = E - O at their
     mirrors."""
     return np.vstack([(ops.even - ops.odd)[::-1], ops.even + ops.odd])
+
+
+def modal_matrix(ops, mu):
+    """M(mu) = (1 - mu) E + (1 + mu) O as one N x (N+1) array in the column
+    order (D, C, B, gamma), summed by the helper that fills the QR's buffer."""
+    N = ops.N
+    M = np.empty((N, N + 1), np.result_type(mu, ops.even))
+    _sum_modal(ops, mu, M)
+    return np.hstack([M[:, N - 2:], M[:, :N - 2]])
+
+
+def held_coefficients(ops, M):
+    """delta_1 and delta_2 read off a held N x (N+1) matrix M by the QR of
+    compute_coefficients: the infinite node has mu = 0 and M(0) = E + O, so
+    operators with E = M and O = 0 hand M itself to the QR."""
+    return compute_coefficients(replace(ops, even=M, odd=np.zeros_like(M)),
+                                NodeTopology.symmetric(INFINITE))
 
 
 def parity_halves(f):
@@ -173,10 +188,9 @@ class TestInvariantMatrix:
         # row k pairs velocity v_k with its mirror -v_k only:
         # (n - 1) M_k = (n - 1) f(v_k) + f(-v_k)
         ops = ops_factory(8)
-        M = invariant_matrix(ops, NodeTopology.symmetric(3))
+        M = modal_matrix(ops, -0.5)
         N = 8
         assert M.shape == (N, N + 1)
-        assert not M.flags.writeable
         f = nodal_lift(ops)
         tol = 1e-15 * np.max(np.abs(f))
         for k in range(N):
@@ -186,7 +200,7 @@ class TestInvariantMatrix:
     def test_pairing_structure_infinite(self, ops_factory):
         # mu = 0: row k selects the positive velocity v_k alone
         ops = ops_factory(8)
-        M = invariant_matrix(ops, NodeTopology.symmetric(INFINITE))
+        M = modal_matrix(ops, 0.0)
         f = nodal_lift(ops)
         for k in range(8):
             np.testing.assert_array_equal(M[k], f[8 + k])
@@ -200,7 +214,7 @@ class TestInvariantMatrix:
         ops = ops_factory(8)
         beta = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            invariant_matrix(ops, NodeTopology(2, beta))
+            compute_coefficients(ops, NodeTopology(2, beta))
 
 
 class TestExtractDeltas:
@@ -222,17 +236,18 @@ class TestExtractDeltas:
         lift = build_lift(r2)
         even, odd = parity_halves(ops.transform.solve(lift))
         flipped_ops = replace(ops, lift=lift, even=even, odd=odd)
-        coeff = extract_deltas(invariant_matrix(flipped_ops, NodeTopology.symmetric(3)))
+        coeff = compute_coefficients(flipped_ops, NodeTopology.symmetric(3))
         assert abs(coeff.delta1 - base.delta1) < 1e-12
         assert abs(coeff.delta2 - base.delta2) < 1e-12
 
     def test_row_scaling_invariance(self, ops_factory, coeff_factory):
         ops = ops_factory(30)
         base = coeff_factory(30, 3)
-        M = invariant_matrix(ops, NodeTopology.symmetric(3))
+        # M(mu) is linear in E and O, so scaling their rows scales its rows
         rng = np.random.default_rng(2)
-        scales = 10.0 ** rng.uniform(-3, 3, size=M.shape[0])
-        coeff = extract_deltas(M * scales[:, None])
+        scales = 10.0 ** rng.uniform(-3, 3, size=ops.N)[:, None]
+        scaled = replace(ops, even=ops.even * scales, odd=ops.odd * scales)
+        coeff = compute_coefficients(scaled, NodeTopology.symmetric(3))
         assert abs(coeff.delta1 - base.delta1) < 1e-11
         assert abs(coeff.delta2 - base.delta2) < 1e-11
 
@@ -261,14 +276,13 @@ class TestExtractDeltas:
     @pytest.mark.parametrize("n", [3, 4, INFINITE])
     def test_matches_svd_oracle(self, ops_factory, coeff_factory, N, n):
         coeff = coeff_factory(N, n)
-        delta1, delta2, eta = svd_extract(invariant_matrix(ops_factory(N),
-                                                           NodeTopology.symmetric(n)))
+        mu = 0.0 if n == INFINITE else -1.0 / (n - 1.0)
+        delta1, delta2, eta = svd_extract(modal_matrix(ops_factory(N), mu))
         assert abs(coeff.delta1 - delta1) <= 1e-13
         assert abs(coeff.delta2 - delta2) <= 1e-13
         # the chain of the QR kernel's null vector against the SVD one, wherever
         # both components are above the rounding floor; each unit-vector
         # component carries an absolute error of a few eps
-        mu = 0.0 if n == INFINITE else -1.0 / (n - 1.0)
         null = _modal_null_space(ops_factory(N), mu)
         assert null.shape[1] == 1
         eps = np.finfo(float).eps
@@ -281,9 +295,11 @@ class TestExtractDeltas:
 
     @pytest.mark.parametrize("n", [3, INFINITE])
     def test_layout_independent(self, ops_factory, n):
-        M = invariant_matrix(ops_factory(99), NodeTopology.symmetric(n))
-        c_order = extract_deltas(np.ascontiguousarray(M))
-        f_order = extract_deltas(np.asfortranarray(M))
+        ops, topology = ops_factory(99), NodeTopology.symmetric(n)
+        c_order = compute_coefficients(replace(ops, even=np.ascontiguousarray(ops.even),
+                                               odd=np.ascontiguousarray(ops.odd)), topology)
+        f_order = compute_coefficients(replace(ops, even=np.asfortranarray(ops.even),
+                                               odd=np.asfortranarray(ops.odd)), topology)
         assert c_order.delta1 == f_order.delta1
         assert c_order.delta2 == f_order.delta2
 
@@ -291,7 +307,7 @@ class TestExtractDeltas:
     def test_modal_null_space_spans_svd_null_space(self, ops_factory, mu):
         ops = ops_factory(60)
         basis = _modal_null_space(ops, mu)
-        reference = svd_null_space(_modal_matrix(ops, mu))
+        reference = svd_null_space(modal_matrix(ops, mu))
         assert basis.shape == reference.shape
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
                                    rtol=0.0, atol=1e-13)
@@ -301,10 +317,10 @@ class TestExtractDeltas:
 
     def test_degenerate_matrix_rejected(self, ops_factory):
         ops = ops_factory(8)
-        broken = invariant_matrix(ops, NodeTopology.symmetric(3)).copy()
-        broken[3] = broken[2]  # duplicate row: rank deficient
+        even, odd = ops.even.copy(), ops.odd.copy()
+        even[3], odd[3] = even[2], odd[2]  # a duplicate row of M(mu): rank deficient
         with pytest.raises(DegeneracyError) as err:
-            extract_deltas(broken)
+            compute_coefficients(replace(ops, even=even, odd=odd), NodeTopology.symmetric(3))
         assert err.value.singular_values is not None
 
 
@@ -405,7 +421,7 @@ class TestSolveNode:
         data, topo, coeff, problem = preset_problem(3, 30, ops_factory, coeff_factory)
         ops = ops_factory(30)
         sol = solve_node(problem, ops)
-        dt = chain_coefficients(svd_extract(invariant_matrix(ops, topo))[2])
+        dt = chain_coefficients(svd_extract(modal_matrix(ops, -0.5))[2])
         first = sol.C + dt[0] * sol.gamma[:, 0]
         assert np.max(np.abs(first - first[0])) < 1e-10
         for k in range(2, 12):
@@ -835,16 +851,16 @@ class TestParityHalves:
     def test_deltas_match_the_nodal_lift(self, ops_factory, N, mu):
         ops = ops_factory(N)
         f = ops.transform.solve(ops.lift)
-        expected = extract_deltas(f[N:] - mu * f[N - 1::-1])
-        got = extract_deltas(_modal_matrix(ops, mu))
+        expected = held_coefficients(ops, f[N:] - mu * f[N - 1::-1])
+        got = held_coefficients(ops, modal_matrix(ops, mu))
         assert abs(got.delta1 - expected.delta1) <= 1e-14 * abs(expected.delta1)
         assert abs(got.delta2 - expected.delta2) <= 1e-14 * abs(expected.delta2)
 
     @pytest.mark.parametrize("n", [3, 4, INFINITE])
     def test_coefficients_bit_for_bit_those_of_the_held_matrix(self, ops_factory, n):
         ops, topology = ops_factory(99), NodeTopology.symmetric(n)
-        assert (compute_coefficients(ops, topology)
-                == extract_deltas(invariant_matrix(ops, topology)))
+        mu = 0.0 if n == INFINITE else -1.0 / (n - 1.0)
+        assert compute_coefficients(ops, topology) == held_coefficients(ops, modal_matrix(ops, mu))
 
 
 class TestOperatorMemory:
@@ -930,3 +946,43 @@ class TestTopologyValidation:
     def test_symmetric_matrix(self):
         beta = NodeTopology.symmetric(3).beta_matrix()
         np.testing.assert_allclose(beta, (np.ones((3, 3)) - np.eye(3)) / 2)
+
+
+# non-finite node data, each with the parameter its error must name
+NON_FINITE_DATA = [
+    pytest.param([np.nan, 0.0, 0.0], 0.0, "incoming", id="incoming-nan"),
+    pytest.param([0.0, np.inf, 0.0], 0.0, "incoming", id="incoming-inf"),
+    pytest.param([0.0, 0.0, 0.0], np.nan, "zero_balance", id="zero_balance-nan"),
+    pytest.param([0.0, 0.0, 0.0], -np.inf, "zero_balance", id="zero_balance-minus-inf"),
+]
+
+
+class TestNodeDataValidation:
+    """A NaN or infinity in the node data raises instead of solving to NaN."""
+
+    @pytest.mark.parametrize("incoming, zero_balance, name", NON_FINITE_DATA)
+    def test_solve_node(self, ops_factory, incoming, zero_balance, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_node(NodeProblem(NodeTopology.symmetric(3), np.array(incoming), zero_balance),
+                       ops_factory(20))
+
+    @pytest.mark.parametrize("incoming, zero_balance, name", NON_FINITE_DATA)
+    def test_solve_node_general(self, ops_factory, incoming, zero_balance, name):
+        topology = NodeTopology(3, NodeTopology.symmetric(3).beta_matrix())
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_node_general(topology, np.array(incoming), zero_balance, ops_factory(20))
+
+    @pytest.mark.parametrize("incoming, zero_balance, name", NON_FINITE_DATA)
+    def test_macro_coupling_solve(self, coeff_factory, incoming, zero_balance, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            macro_coupling_solve(coeff_factory(20, 3), np.array(incoming), zero_balance, 3)
+
+    def test_from_macro_data_rejects_a_wrong_edge_count(self):
+        two_edges = np.array([1.0, 0.5])
+        with pytest.raises(ValueError, match="^incoming must be a vector of length 3"):
+            NodeProblem.from_macro_data(NodeTopology.symmetric(3), None,
+                                        two_edges, two_edges, two_edges)
+
+    def test_problem_holds_floats(self):
+        problem = NodeProblem(NodeTopology.symmetric(3), [1, 0, -1], np.float32(0.5))
+        assert problem.incoming.dtype == float and type(problem.zero_balance) is float
