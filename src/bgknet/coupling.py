@@ -310,6 +310,10 @@ def macro_determinant(n: int, delta1: float) -> float:
 def macro_coupling_solve(coefficients: CouplingCoefficients, incoming: np.ndarray,
                          zero_balance: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the macroscopic coupling system; returns per-edge (S_inf, q_inf, rho_inf)."""
+    for name in ("delta1", "delta2"):
+        value = getattr(coefficients, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if abs(1.0 + ACOUSTIC_SPEED * coefficients.delta1) <= 1e-12:
         raise SingularSystemError(
             f"delta1 = {coefficients.delta1} makes the coupling system singular "
@@ -335,6 +339,8 @@ class NodeProblem:
 
     def __post_init__(self):
         incoming, zero_balance = _node_data(self.topology.n, self.incoming, self.zero_balance)
+        incoming = incoming.copy()
+        incoming.flags.writeable = False
         object.__setattr__(self, "incoming", incoming)
         object.__setattr__(self, "zero_balance", zero_balance)
 
@@ -495,6 +501,14 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     return solution
 
 
+def _reflected(ops: NodeOperators, y: np.ndarray) -> np.ndarray:
+    """Mr y = E y - O y, the lift at the negative velocities; a complex y is
+    taken by its real and imaginary parts, so E and O are never cast to complex."""
+    if not np.iscomplexobj(y):
+        return ops.even @ y - ops.odd @ y
+    return _reflected(ops, y.real) + 1j * _reflected(ops, y.imag)
+
+
 def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
                        zero_balance: float, ops: NodeOperators) -> NodeSolution:
     """Solve the node problem from the raw coupling equations through the Schur
@@ -534,7 +548,7 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     for i in range(n - 1, -1, -1):
         mu = U[i, i].real if U[i, i].imag == 0 else U[i, i]
         coupled = np.tensordot(U[i, i + 1:], Y[i + 1:, :, :free], axes=1)
-        particular, null, s = _modal_solve(ops, mu, E @ coupled - O @ coupled if free else None)
+        particular, null, s = _modal_solve(ops, mu, _reflected(ops, coupled) if free else None)
         expected = 2 if i == n - 1 else 1
         if null.shape[1] != expected:
             raise DegeneracyError(f"coupling system is rank deficient: the block of eigenvalue "

@@ -9,6 +9,11 @@ step independent of the stiffness parameter epsilon (asymptotic preserving).
 Edges exchange ghost values at the node through the reflection coupling before
 every transport step.
 
+:func:`run` steps a graded mesh on two time levels (conservative local time
+stepping, Osher and Sanders, Math. Comp. 41, 1983): the cells next to the node
+take k substeps of the fine step while the wide cells take one step k times as
+long, so every cell moves at no more than its own CFL number.
+
 The distribution is stored velocity-major, one C-contiguous (edges, 2N, cells)
 buffer, so the upwind differences run along contiguous cells; ``state.f`` is
 the (edges, cells, 2N) transposed view of that buffer.
@@ -16,7 +21,7 @@ the (edges, cells, 2N) transposed view of that buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,8 +85,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.spacing is not None:
             spacing = np.asarray(self.spacing, dtype=float)
-            if spacing.ndim != 1 or np.any(spacing <= 0):
-                raise ValueError("spacing must be a 1-d array of positive widths")
+            if spacing.ndim != 1 or not np.all(np.isfinite(spacing) & (spacing > 0)):
+                raise ValueError("spacing must be a 1-d array of finite positive widths")
             object.__setattr__(self, "spacing", spacing)
             object.__setattr__(self, "cells", spacing.size)
             object.__setattr__(self, "edge_length", float(spacing.sum()))
@@ -95,8 +100,8 @@ class NetworkConfig:
             raise ValueError(f"cells must be an integer >= 10, got {self.cells!r}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.n_edges < 2:
-            raise ValueError(f"need at least 2 edges, got {self.n_edges}")
+        if not isinstance(self.n_edges, (int, np.integer)) or self.n_edges < 2:
+            raise ValueError(f"n_edges must be an integer >= 2, got {self.n_edges!r}")
 
     def topology(self) -> NodeTopology:
         if self.beta is None:
@@ -180,11 +185,11 @@ class NetworkState:
     relax: np.ndarray           # moment_rows.T @ maxwell_rows: f @ relax is f's Maxwellian
     beta: np.ndarray            # node coupling matrix
     outer_ghost: np.ndarray     # initial Maxwellians at x = b, negative velocities
-    work: np.ndarray            # (n_edges, N, cells) upwind scratch
+    work: np.ndarray            # flat scratch: the transported cells of one range
     time: float = 0.0
     mass_inflow: float = 0.0    # time-integrated net boundary mass flux
     mass_initial: float = 0.0
-    step_operators: tuple | None = None     # per-dt cache (dt, upwind scale, K^T)
+    step_operators: dict = field(default_factory=dict)  # (dt, start, stop) -> (scale, K^T)
 
     def max_speed(self) -> float:
         return float(np.abs(self.speeds).max())
@@ -234,7 +239,7 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
         relax=moment_rows.T @ maxwell_rows,
         beta=config.topology().beta_matrix(),
         outer_ghost=maxw[:, :rule.half],
-        work=np.empty((config.n_edges, rule.half, config.cells)),
+        work=np.empty(buffer.size),
     )
     state.mass_initial = total_mass(state)
     return state
@@ -251,20 +256,61 @@ def apply_node_coupling(state: NetworkState) -> np.ndarray:
     return state.beta @ mirrored
 
 
-def _step_operators(state: NetworkState, dt: float) -> tuple:
-    """Upwind scale speed*dt/dx, (2N, cells), and the transposed relaxation
-    operator K = (I + r relax) / (1 + r) with r = dt/epsilon.
+def _step_operators(state: NetworkState, dt: float, start: int, stop: int) -> tuple:
+    """Upwind scale speed*dt/dx over cells start:stop, (2N, stop - start), and
+    the transposed relaxation operator K = (I + r relax) / (1 + r) with
+    r = dt/epsilon, cached for at most two cell ranges: one per time level.
 
     Collisions conserve g0, g1, g2 and ``relax`` reproduces them, so the
     post-transport Maxwellian is also the post-relaxation one and the exact
     implicit update f <- (f + r f relax) / (1 + r) is the single product f K.
     """
-    if state.step_operators is None or state.step_operators[0] != dt:
-        scale = state.speeds[:, None] * (dt / state.dx)
+    cache = state.step_operators
+    key = (dt, start, stop)
+    if key not in cache:
+        if len(cache) > 1:
+            cache.clear()
+        scale = state.speeds[:, None] * (dt / state.dx[start:stop])
         r = dt / state.config.epsilon
         relax_t = (np.eye(state.relax.shape[0]) + r * state.relax.T) / (1.0 + r)
-        state.step_operators = (dt, scale, relax_t)
-    return state.step_operators[1:]
+        cache[key] = (scale, relax_t)
+    return cache[key]
+
+
+def _face_flux(state: NetworkState, positive: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Per-edge mass flux in the +x direction through one cell face, from the
+    (n_edges, N) values of the positive and of the negative velocities there."""
+    N = state.rule.half
+    h0 = state.moment_rows[0]
+    return np.sqrt(2.0) * (positive @ (h0[N:] * state.speeds[N:])
+                           + negative @ (h0[:N] * state.speeds[:N]))
+
+
+def _advance(state: NetworkState, start: int, stop: int, dt: float,
+             ghost_left: np.ndarray, ghost_right: np.ndarray) -> None:
+    """Upwind transport over dt plus the exact implicit relaxation, in place, on
+    cells start:stop: ghost_left feeds their positive velocities at the left
+    end, ghost_right their negative ones at the right end."""
+    N = state.rule.half
+    fv = state.f.transpose(0, 2, 1)[:, :, start:stop]
+    scale, relax_t = _step_operators(state, dt, start, stop)
+    moved = state.work[:fv.size].reshape(fv.shape)
+
+    # upwind transport along the contiguous cell axis into the contiguous
+    # scratch: numpy's in-place loops over a cell-range view run slower
+    pos, new = fv[:, N:], moved[:, N:]
+    np.subtract(pos[:, :, 1:], pos[:, :, :-1], out=new[:, :, 1:])
+    np.subtract(pos[:, :, 0], ghost_left, out=new[:, :, 0])
+    np.multiply(new, scale[N:], out=new)
+    np.subtract(pos, new, out=new)
+    neg, new = fv[:, :N], moved[:, :N]
+    np.subtract(neg[:, :, 1:], neg[:, :, :-1], out=new[:, :, :-1])
+    np.subtract(ghost_right, neg[:, :, -1], out=new[:, :, -1])
+    np.multiply(new, scale[:N], out=new)
+    np.subtract(neg, new, out=new)
+
+    # exact implicit relaxation back into the buffer in one pass: f <- f K
+    np.matmul(relax_t, moved, out=fv)
 
 
 def step(state: NetworkState, dt: float) -> NetworkState:
@@ -273,37 +319,56 @@ def step(state: NetworkState, dt: float) -> NetworkState:
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {state.stable_dt():.3e}")
     N = state.rule.half
     f = state.f
-    cp = state.speeds[N:]
-    cm = state.speeds[:N]
     ghost_node = apply_node_coupling(state)
-    ghost_outer = state.outer_ghost
-
     # accumulated mass flux through both boundaries (positive in +x direction)
-    h0 = state.moment_rows[0]
-    sqrt2 = np.sqrt(2.0)
-    flux_node = sqrt2 * (ghost_node @ (h0[N:] * cp) + f[:, 0, :N] @ (h0[:N] * cm))
-    flux_outer = sqrt2 * (f[:, -1, N:] @ (h0[N:] * cp) + ghost_outer @ (h0[:N] * cm))
-    state.mass_inflow += dt * float(np.sum(flux_node - flux_outer))
-
-    # upwind transport along the contiguous cell axis of the velocity-major buffer
-    scale, relax_t = _step_operators(state, dt)
-    fv = f.transpose(0, 2, 1)
-    work = state.work
-    pos = fv[:, N:]
-    np.subtract(pos[:, :, 1:], pos[:, :, :-1], out=work[:, :, 1:])
-    np.subtract(pos[:, :, 0], ghost_node, out=work[:, :, 0])
-    np.multiply(work, scale[N:], out=work)
-    np.subtract(pos, work, out=pos)
-    neg = fv[:, :N]
-    np.subtract(neg[:, :, 1:], neg[:, :, :-1], out=work[:, :, :-1])
-    np.subtract(ghost_outer, neg[:, :, -1], out=work[:, :, -1])
-    np.multiply(work, scale[:N], out=work)
-    np.subtract(neg, work, out=neg)
-
-    # exact implicit relaxation in one pass: f <- f K
-    np.matmul(relax_t, fv, out=fv)
+    flux = (_face_flux(state, ghost_node, f[:, 0, :N])
+            - _face_flux(state, f[:, -1, N:], state.outer_ghost))
+    state.mass_inflow += dt * float(flux.sum())
+    _advance(state, 0, state.dx.size, dt, ghost_node, state.outer_ghost)
     state.time += dt
     return state
+
+
+def _time_levels(dx: np.ndarray) -> tuple[int, int]:
+    """Ratio k of the coarse to the fine time step and the number of fine cells.
+
+    k is the largest power of two with k dx_min <= dx_max, and the fine cells
+    run up to the last one narrower than k dx_min, so every coarse cell keeps
+    its CFL number at k times the fine step. A uniform mesh, or one whose fine
+    cells would cover the edge, gets k = 1 and no fine cells.
+    """
+    dx_min = dx.min()
+    k = 1
+    while 2 * k * dx_min <= dx.max():
+        k *= 2
+    narrow = np.flatnonzero(dx < k * dx_min)
+    if narrow.size == 0 or narrow[-1] == dx.size - 1:
+        return 1, 0
+    return k, int(narrow[-1]) + 1
+
+
+def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
+    """k steps of dt on the fine cells, then one step of k dt on the coarse cells.
+
+    The fine cells see the first coarse cell's negative velocities as they were
+    at the start; the coarse cells see the mean of the last fine cell's positive
+    velocities over the k substeps. Both sides of the interface therefore move
+    the same mass across it, and only the node and the outer flux are booked.
+    """
+    N = state.rule.half
+    f = state.f
+    ghost_right = f[:, fine, :N].copy()
+    interface = np.zeros_like(ghost_right)
+    for _ in range(k):
+        interface += f[:, fine - 1, N:]
+        ghost_node = apply_node_coupling(state)
+        state.mass_inflow += dt * float(_face_flux(state, ghost_node, f[:, 0, :N]).sum())
+        _advance(state, 0, fine, dt, ghost_node, ghost_right)
+    interface /= k
+    outflow = _face_flux(state, f[:, -1, N:], state.outer_ghost)
+    state.mass_inflow -= k * dt * float(outflow.sum())
+    _advance(state, fine, state.dx.size, k * dt, interface, state.outer_ghost)
+    state.time += k * dt
 
 
 def total_mass(state: NetworkState) -> float:
@@ -334,20 +399,30 @@ class KineticResult:
 
 def run(config: NetworkConfig, data: InitialData,
         output_times: tuple[float, ...] | None = None) -> KineticResult:
-    """Advance to t_end with a fixed CFL time step, recording profile snapshots."""
+    """Advance to t_end, recording profile snapshots at coarse-step boundaries.
+
+    A uniform mesh takes fixed global CFL steps. On a graded mesh the narrow
+    cells next to the node take k substeps for each step of the wide cells,
+    k the largest power of two with k dx_min <= dx_max, so every cell keeps
+    its own CFL number.
+    """
     state = initialize(config, data)
     t_end = config.t_end
-    steps = max(1, int(np.ceil(t_end / state.stable_dt() - 1e-12)))
-    dt = t_end / steps
+    k, fine = _time_levels(state.dx)
+    steps = max(1, int(np.ceil(t_end / (k * state.stable_dt()) - 1e-12)))
+    dt = t_end / (k * steps)
     targets = sorted(set(output_times or ()) | {t_end})
     for t in targets:
         if not 0.0 < t <= t_end:
             raise ValueError(f"output times must lie in (0, t_end], got {t}")
     snaps = {"t": [], "rho": [], "q": [], "S": []}
     next_target = 0
-    for k in range(1, steps + 1):
-        step(state, dt)
-        while next_target < len(targets) and state.time >= targets[next_target] - dt / 2:
+    for _ in range(steps):
+        if k == 1:
+            step(state, dt)
+        else:
+            _two_level_step(state, k, fine, dt)
+        while next_target < len(targets) and state.time >= targets[next_target] - k * dt / 2:
             rho, q, S = state.macro_moments()
             snaps["t"].append(state.time)
             snaps["rho"].append(rho)

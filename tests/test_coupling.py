@@ -32,7 +32,7 @@ from bgknet import (
     solve_node_general,
     stable_manifold,
 )
-from bgknet.coupling import SV_CUTOFF, _modal_null_space, _sum_modal
+from bgknet.coupling import SV_CUTOFF, _modal_null_space, _reflected, _sum_modal
 from bgknet.hermite import hermite_functions
 
 A = ACOUSTIC_SPEED
@@ -827,6 +827,16 @@ class TestImmutability:
         with pytest.raises(ValueError):
             sol.layer_eigenvalues[0] = 1.0
 
+    def test_node_problem_keeps_a_readonly_copy(self):
+        # an edit of the caller's array after construction must not reach the
+        # problem, which was checked finite when built
+        incoming = np.array([0.1, 0.2, 0.3])
+        problem = NodeProblem(NodeTopology.symmetric(3), incoming, 0.0)
+        incoming[0] = np.nan
+        np.testing.assert_array_equal(problem.incoming, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError):
+            problem.incoming[0] = 1.0
+
 
 class TestParityHalves:
     """E and O against the 2N-row S^{-1} T they replace, ops.transform.solve(ops.lift)."""
@@ -904,6 +914,23 @@ class TestOperatorMemory:
             tracemalloc.stop()
         assert peak <= 3.5 * self.unit
 
+    def test_reflection_of_a_complex_block_stays_real(self, ops_factory):
+        # E y - O y for a complex y goes by its real and imaginary parts: no
+        # complex copy of E or O, which would take two N x (N+1) units each
+        ops = ops_factory(self.N)
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=(self.N + 1, 3)) + 1j * rng.normal(size=(self.N + 1, 3))
+        tracemalloc.start()
+        try:
+            reflected = _reflected(ops, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * self.unit
+        cast = ops.even @ y - ops.odd @ y
+        np.testing.assert_allclose(reflected, cast, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(cast)))
+
 
 class TestTopologyValidation:
     def test_bad_column_sums(self):
@@ -976,6 +1003,13 @@ class TestNodeDataValidation:
     def test_macro_coupling_solve(self, coeff_factory, incoming, zero_balance, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             macro_coupling_solve(coeff_factory(20, 3), np.array(incoming), zero_balance, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["delta1", "delta2"])
+    def test_macro_coupling_solve_coefficients(self, coeff_factory, name, bad):
+        coeff = replace(coeff_factory(20, 3), **{name: bad})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            macro_coupling_solve(coeff, np.array([0.1, 0.2, 0.3]), 0.0, 3)
 
     def test_from_macro_data_rejects_a_wrong_edge_count(self):
         two_edges = np.array([1.0, 0.5])

@@ -16,6 +16,7 @@ from bgknet import (
     step,
     total_mass,
 )
+from bgknet.kinetic import _time_levels, _two_level_step
 
 A = ACOUSTIC_SPEED
 
@@ -76,7 +77,7 @@ class TestConfigValidation:
         ("t_end", 0.0), ("t_end", -0.1), ("t_end", np.nan), ("t_end", np.inf),
         ("edge_length", -1.0), ("edge_length", 0.0), ("edge_length", np.nan),
         ("edge_length", np.inf), ("epsilon", np.nan), ("epsilon", np.inf),
-        ("epsilon", 0.0), ("cells", 10.5)])
+        ("epsilon", 0.0), ("cells", 10.5), ("n_edges", 2.5), ("n_edges", 1)])
     def test_rejection_names_parameter(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must"):
             small_config(**{name: value})
@@ -88,6 +89,13 @@ class TestConfigValidation:
         fields[name][1] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             InitialData(**fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
+    def test_bad_spacing_is_named(self, bad):
+        spacing = np.full(20, 1e-3)
+        spacing[5] = bad
+        with pytest.raises(ValueError, match="^spacing must"):
+            small_config(spacing=spacing)
 
     def test_spacing_overrides(self):
         sp = graded_spacing(1e-4, 1e-3, 5e-4, 0.05)
@@ -260,6 +268,125 @@ class TestStepOracle:
             step(state, dt)
             assert np.max(np.abs(state.f - f)) <= 1e-13
         assert conservation_residual(state) < 1e-14
+
+
+def criterion_8a_config(eps):
+    """Acceptance criterion 8(a)'s graded mesh and run settings at one epsilon."""
+    return NetworkConfig(n_edges=3, N=8, epsilon=eps, t_end=0.02,
+                         spacing=graded_spacing(eps / 10, 2e-4, 2 * eps, 0.08))
+
+
+def global_steps(config, data):
+    """The state after t_end in fixed global CFL steps, one `step` call each."""
+    state = initialize(config, data)
+    steps = int(np.ceil(config.t_end / state.stable_dt() - 1e-12))
+    for _ in range(steps):
+        step(state, config.t_end / steps)
+    return state
+
+
+class TestTimeLevels:
+    def test_uniform_mesh_has_one_level(self):
+        assert _time_levels(small_config().cell_widths()) == (1, 0)
+
+    def test_criterion_8a_mesh(self):
+        dx = criterion_8a_config(1e-4).cell_widths()
+        k, fine = _time_levels(dx)
+        assert (k, fine) == (16, 49)
+        assert np.all(dx[fine:] >= k * dx.min())
+        assert dx[fine - 1] < k * dx.min()
+
+    def test_fine_cells_covering_the_edge_give_one_level(self):
+        # the one wide cell sits at the node, so a narrow cell ends the edge
+        dx = np.full(20, 1e-3)
+        dx[0] = 4e-3
+        assert _time_levels(dx) == (1, 0)
+
+    def test_matches_loop_form_coarse_step(self):
+        # oracle: k fine substeps and one coarse step written cell by cell, on a
+        # graded mesh with a non-symmetric column-stochastic node
+        rng = np.random.default_rng(12)
+        beta = rng.uniform(0.1, 1.0, (3, 3))
+        beta /= beta.sum(axis=0)
+        spacing = graded_spacing(1e-4, 1e-3, 5e-4, 0.03)
+        data = InitialData(rho0=rng.uniform(0.5, 1.5, 3), q0=rng.uniform(-1, 1, 3),
+                           S0=rng.uniform(0.5, 1.5, 3))
+        state = initialize(small_config(N=4, beta=beta, spacing=spacing), data)
+        state.f += rng.normal(scale=1e-2, size=state.f.shape)
+        state.mass_initial = total_mass(state)
+        k, fine = _time_levels(spacing)
+        assert k >= 4 and 0 < fine < spacing.size
+        N, cells, eps = state.rule.half, spacing.size, state.config.epsilon
+        c, dx = state.speeds, spacing
+        g_data = np.stack([data.rho0 / np.sqrt(2), data.q0 / np.sqrt(2),
+                           (data.S0 - data.rho0) / 2], axis=1)
+        outer = g_data @ state.maxwell_rows
+        dt = 0.95 * state.stable_dt()
+
+        def relax(f, cells_range, r):
+            for i in range(3):
+                for j in cells_range:
+                    maxwellian = (f[i, j] @ state.moment_rows.T) @ state.maxwell_rows
+                    f[i, j] = (f[i, j] + r * maxwellian) / (1 + r)
+
+        f = state.f.copy()
+        neighbour = f[:, fine, :N].copy()          # first coarse cell, v < 0
+        interface = np.zeros((3, N))
+        for _ in range(k):
+            interface += f[:, fine - 1, N:]
+            new = f.copy()
+            for i in range(3):
+                for kk in range(2 * N):
+                    for j in range(fine):
+                        if kk >= N:
+                            up = f[i, j - 1, kk] if j > 0 else sum(
+                                beta[i, m] * f[m, 0, 2 * N - 1 - kk] for m in range(3))
+                            new[i, j, kk] = f[i, j, kk] - dt / dx[j] * c[kk] * (f[i, j, kk] - up)
+                        else:
+                            up = f[i, j + 1, kk] if j < fine - 1 else neighbour[i, kk]
+                            new[i, j, kk] = f[i, j, kk] - dt / dx[j] * c[kk] * (up - f[i, j, kk])
+            relax(new, range(fine), dt / eps)
+            f = new
+        interface /= k
+        coarse_dt = k * dt
+        new = f.copy()
+        for i in range(3):
+            for kk in range(2 * N):
+                for j in range(fine, cells):
+                    if kk >= N:
+                        up = f[i, j - 1, kk] if j > fine else interface[i, kk - N]
+                        new[i, j, kk] = f[i, j, kk] - coarse_dt / dx[j] * c[kk] * (f[i, j, kk] - up)
+                    else:
+                        up = f[i, j + 1, kk] if j < cells - 1 else outer[i, kk]
+                        new[i, j, kk] = f[i, j, kk] - coarse_dt / dx[j] * c[kk] * (up - f[i, j, kk])
+        relax(new, range(fine, cells), coarse_dt / eps)
+
+        _two_level_step(state, k, fine, dt)
+        assert np.max(np.abs(state.f - new)) <= 1e-13
+        assert state.time == coarse_dt
+        assert conservation_residual(state) < 1e-14
+
+    def test_uniform_run_is_the_global_step_loop(self, coeff_factory):
+        c = coeff_factory(30, 3)
+        data = InitialData.preset(3, c.delta1, c.delta2)
+        config = small_config(t_end=0.004)
+        result = run(config, data)
+        state = global_steps(config, data)
+        np.testing.assert_array_equal(result.state.f, state.f)
+        assert result.state.mass_inflow == state.mass_inflow
+        assert result.state.time == state.time
+
+    def test_criterion_8a_run_matches_global_steps(self, coeff_factory):
+        # the two levels keep every cell at its own CFL number; the layer at
+        # eps = 1e-4 must come out as with the global step of the finest cell
+        c = coeff_factory(100, 3)
+        data = InitialData.preset(1, c.delta1, c.delta2)
+        config = criterion_8a_config(1e-4)
+        result = run(config, data)
+        state = global_steps(config, data)
+        rho_global = state.macro_moments()[0]
+        assert np.max(np.abs(result.rho[-1] - rho_global)) < 1e-5
+        assert result.mass_residual < 1e-10
 
 
 class TestRun:
