@@ -48,6 +48,8 @@ def hermite_functions(points, count: int) -> np.ndarray:
     polynomial magnitudes never overflow; entries whose true size is below
     the double-precision range come out as an honest zero.
     """
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     x = np.atleast_1d(np.asarray(points, dtype=float))
     out = np.empty((count, x.size))
     log_scale = -0.5 * x * x - 0.25 * np.log(np.pi)

@@ -21,6 +21,7 @@ the (edges, cells, 2N) transposed view of that buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,11 +124,15 @@ class InitialData:
     S0: np.ndarray
 
     def __post_init__(self):
-        arrays = tuple(np.atleast_1d(np.asarray(v, dtype=float))
-                       for v in (self.rho0, self.q0, self.S0))
+        names = ("rho0", "q0", "S0")
+        arrays = tuple(np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+                       for name in names)
+        for name, arr in zip(names, arrays):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-d, one value per edge, got shape {arr.shape}")
         if len({a.shape for a in arrays}) != 1:
             raise ValueError("rho0, q0, S0 must have matching lengths")
-        for name, arr in zip(("rho0", "q0", "S0"), arrays):
+        for name, arr in zip(names, arrays):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite, got {arr}")
             object.__setattr__(self, name, arr)
@@ -186,16 +191,14 @@ class NetworkState:
     beta: np.ndarray            # node coupling matrix
     outer_ghost: np.ndarray     # initial Maxwellians at x = b, negative velocities
     work: np.ndarray            # flat scratch: the transported cells of one range
+    cfl_dt: float               # cfl * min(dx) / max|speed|: the largest stable step
     time: float = 0.0
-    mass_inflow: float = 0.0    # time-integrated net boundary mass flux
+    mass_inflow: float = 0.0    # time-integrated net mass flux through the outer ends
     mass_initial: float = 0.0
-    step_operators: dict = field(default_factory=dict)  # (dt, start, stop) -> (scale, K^T)
-
-    def max_speed(self) -> float:
-        return float(np.abs(self.speeds).max())
+    step_plans: dict = field(default_factory=dict)  # (dt, start, stop) -> _StepPlan
 
     def stable_dt(self) -> float:
-        return self.config.cfl * float(self.dx.min()) / self.max_speed()
+        return self.cfl_dt
 
     def macro_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-edge, per-cell (rho, q, S) profiles."""
@@ -230,16 +233,18 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     maxwell_rows = _maxwellian_rows(rule)
     maxw = _edge_maxwellians(data, maxwell_rows)
     buffer = np.repeat(maxw[:, :, None], config.cells, axis=2)
+    speeds = np.sqrt(2.0) * rule.nodes
     state = NetworkState(
         config=config, data=data, rule=rule,
         f=buffer.transpose(0, 2, 1), x=x, dx=dx,
-        speeds=np.sqrt(2.0) * rule.nodes,
+        speeds=speeds,
         moment_rows=moment_rows,
         maxwell_rows=maxwell_rows,
         relax=moment_rows.T @ maxwell_rows,
         beta=config.topology().beta_matrix(),
         outer_ghost=maxw[:, :rule.half],
         work=np.empty(buffer.size),
+        cfl_dt=config.cfl * float(dx.min()) / float(np.abs(speeds).max()),
     )
     state.mass_initial = total_mass(state)
     return state
@@ -256,75 +261,107 @@ def apply_node_coupling(state: NetworkState) -> np.ndarray:
     return state.beta @ mirrored
 
 
-def _step_operators(state: NetworkState, dt: float, start: int, stop: int) -> tuple:
-    """Upwind scale speed*dt/dx over cells start:stop, (2N, stop - start), and
-    the transposed relaxation operator K = (I + r relax) / (1 + r) with
-    r = dt/epsilon, cached for at most two cell ranges: one per time level.
+@dataclass(frozen=True)
+class _StepPlan:
+    """Everything one kernel call with step dt on cells start:stop reads and
+    writes, built once per time level.
 
-    Collisions conserve g0, g1, g2 and ``relax`` reproduces them, so the
-    post-transport Maxwellian is also the post-relaxation one and the exact
-    implicit update f <- (f + r f relax) / (1 + r) is the single product f K.
+    ``positive`` and ``negative`` hold, for each velocity sign, the views
+    (old, tail, head, diff, edge, edge_new, new, scale): the range's cells of the
+    buffer, their cells 1: and :-1, the scratch cells their difference fills,
+    the boundary cell next to the ghost and its scratch cell, the scratch and
+    the upwind scale speed*dt/dx. ``relax_t`` is the transposed relaxation
+    operator K = (I + r relax) / (1 + r) with r = dt/epsilon. Collisions
+    conserve g0, g1, g2 and ``relax`` reproduces them, so the post-transport
+    Maxwellian is also the post-relaxation one and the exact implicit update
+    f <- (f + r f relax) / (1 + r) is the single product f K.
     """
-    cache = state.step_operators
+
+    f: np.ndarray               # the state.f the views were taken from
+    cells: np.ndarray           # (edges, 2N, stop - start) view of the buffer
+    moved: np.ndarray           # the same-shape view of the scratch
+    positive: tuple
+    negative: tuple
+    relax_t: np.ndarray
+    mirrored: np.ndarray        # f[:, 0, :N][:, ::-1], what the node reflects
+    node_ghost: np.ndarray      # (edges, N) buffer for beta @ mirrored
+
+
+def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPlan:
+    """The cached plan of a step dt on cells start:stop; the cache holds at most
+    two, one per time level."""
+    cache = state.step_plans
     key = (dt, start, stop)
-    if key not in cache:
-        if len(cache) > 1:
-            cache.clear()
-        scale = state.speeds[:, None] * (dt / state.dx[start:stop])
-        r = dt / state.config.epsilon
-        relax_t = (np.eye(state.relax.shape[0]) + r * state.relax.T) / (1.0 + r)
-        cache[key] = (scale, relax_t)
-    return cache[key]
-
-
-def _face_flux(state: NetworkState, positive: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """Per-edge mass flux in the +x direction through one cell face, from the
-    (n_edges, N) values of the positive and of the negative velocities there."""
+    plan = cache.get(key)
+    if plan is not None and plan.f is state.f:
+        return plan
+    if len(cache) > 1:
+        cache.clear()
     N = state.rule.half
-    h0 = state.moment_rows[0]
-    return np.sqrt(2.0) * (positive @ (h0[N:] * state.speeds[N:])
-                           + negative @ (h0[:N] * state.speeds[:N]))
+    buffer = state.f.transpose(0, 2, 1)
+    cells = buffer[:, :, start:stop]
+    moved = state.work[:cells.size].reshape(cells.shape)
+    scale = state.speeds[:, None] * (dt / state.dx[start:stop])
+    pos, new = cells[:, N:], moved[:, N:]
+    positive = (pos, pos[:, :, 1:], pos[:, :, :-1], new[:, :, 1:],
+                pos[:, :, 0], new[:, :, 0], new, scale[N:])
+    neg, new = cells[:, :N], moved[:, :N]
+    negative = (neg, neg[:, :, 1:], neg[:, :, :-1], new[:, :, :-1],
+                neg[:, :, -1], new[:, :, -1], new, scale[:N])
+    r = dt / state.config.epsilon
+    relax_t = (np.eye(state.relax.shape[0]) + r * state.relax.T) / (1.0 + r)
+    plan = cache[key] = _StepPlan(
+        f=state.f, cells=cells, moved=moved, positive=positive, negative=negative,
+        relax_t=relax_t, mirrored=buffer[:, :N, 0][:, ::-1],
+        node_ghost=np.empty((buffer.shape[0], N)))
+    return plan
 
 
-def _advance(state: NetworkState, start: int, stop: int, dt: float,
-             ghost_left: np.ndarray, ghost_right: np.ndarray) -> None:
-    """Upwind transport over dt plus the exact implicit relaxation, in place, on
-    cells start:stop: ghost_left feeds their positive velocities at the left
-    end, ghost_right their negative ones at the right end."""
-    N = state.rule.half
-    fv = state.f.transpose(0, 2, 1)[:, :, start:stop]
-    scale, relax_t = _step_operators(state, dt, start, stop)
-    moved = state.work[:fv.size].reshape(fv.shape)
-
+def _advance(plan: _StepPlan, ghost_left: np.ndarray, ghost_right: np.ndarray) -> None:
+    """Upwind transport over the plan's dt plus the exact implicit relaxation, in
+    place, on the plan's cells: ghost_left feeds their positive velocities at the
+    left end, ghost_right their negative ones at the right end."""
     # upwind transport along the contiguous cell axis into the contiguous
     # scratch: numpy's in-place loops over a cell-range view run slower
-    pos, new = fv[:, N:], moved[:, N:]
-    np.subtract(pos[:, :, 1:], pos[:, :, :-1], out=new[:, :, 1:])
-    np.subtract(pos[:, :, 0], ghost_left, out=new[:, :, 0])
-    np.multiply(new, scale[N:], out=new)
-    np.subtract(pos, new, out=new)
-    neg, new = fv[:, :N], moved[:, :N]
-    np.subtract(neg[:, :, 1:], neg[:, :, :-1], out=new[:, :, :-1])
-    np.subtract(ghost_right, neg[:, :, -1], out=new[:, :, -1])
-    np.multiply(new, scale[:N], out=new)
-    np.subtract(neg, new, out=new)
+    old, tail, head, diff, edge, edge_new, new, scale = plan.positive
+    np.subtract(tail, head, out=diff)
+    np.subtract(edge, ghost_left, out=edge_new)
+    np.multiply(new, scale, out=new)
+    np.subtract(old, new, out=new)
+    old, tail, head, diff, edge, edge_new, new, scale = plan.negative
+    np.subtract(tail, head, out=diff)
+    np.subtract(ghost_right, edge, out=edge_new)
+    np.multiply(new, scale, out=new)
+    np.subtract(old, new, out=new)
 
     # exact implicit relaxation back into the buffer in one pass: f <- f K
-    np.matmul(relax_t, moved, out=fv)
+    np.matmul(plan.relax_t, plan.moved, out=plan.cells)
+
+
+def _book_outflow(state: NetworkState, dt: float) -> None:
+    """Book the net mass flux out through the outer ends over dt.
+
+    The node books nothing: for a column-stochastic beta the reflected ghosts
+    carry back exactly the mass the node cells send in, so a node that leaks
+    shows up in :func:`conservation_residual`.
+    """
+    N = state.rule.half
+    h0 = state.moment_rows[0]
+    outflow = np.sqrt(2.0) * (state.f[:, -1, N:] @ (h0[N:] * state.speeds[N:])
+                              + state.outer_ghost @ (h0[:N] * state.speeds[:N]))
+    state.mass_inflow -= dt * float(outflow.sum())
 
 
 def step(state: NetworkState, dt: float) -> NetworkState:
     """One upwind transport step plus the exact implicit relaxation update."""
-    if dt > state.stable_dt() * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3e} violates the CFL bound {state.stable_dt():.3e}")
-    N = state.rule.half
-    f = state.f
-    ghost_node = apply_node_coupling(state)
-    # accumulated mass flux through both boundaries (positive in +x direction)
-    flux = (_face_flux(state, ghost_node, f[:, 0, :N])
-            - _face_flux(state, f[:, -1, N:], state.outer_ghost))
-    state.mass_inflow += dt * float(flux.sum())
-    _advance(state, 0, state.dx.size, dt, ghost_node, state.outer_ghost)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if dt > state.cfl_dt * (1.0 + 1e-12):
+        raise ValueError(f"dt = {dt:.3e} violates the CFL bound {state.cfl_dt:.3e}")
+    plan = _step_plan(state, dt, 0, state.dx.size)
+    _book_outflow(state, dt)
+    _advance(plan, np.matmul(state.beta, plan.mirrored, out=plan.node_ghost),
+             state.outer_ghost)
     state.time += dt
     return state
 
@@ -353,21 +390,22 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
     The fine cells see the first coarse cell's negative velocities as they were
     at the start; the coarse cells see the mean of the last fine cell's positive
     velocities over the k substeps. Both sides of the interface therefore move
-    the same mass across it, and only the node and the outer flux are booked.
+    the same mass across it, and only the outer flux is booked.
     """
+    fine_plan = _step_plan(state, dt, 0, fine)
+    coarse_plan = _step_plan(state, k * dt, fine, state.dx.size)
     N = state.rule.half
-    f = state.f
-    ghost_right = f[:, fine, :N].copy()
+    last_fine = state.f[:, fine - 1, N:]
+    ghost_right = state.f[:, fine, :N].copy()
     interface = np.zeros_like(ghost_right)
+    beta, mirrored, ghost_node = state.beta, fine_plan.mirrored, fine_plan.node_ghost
     for _ in range(k):
-        interface += f[:, fine - 1, N:]
-        ghost_node = apply_node_coupling(state)
-        state.mass_inflow += dt * float(_face_flux(state, ghost_node, f[:, 0, :N]).sum())
-        _advance(state, 0, fine, dt, ghost_node, ghost_right)
+        interface += last_fine
+        np.matmul(beta, mirrored, out=ghost_node)
+        _advance(fine_plan, ghost_node, ghost_right)
     interface /= k
-    outflow = _face_flux(state, f[:, -1, N:], state.outer_ghost)
-    state.mass_inflow -= k * dt * float(outflow.sum())
-    _advance(state, fine, state.dx.size, k * dt, interface, state.outer_ghost)
+    _book_outflow(state, k * dt)
+    _advance(coarse_plan, interface, state.outer_ghost)
     state.time += k * dt
 
 
@@ -378,7 +416,9 @@ def total_mass(state: NetworkState) -> float:
 
 
 def conservation_residual(state: NetworkState) -> float:
-    """Mass balance violation including the boundary-flux bookkeeping."""
+    """Mass balance violation: the change of total mass less the mass booked
+    through the outer ends. Only the outer boundary is booked, so mass the
+    node gains or loses counts as a violation."""
     return abs(total_mass(state) - state.mass_initial - state.mass_inflow)
 
 
@@ -397,6 +437,21 @@ class KineticResult:
     state: NetworkState
 
 
+def _snapshot_times(output_times, t_end: float) -> list[float]:
+    """The requested output times, each in (0, t_end], and t_end, sorted."""
+    try:
+        times = np.asarray(() if output_times is None else output_times, dtype=float)
+    except (TypeError, ValueError):
+        times = None
+    if times is None or times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValueError(f"output_times must be a 1-d sequence of finite times, "
+                         f"got {output_times!r}")
+    for t in times:
+        if not 0.0 < t <= t_end:
+            raise ValueError(f"output_times must lie in (0, t_end], got {t}")
+    return sorted(set(times.tolist()) | {t_end})
+
+
 def run(config: NetworkConfig, data: InitialData,
         output_times: tuple[float, ...] | None = None) -> KineticResult:
     """Advance to t_end, recording profile snapshots at coarse-step boundaries.
@@ -406,15 +461,12 @@ def run(config: NetworkConfig, data: InitialData,
     k the largest power of two with k dx_min <= dx_max, so every cell keeps
     its own CFL number.
     """
-    state = initialize(config, data)
     t_end = config.t_end
+    targets = _snapshot_times(output_times, t_end)
+    state = initialize(config, data)
     k, fine = _time_levels(state.dx)
     steps = max(1, int(np.ceil(t_end / (k * state.stable_dt()) - 1e-12)))
     dt = t_end / (k * steps)
-    targets = sorted(set(output_times or ()) | {t_end})
-    for t in targets:
-        if not 0.0 < t <= t_end:
-            raise ValueError(f"output times must lie in (0, t_end], got {t}")
     snaps = {"t": [], "rho": [], "q": [], "S": []}
     next_target = 0
     for _ in range(steps):

@@ -278,3 +278,13 @@ class TestHermiteFunctions:
         h = hermite_functions([0.0], 6)
         assert abs(h[0, 0] - np.pi**-0.25) < 1e-15
         assert h[1, 0] == 0.0 and abs(h[3, 0]) < 1e-15 and abs(h[5, 0]) < 1e-15
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_bad_count_is_named(self, count):
+        with pytest.raises(ValueError, match="^count must"):
+            hermite_functions([0.0, 1.0], count)
+
+    def test_one_function(self):
+        h = hermite_functions([0.0, 1.0], 1)
+        np.testing.assert_allclose(h[0], np.pi**-0.25 * np.exp(-0.5 * np.array([0.0, 1.0])),
+                                   rtol=1e-15)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bgknet import kinetic
 from bgknet import (
     ACOUSTIC_SPEED,
     InitialData,
@@ -62,6 +65,14 @@ class TestPresets:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             InitialData(rho0=[1.0, 1.0], q0=[0.0], S0=[1.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["rho0", "q0", "S0"])
+    def test_two_dimensional_data_is_named(self, name):
+        # a (2, 2) array would otherwise run as four edges
+        fields = dict(rho0=np.ones(4), q0=np.zeros(4), S0=np.ones(4))
+        fields[name] = fields[name].reshape(2, 2)
+        with pytest.raises(ValueError, match=f"^{name} must be 1-d"):
+            InitialData(**fields)
 
 
 class TestConfigValidation:
@@ -185,6 +196,28 @@ class TestStep:
         before = state.f.copy()
         step(state, state.stable_dt())
         assert np.max(np.abs(state.f - before)) < 1e-14
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_dt_rejected_before_any_update(self, factor):
+        data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0] * 3)
+        state = initialize(small_config(), data)
+        before = state.f.copy()
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            step(state, factor * state.stable_dt())
+        np.testing.assert_array_equal(state.f, before)
+        assert state.time == 0.0 and state.mass_inflow == 0.0
+
+    def test_rebound_distribution_gets_a_new_plan(self, coeff_factory):
+        c = coeff_factory(30, 3)
+        data = InitialData.preset(3, c.delta1, c.delta2)
+        kept, rebound = (initialize(small_config(), data) for _ in range(2))
+        dt = kept.stable_dt()
+        for state in (kept, rebound):
+            step(state, dt)
+        rebound.f = rebound.f.copy()
+        for state in (kept, rebound):
+            step(state, dt)
+        np.testing.assert_allclose(rebound.f, kept.f, rtol=0, atol=1e-14)
 
     def test_cfl_violation_rejected(self):
         data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.0] * 3)
@@ -366,6 +399,28 @@ class TestTimeLevels:
         assert state.time == coarse_dt
         assert conservation_residual(state) < 1e-14
 
+    def test_fine_loop_allocates_nothing_per_substep(self):
+        # the plans of both levels are built by the first coarse step; the
+        # second must not allocate even one block of the fine cells. numpy's
+        # ufunc iterator takes scratch of up to bufsize elements per operand on
+        # each call over a cell-range view (150 kB on the coarse cells at the
+        # default 8192); a small bufsize leaves what the kernel allocates
+        config = criterion_8a_config(1e-4)
+        state = initialize(config, InitialData.preset(1, 0.5, 0.35))
+        k, fine = _time_levels(state.dx)
+        dt = 0.95 * state.stable_dt()
+        _two_level_step(state, k, fine, dt)
+        with np.errstate():
+            np.setbufsize(64)
+            tracemalloc.start()
+            try:
+                _two_level_step(state, k, fine, dt)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        block = state.f.shape[0] * state.f.shape[2] * fine * state.f.itemsize
+        assert peak < block
+
     def test_uniform_run_is_the_global_step_loop(self, coeff_factory):
         c = coeff_factory(30, 3)
         data = InitialData.preset(3, c.delta1, c.delta2)
@@ -404,6 +459,19 @@ class TestRun:
         with pytest.raises(ValueError):
             run(small_config(), data, output_times=(0.5,))
 
+    @pytest.mark.parametrize("bad", [5e-4, ((1e-3,),), (np.nan,), (np.inf,), ("a",)])
+    def test_malformed_output_times_are_named(self, coeff_factory, bad):
+        c = coeff_factory(30, 3)
+        data = InitialData.preset(1, c.delta1, c.delta2)
+        with pytest.raises(ValueError, match="^output_times must"):
+            run(small_config(t_end=0.004), data, output_times=bad)
+
+    def test_accepts_an_array_of_times(self, coeff_factory):
+        c = coeff_factory(30, 3)
+        data = InitialData.preset(1, c.delta1, c.delta2)
+        result = run(small_config(t_end=0.004), data, output_times=np.array([0.001, 0.002]))
+        assert result.times.size == 3
+
     def test_mass_conserved(self, coeff_factory):
         c = coeff_factory(30, 3)
         data = InitialData.preset(2, c.delta1, c.delta2)
@@ -441,6 +509,45 @@ class TestRun:
         assert np.max(np.abs(result.q[-1][:, i] - sol.q_inf)) < 1e-2
         assert np.max(np.abs(result.S[-1][:, i] - sol.S_inf)) < 1e-2
         assert np.max(np.abs(result.rho[-1][:, i] - rho_left)) < 1e-2
+
+
+def leak_at_node(state):
+    """Scale the node coupling so that a tenth of what reaches the node is lost."""
+    state.beta = 0.9 * state.beta
+    return state
+
+
+class TestLeakingNode:
+    # only the outer ends are booked, so mass lost at the node is a violation;
+    # the lost mass is read off a conserving run with the same outer boundary
+
+    def test_uniform_mesh_step_loop(self, coeff_factory):
+        c = coeff_factory(30, 3)
+        data = InitialData.preset(1, c.delta1, c.delta2)
+        config = small_config(t_end=0.004)
+        conserving = global_steps(config, data)
+        state = leak_at_node(initialize(config, data))
+        steps = int(np.ceil(config.t_end / state.stable_dt() - 1e-12))
+        for _ in range(steps):
+            step(state, config.t_end / steps)
+        lost = total_mass(conserving) - total_mass(state)
+        assert lost > 1e-6
+        assert conservation_residual(conserving) < 1e-14
+        assert conservation_residual(state) >= 0.5 * lost
+
+    def test_graded_mesh_run(self, coeff_factory, monkeypatch):
+        c = coeff_factory(30, 3)
+        data = InitialData.preset(1, c.delta1, c.delta2)
+        config = criterion_8a_config(4e-4)
+        conserving = run(config, data)
+        monkeypatch.setattr(kinetic, "initialize",
+                            lambda config, data: leak_at_node(initialize(config, data)))
+        leaking = run(config, data)
+        assert _time_levels(config.cell_widths())[0] > 1
+        lost = total_mass(conserving.state) - total_mass(leaking.state)
+        assert lost > 1e-6
+        assert conserving.mass_residual < 1e-12
+        assert leaking.mass_residual >= 0.5 * lost
 
 
 class TestWaveFront:
