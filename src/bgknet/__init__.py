@@ -42,7 +42,6 @@ from .kinetic import (
     KineticResult,
     NetworkConfig,
     NetworkState,
-    apply_node_coupling,
     conservation_residual,
     graded_spacing,
     initialize,

@@ -219,10 +219,6 @@ def _network(cfg: dict) -> kinetic.NetworkConfig:
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _cell_centres(config: kinetic.NetworkConfig) -> np.ndarray:
-    return (np.arange(config.cells) + 0.5) * (config.edge_length / config.cells)
-
-
 def _write_profiles(out: Path, tag: str, x: np.ndarray, fields: dict[str, np.ndarray]) -> None:
     for name, values in fields.items():
         for i in range(values.shape[0]):
@@ -276,7 +272,7 @@ def cmd_composite(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data, ops = _preset(cfg["case"], cfg["coeff_N"])
-    _composite_profiles(out, config, data, ops, _cell_centres(config))
+    _composite_profiles(out, config, data, ops, config.cell_centres())
     print(f"wrote composite profiles to {out}")
     return 0
 
@@ -288,7 +284,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     window = cfg["window"]
     wave = coupling.ACOUSTIC_SPEED * config.t_end
     if not (np.isfinite(window) and window >= 0
-            and np.any(np.abs(_cell_centres(config) - wave) > window)):
+            and np.any(np.abs(config.cell_centres() - wave) > window)):
         raise ValueError(f"window must be finite, >= 0 and leave a cell centre outside "
                          f"|x - a t_end| <= window, got {window}")
     out = Path(args.out)

@@ -314,10 +314,6 @@ def macro_coupling_solve(coefficients: CouplingCoefficients, incoming: np.ndarra
         value = getattr(coefficients, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if abs(1.0 + ACOUSTIC_SPEED * coefficients.delta1) <= 1e-12:
-        raise SingularSystemError(
-            f"delta1 = {coefficients.delta1} makes the coupling system singular "
-            "(delta1 = -1/a)")
     if abs(ACOUSTIC_SPEED + coefficients.delta1) <= 1e-12:
         raise SingularSystemError(
             f"delta1 = {coefficients.delta1} makes the coupling system singular "

@@ -135,7 +135,8 @@ def build_rule(N: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class MomentTransform:
-    """The invertible map between nodal values f_i and moments g_k = sum_i H_k(v_i) f_i.
+    """The invertible map between nodal values f_i and moments g_k = sum_i H_k(v_i) f_i,
+    g = ``matrix`` @ f.
 
     The 2N-node rule integrates polynomials up to degree 4N - 1 exactly, so
     the discrete orthonormality S diag(w~) S^T = I with w~ = ``scaled_weights``
@@ -144,10 +145,6 @@ class MomentTransform:
 
     matrix: np.ndarray
     scaled_weights: np.ndarray
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Forward transform G = S f (f may carry trailing/leading batch axes)."""
-        return self.matrix @ f
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """Inverse transform f = diag(w~) S^T g; g is one moment vector or a (2N, k) batch."""

@@ -36,7 +36,6 @@ __all__ = [
     "KineticResult",
     "graded_spacing",
     "initialize",
-    "apply_node_coupling",
     "step",
     "run",
     "total_mass",
@@ -46,9 +45,20 @@ __all__ = [
 
 def graded_spacing(dx_min: float, dx_max: float, fine_width: float, length: float,
                    ratio: float = 1.1) -> np.ndarray:
-    """Cell widths: dx_min out to fine_width, geometric growth to dx_max, then uniform."""
-    if not (0 < dx_min <= dx_max and 0 < length and ratio > 1.0):
-        raise ValueError("invalid mesh grading parameters")
+    """Cell widths: dx_min out to fine_width, geometric growth to dx_max, then uniform.
+
+    A non-finite or out-of-range argument raises a ValueError that names it.
+    """
+    rules = {"dx_min": (dx_min, dx_min > 0, "positive"),
+             "dx_max": (dx_max, dx_max > 0, "positive"),
+             "length": (length, length > 0, "positive"),
+             "fine_width": (fine_width, fine_width >= 0, ">= 0"),
+             "ratio": (ratio, ratio > 1, "> 1")}
+    for name, (value, ok, rule) in rules.items():
+        if not (math.isfinite(value) and ok):
+            raise ValueError(f"{name} must be finite and {rule}, got {value}")
+    if dx_min > dx_max:
+        raise ValueError(f"dx_min must be <= dx_max, got {dx_min} > {dx_max}")
     widths = []
     x = 0.0
     while x < fine_width and x < length:
@@ -113,6 +123,11 @@ class NetworkConfig:
         if self.spacing is not None:
             return self.spacing
         return np.full(self.cells, self.edge_length / self.cells)
+
+    def cell_centres(self) -> np.ndarray:
+        """Midpoints of the cells, the x of every kinetic and composite profile."""
+        dx = self.cell_widths()
+        return np.cumsum(dx) - dx / 2.0
 
 
 @dataclass(frozen=True)
@@ -187,18 +202,14 @@ class NetworkState:
     speeds: np.ndarray          # physical velocities sqrt(2) v_i
     moment_rows: np.ndarray     # H_0..H_2 at the nodes: f @ moment_rows.T = (g0, g1, g2)
     maxwell_rows: np.ndarray    # (g0, g1, g2) @ maxwell_rows is the discrete Maxwellian
-    relax: np.ndarray           # moment_rows.T @ maxwell_rows: f @ relax is f's Maxwellian
     beta: np.ndarray            # node coupling matrix
     outer_ghost: np.ndarray     # initial Maxwellians at x = b, negative velocities
-    work: np.ndarray            # flat scratch: the transported cells of one range
+    outer_ghost_flux: np.ndarray  # outer_ghost @ (H_0 c) over v < 0, per edge
     cfl_dt: float               # cfl * min(dx) / max|speed|: the largest stable step
     time: float = 0.0
     mass_inflow: float = 0.0    # time-integrated net mass flux through the outer ends
     mass_initial: float = 0.0
     step_plans: dict = field(default_factory=dict)  # (dt, start, stop) -> _StepPlan
-
-    def stable_dt(self) -> float:
-        return self.cfl_dt
 
     def macro_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-edge, per-cell (rho, q, S) profiles."""
@@ -228,37 +239,26 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
         raise ValueError(f"initial data has {data.n_edges} edges, config {config.n_edges}")
     rule = build_rule(config.N)
     dx = config.cell_widths()
-    x = np.cumsum(dx) - dx / 2.0
+    N = rule.half
     moment_rows = rule.basis[:3].copy()
     maxwell_rows = _maxwellian_rows(rule)
     maxw = _edge_maxwellians(data, maxwell_rows)
     buffer = np.repeat(maxw[:, :, None], config.cells, axis=2)
     speeds = np.sqrt(2.0) * rule.nodes
+    outer_ghost = maxw[:, :N]
     state = NetworkState(
         config=config, data=data, rule=rule,
-        f=buffer.transpose(0, 2, 1), x=x, dx=dx,
+        f=buffer.transpose(0, 2, 1), x=config.cell_centres(), dx=dx,
         speeds=speeds,
         moment_rows=moment_rows,
         maxwell_rows=maxwell_rows,
-        relax=moment_rows.T @ maxwell_rows,
         beta=config.topology().beta_matrix(),
-        outer_ghost=maxw[:, :rule.half],
-        work=np.empty(buffer.size),
+        outer_ghost=outer_ghost,
+        outer_ghost_flux=outer_ghost @ (moment_rows[0, :N] * speeds[:N]),
         cfl_dt=config.cfl * float(dx.min()) / float(np.abs(speeds).max()),
     )
     state.mass_initial = total_mass(state)
     return state
-
-
-def apply_node_coupling(state: NetworkState) -> np.ndarray:
-    """Ghost values at x = 0 for the positive velocities, (n_edges, N).
-
-    Entry [i, k] feeds velocity v_{N+1+k} of edge i with
-    sum_j beta_ij f^j(0, -v_{N+1+k}).
-    """
-    N = state.rule.half
-    mirrored = state.f[:, 0, :N][:, ::-1]
-    return state.beta @ mirrored
 
 
 @dataclass(frozen=True)
@@ -271,15 +271,16 @@ class _StepPlan:
     buffer, their cells 1: and :-1, the scratch cells their difference fills,
     the boundary cell next to the ghost and its scratch cell, the scratch and
     the upwind scale speed*dt/dx. ``relax_t`` is the transposed relaxation
-    operator K = (I + r relax) / (1 + r) with r = dt/epsilon. Collisions
-    conserve g0, g1, g2 and ``relax`` reproduces them, so the post-transport
-    Maxwellian is also the post-relaxation one and the exact implicit update
-    f <- (f + r f relax) / (1 + r) is the single product f K.
+    operator K = (I + r relax) / (1 + r) with r = dt/epsilon and
+    relax = moment_rows.T @ maxwell_rows, so f @ relax is f's Maxwellian.
+    Collisions conserve g0, g1, g2 and ``relax`` reproduces them, so the
+    post-transport Maxwellian is also the post-relaxation one and the exact
+    implicit update f <- (f + r f relax) / (1 + r) is the single product f K.
     """
 
     f: np.ndarray               # the state.f the views were taken from
     cells: np.ndarray           # (edges, 2N, stop - start) view of the buffer
-    moved: np.ndarray           # the same-shape view of the scratch
+    moved: np.ndarray           # the plan's own contiguous scratch of that shape
     positive: tuple
     negative: tuple
     relax_t: np.ndarray
@@ -300,7 +301,7 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
     N = state.rule.half
     buffer = state.f.transpose(0, 2, 1)
     cells = buffer[:, :, start:stop]
-    moved = state.work[:cells.size].reshape(cells.shape)
+    moved = np.empty(cells.shape)
     scale = state.speeds[:, None] * (dt / state.dx[start:stop])
     pos, new = cells[:, N:], moved[:, N:]
     positive = (pos, pos[:, :, 1:], pos[:, :, :-1], new[:, :, 1:],
@@ -308,13 +309,21 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
     neg, new = cells[:, :N], moved[:, :N]
     negative = (neg, neg[:, :, 1:], neg[:, :, :-1], new[:, :, :-1],
                 neg[:, :, -1], new[:, :, -1], new, scale[:N])
+    relax = state.moment_rows.T @ state.maxwell_rows
     r = dt / state.config.epsilon
-    relax_t = (np.eye(state.relax.shape[0]) + r * state.relax.T) / (1.0 + r)
+    relax_t = (np.eye(relax.shape[0]) + r * relax.T) / (1.0 + r)
     plan = cache[key] = _StepPlan(
         f=state.f, cells=cells, moved=moved, positive=positive, negative=negative,
         relax_t=relax_t, mirrored=buffer[:, :N, 0][:, ::-1],
         node_ghost=np.empty((buffer.shape[0], N)))
     return plan
+
+
+def _node_ghost(beta: np.ndarray, plan: _StepPlan) -> np.ndarray:
+    """Ghost values at x = 0 for the positive velocities, (n_edges, N), in the
+    plan's buffer: entry [i, k] feeds velocity v_{N+1+k} of edge i with
+    sum_j beta_ij f^j(0, -v_{N+1+k})."""
+    return np.matmul(beta, plan.mirrored, out=plan.node_ghost)
 
 
 def _advance(plan: _StepPlan, ghost_left: np.ndarray, ghost_right: np.ndarray) -> None:
@@ -348,7 +357,7 @@ def _book_outflow(state: NetworkState, dt: float) -> None:
     N = state.rule.half
     h0 = state.moment_rows[0]
     outflow = np.sqrt(2.0) * (state.f[:, -1, N:] @ (h0[N:] * state.speeds[N:])
-                              + state.outer_ghost @ (h0[:N] * state.speeds[:N]))
+                              + state.outer_ghost_flux)
     state.mass_inflow -= dt * float(outflow.sum())
 
 
@@ -360,8 +369,7 @@ def step(state: NetworkState, dt: float) -> NetworkState:
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {state.cfl_dt:.3e}")
     plan = _step_plan(state, dt, 0, state.dx.size)
     _book_outflow(state, dt)
-    _advance(plan, np.matmul(state.beta, plan.mirrored, out=plan.node_ghost),
-             state.outer_ghost)
+    _advance(plan, _node_ghost(state.beta, plan), state.outer_ghost)
     state.time += dt
     return state
 
@@ -398,11 +406,9 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
     last_fine = state.f[:, fine - 1, N:]
     ghost_right = state.f[:, fine, :N].copy()
     interface = np.zeros_like(ghost_right)
-    beta, mirrored, ghost_node = state.beta, fine_plan.mirrored, fine_plan.node_ghost
     for _ in range(k):
         interface += last_fine
-        np.matmul(beta, mirrored, out=ghost_node)
-        _advance(fine_plan, ghost_node, ghost_right)
+        _advance(fine_plan, _node_ghost(state.beta, fine_plan), ghost_right)
     interface /= k
     _book_outflow(state, k * dt)
     _advance(coarse_plan, interface, state.outer_ghost)
@@ -465,7 +471,7 @@ def run(config: NetworkConfig, data: InitialData,
     targets = _snapshot_times(output_times, t_end)
     state = initialize(config, data)
     k, fine = _time_levels(state.dx)
-    steps = max(1, int(np.ceil(t_end / (k * state.stable_dt()) - 1e-12)))
+    steps = max(1, int(np.ceil(t_end / (k * state.cfl_dt) - 1e-12)))
     dt = t_end / (k * steps)
     snaps = {"t": [], "rho": [], "q": [], "S": []}
     next_target = 0

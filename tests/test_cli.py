@@ -202,6 +202,16 @@ class TestKineticCommands:
         header, rows = read_csv(out / "rho_composite_2.csv")
         assert header == ["x", "rho"] and rows.shape == (40, 2)
 
+    def test_composite_equals_compare_composite(self, tmp_path):
+        # both commands evaluate the composite at the kinetic cell centres
+        comp, cmp = tmp_path / "comp", tmp_path / "cmp"
+        assert main(["composite", *self.KIN, "--out", str(comp)]) == 0
+        assert main(["compare", *self.KIN, "--out", str(cmp)]) == 0
+        composite = tree_bytes(comp)
+        assert len(composite) == 9
+        assert composite == {name: data for name, data in tree_bytes(cmp).items()
+                             if "_composite_" in name}
+
     def test_compare_summary(self, tmp_path):
         out = tmp_path / "cmp"
         args = ["compare", *self.KIN, "--out", str(out)]

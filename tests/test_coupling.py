@@ -207,7 +207,7 @@ class TestInvariantMatrix:
 
     def test_lifted_is_inverse_transform_of_lift(self, ops_factory):
         ops = ops_factory(8)
-        np.testing.assert_allclose(ops.transform.apply(nodal_lift(ops)), ops.lift,
+        np.testing.assert_allclose(ops.transform.matrix @ nodal_lift(ops), ops.lift,
                                    rtol=0.0, atol=1e-13)
 
     def test_rejects_general_topology(self, ops_factory):
@@ -383,11 +383,20 @@ class TestMacroSystem:
         for arr in out:
             assert np.max(np.abs(arr)) < 1e-14
 
-    @pytest.mark.parametrize("bad_delta1", [-1.0 / A, -A])
+    @pytest.mark.parametrize("bad_delta1", [-A])
     def test_singular_coefficients_rejected(self, coeff_factory, bad_delta1):
         coeff = replace(coeff_factory(30, 3), delta1=bad_delta1)
         with pytest.raises(SingularSystemError):
             macro_coupling_solve(coeff, np.zeros(3), 0.0, 3)
+
+    def test_invertible_at_minus_inverse_speed(self, coeff_factory):
+        # the determinant vanishes only at delta1 = -a; at -1/a it is 36 (n = 3)
+        coeff = replace(coeff_factory(30, 3), delta1=-1.0 / A)
+        incoming, balance = np.array([0.3, -0.2, 1.1]), 0.4
+        m = np.concatenate(macro_coupling_solve(coeff, incoming, balance, 3))
+        system = build_macro_system(coeff.delta1, coeff.delta2, 3, incoming, balance)
+        assert macro_determinant(3, coeff.delta1) == pytest.approx(36.0)
+        np.testing.assert_allclose(system.calA @ m, system.rhs, rtol=0, atol=1e-12)
 
 
 class TestSolveNode:

@@ -10,10 +10,10 @@ from bgknet import (
     NetworkConfig,
     NodeProblem,
     NodeTopology,
-    apply_node_coupling,
     conservation_residual,
     graded_spacing,
     initialize,
+    rho_left,
     run,
     solve_node,
     step,
@@ -127,6 +127,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             graded_spacing(1e-3, 1e-4, 0.01, 0.05)
 
+    @pytest.mark.parametrize("name, value", [
+        ("dx_min", 0.0), ("dx_min", -1e-4), ("dx_min", np.nan), ("dx_min", np.inf),
+        ("dx_max", 0.0), ("dx_max", np.nan), ("dx_max", np.inf),
+        ("length", 0.0), ("length", -0.05), ("length", np.nan), ("length", np.inf),
+        ("fine_width", -1e-3), ("fine_width", np.nan), ("fine_width", np.inf),
+        ("ratio", 1.0), ("ratio", 0.5), ("ratio", np.nan), ("ratio", np.inf),
+        ("dx_min", 2e-3)])
+    def test_graded_spacing_rejection_names_parameter(self, name, value):
+        # dx_min = 2e-3 exceeds dx_max = 1e-3
+        args = dict(dx_min=1e-4, dx_max=1e-3, fine_width=5e-4, length=0.05, ratio=1.1)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            graded_spacing(**args)
+
 
 class TestInitialize:
     def test_moment_roundtrip(self, coeff_factory):
@@ -145,22 +159,30 @@ class TestInitialize:
             initialize(small_config(n_edges=3), data)
 
 
+def stepped_node_ghost(state):
+    """The node ghosts one `step` fed the kernel, and the distribution before it."""
+    before = state.f.copy()
+    step(state, state.cfl_dt)
+    (plan,) = state.step_plans.values()
+    return plan.node_ghost, before
+
+
 class TestGhostValues:
     def test_identical_even_states_are_mirrored(self):
         data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.2] * 3)
         state = initialize(small_config(), data)
-        ghost = apply_node_coupling(state)
+        ghost, before = stepped_node_ghost(state)
         N = state.rule.half
-        np.testing.assert_allclose(ghost, state.f[:, 0, :N][:, ::-1], atol=1e-15)
+        np.testing.assert_allclose(ghost, before[:, 0, :N][:, ::-1], atol=1e-15)
 
     def test_pass_through_node(self):
         beta = np.array([[0.0, 1.0], [1.0, 0.0]])
         data = InitialData(rho0=[1.0, 0.7], q0=[0.1, -0.2], S0=[1.0, 0.9])
         state = initialize(small_config(n_edges=2, beta=beta), data)
-        ghost = apply_node_coupling(state)
+        ghost, before = stepped_node_ghost(state)
         N = state.rule.half
-        np.testing.assert_array_equal(ghost[0], state.f[1, 0, :N][::-1])
-        np.testing.assert_array_equal(ghost[1], state.f[0, 0, :N][::-1])
+        np.testing.assert_array_equal(ghost[0], before[1, 0, :N][::-1])
+        np.testing.assert_array_equal(ghost[1], before[0, 0, :N][::-1])
 
     def test_boundary_odd_moments_vanish(self, coeff_factory):
         # oracle: sum over edges of the node-boundary distribution is even in v,
@@ -170,9 +192,9 @@ class TestGhostValues:
         state = initialize(small_config(), data)
         state.f += np.random.default_rng(1).normal(
             scale=1e-2, size=state.f.shape)  # arbitrary states at the node
-        ghost = apply_node_coupling(state)
+        ghost, before = stepped_node_ghost(state)
         N = state.rule.half
-        boundary = np.concatenate([state.f[:, 0, :N], ghost], axis=1)
+        boundary = np.concatenate([before[:, 0, :N], ghost], axis=1)
         total = boundary.sum(axis=0)
         g = state.rule.basis @ total
         assert np.max(np.abs(g[1::2])) < 1e-12
@@ -185,7 +207,7 @@ class TestGhostValues:
         np.testing.assert_allclose(state.outer_ghost, state.f[:, -1, :N], atol=1e-15)
         # the ghost stays the initial Maxwellian while the cells evolve
         before = state.outer_ghost.copy()
-        step(state, state.stable_dt())
+        step(state, state.cfl_dt)
         np.testing.assert_array_equal(state.outer_ghost, before)
 
 
@@ -194,7 +216,7 @@ class TestStep:
         data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.0] * 3)
         state = initialize(small_config(), data)
         before = state.f.copy()
-        step(state, state.stable_dt())
+        step(state, state.cfl_dt)
         assert np.max(np.abs(state.f - before)) < 1e-14
 
     @pytest.mark.parametrize("factor", [np.nan, np.inf, 0.0, -1.0])
@@ -203,7 +225,7 @@ class TestStep:
         state = initialize(small_config(), data)
         before = state.f.copy()
         with pytest.raises(ValueError, match="^dt must be finite and positive"):
-            step(state, factor * state.stable_dt())
+            step(state, factor * state.cfl_dt)
         np.testing.assert_array_equal(state.f, before)
         assert state.time == 0.0 and state.mass_inflow == 0.0
 
@@ -211,7 +233,7 @@ class TestStep:
         c = coeff_factory(30, 3)
         data = InitialData.preset(3, c.delta1, c.delta2)
         kept, rebound = (initialize(small_config(), data) for _ in range(2))
-        dt = kept.stable_dt()
+        dt = kept.cfl_dt
         for state in (kept, rebound):
             step(state, dt)
         rebound.f = rebound.f.copy()
@@ -223,7 +245,7 @@ class TestStep:
         data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.0] * 3)
         state = initialize(small_config(), data)
         with pytest.raises(ValueError):
-            step(state, 2 * state.stable_dt())
+            step(state, 2 * state.cfl_dt)
 
     def test_strong_relaxation_projects_to_maxwellian(self):
         # uniform even perturbation: transport-free interior, dt/eps ~ 1e7
@@ -232,7 +254,7 @@ class TestStep:
         bump = 0.05 * state.rule.scaled_weights * state.rule.basis[4]
         state.f += bump[None, None, :]
         g_before = state.f[0, 25] @ state.moment_rows.T
-        step(state, state.stable_dt())
+        step(state, state.cfl_dt)
         f_mid = state.f[0, 25]
         g_after = f_mid @ state.moment_rows.T
         np.testing.assert_allclose(g_after, g_before, atol=1e-12)
@@ -245,16 +267,17 @@ class TestStep:
         data = InitialData.preset(3, c.delta1, c.delta2)
         state = initialize(small_config(), data)
         N = state.rule.half
-        dt = state.stable_dt()
+        dt = state.cfl_dt
         mass_before = total_mass(state)
-        ghost_node = apply_node_coupling(state)
+        beta = state.beta
         ghost_outer = state.outer_ghost
         h0 = state.moment_rows[0]
         c_vec = state.speeds
         flux_in = 0.0
         for i in range(3):
             for k in range(2 * N):
-                val = ghost_node[i, k - N] if k >= N else state.f[i, 0, k]
+                val = sum(beta[i, m] * state.f[m, 0, 2 * N - 1 - k]
+                          for m in range(3)) if k >= N else state.f[i, 0, k]
                 flux_in += np.sqrt(2) * h0[k] * c_vec[k] * val
                 val_b = state.f[i, -1, k] if k >= N else ghost_outer[i, k]
                 flux_in -= np.sqrt(2) * h0[k] * c_vec[k] * val_b
@@ -283,7 +306,7 @@ class TestStepOracle:
         outer = g_data @ state.maxwell_rows
         f = state.f.copy()
         for fraction in (0.9, 0.9, 0.5, 0.9, 1.0, 0.7):
-            dt = fraction * state.stable_dt()
+            dt = fraction * state.cfl_dt
             new = np.empty_like(f)
             for i in range(3):
                 for k in range(2 * N):
@@ -312,7 +335,7 @@ def criterion_8a_config(eps):
 def global_steps(config, data):
     """The state after t_end in fixed global CFL steps, one `step` call each."""
     state = initialize(config, data)
-    steps = int(np.ceil(config.t_end / state.stable_dt() - 1e-12))
+    steps = int(np.ceil(config.t_end / state.cfl_dt - 1e-12))
     for _ in range(steps):
         step(state, config.t_end / steps)
     return state
@@ -354,7 +377,7 @@ class TestTimeLevels:
         g_data = np.stack([data.rho0 / np.sqrt(2), data.q0 / np.sqrt(2),
                            (data.S0 - data.rho0) / 2], axis=1)
         outer = g_data @ state.maxwell_rows
-        dt = 0.95 * state.stable_dt()
+        dt = 0.95 * state.cfl_dt
 
         def relax(f, cells_range, r):
             for i in range(3):
@@ -408,7 +431,7 @@ class TestTimeLevels:
         config = criterion_8a_config(1e-4)
         state = initialize(config, InitialData.preset(1, 0.5, 0.35))
         k, fine = _time_levels(state.dx)
-        dt = 0.95 * state.stable_dt()
+        dt = 0.95 * state.cfl_dt
         _two_level_step(state, k, fine, dt)
         with np.errstate():
             np.setbufsize(64)
@@ -511,6 +534,36 @@ class TestRun:
         assert np.max(np.abs(result.rho[-1][:, i] - rho_left)) < 1e-2
 
 
+class TestNonSymmetricNode:
+    def test_run_matches_node_solve(self, ops_factory, coeff_factory):
+        # criterion 7's check at the compare defaults with a non-symmetric
+        # column-stochastic beta, drawn as perfbench's seeded_beta draws it
+        rng = np.random.default_rng(5)
+        beta = rng.uniform(0.1, 1.0, (3, 3))
+        beta /= beta.sum(axis=0)
+        eigenvalues = np.sort_complex(np.linalg.eigvals(beta))
+        np.testing.assert_allclose(eigenvalues, [-0.121 - 0.159j, -0.121 + 0.159j, 1.0],
+                                   atol=1e-3)
+        coeff = coeff_factory(100, 3)
+        data = InitialData.preset(1, coeff.delta1, coeff.delta2)
+        config = NetworkConfig(n_edges=3, edge_length=0.3, cells=600, N=16,
+                               epsilon=5e-4, t_end=0.1, beta=beta)
+        result = run(config, data)
+        i = int(np.argmin(np.abs(result.x - 0.05)))
+
+        def error(topology):
+            problem = NodeProblem.from_macro_data(topology, None,
+                                                  data.rho0, data.q0, data.S0)
+            sol = solve_node(problem, ops_factory(100))
+            return max(np.max(np.abs(result.q[-1][:, i] - sol.q_inf)),
+                       np.max(np.abs(result.S[-1][:, i] - sol.S_inf)),
+                       np.max(np.abs(result.rho[-1][:, i] - rho_left(data, sol))))
+
+        assert error(NodeTopology(3, beta)) < 1e-2
+        assert error(NodeTopology.symmetric(3)) > 0.1  # the check tells the nodes apart
+        assert result.mass_residual < 1e-10
+
+
 def leak_at_node(state):
     """Scale the node coupling so that a tenth of what reaches the node is lost."""
     state.beta = 0.9 * state.beta
@@ -527,7 +580,7 @@ class TestLeakingNode:
         config = small_config(t_end=0.004)
         conserving = global_steps(config, data)
         state = leak_at_node(initialize(config, data))
-        steps = int(np.ceil(config.t_end / state.stable_dt() - 1e-12))
+        steps = int(np.ceil(config.t_end / state.cfl_dt - 1e-12))
         for _ in range(steps):
             step(state, config.t_end / steps)
         lost = total_mass(conserving) - total_mass(state)
