@@ -14,9 +14,12 @@ stepping, Osher and Sanders, Math. Comp. 41, 1983): the cells next to the node
 take k substeps of the fine step while the wide cells take one step k times as
 long, so every cell moves at no more than its own CFL number.
 
-The distribution is stored velocity-major, one C-contiguous (edges, 2N, cells)
-buffer, so the upwind differences run along contiguous cells; ``state.f`` is
-the (edges, cells, 2N) transposed view of that buffer.
+The distribution is stored velocity-outer in one C-contiguous, ghost-padded
+(2N, edges, cells + 2) buffer. Column 0 of the positive-velocity rows holds the
+node ghosts and column cells + 1 of the negative-velocity rows the outer ghosts,
+so each velocity sign's upwind difference is one subtract of two shifted views
+that numpy iterates as 2-d (velocity x edge, cell) arrays. ``state.f`` is the
+(edges, cells, 2N) view of the buffer's cells.
 """
 
 from __future__ import annotations
@@ -196,7 +199,8 @@ class NetworkState:
     config: NetworkConfig
     data: InitialData
     rule: QuadratureRule
-    f: np.ndarray               # (n_edges, cells, 2N) view of a velocity-major buffer
+    f: np.ndarray               # (n_edges, cells, 2N) view of the buffer's cells
+    buffer: np.ndarray          # (2N, n_edges, cells + 2) ghost-padded distribution
     x: np.ndarray               # cell centers
     dx: np.ndarray              # cell widths
     speeds: np.ndarray          # physical velocities sqrt(2) v_i
@@ -233,6 +237,22 @@ def _edge_maxwellians(data: InitialData, rows: np.ndarray) -> np.ndarray:
     return np.outer(g0, rows[0]) + np.outer(g1, rows[1]) + np.outer(g2, rows[2])
 
 
+def _cells_view(buffer: np.ndarray) -> np.ndarray:
+    """The (edges, cells, 2N) view of a padded buffer's cells: ``state.f``."""
+    return buffer[:, :, 1:-1].transpose(1, 2, 0)
+
+
+def _padded(f: np.ndarray, outer_ghost: np.ndarray) -> np.ndarray:
+    """A fresh C-contiguous (2N, edges, cells + 2) buffer holding the cells of
+    f, shape (edges, cells, 2N), and the outer ghosts of the negative
+    velocities in its last column."""
+    edges, cells, velocities = f.shape
+    buffer = np.zeros((velocities, edges, cells + 2))
+    buffer[:, :, 1:-1] = f.transpose(2, 0, 1)
+    buffer[:velocities // 2, :, -1] = outer_ghost.T
+    return buffer
+
+
 def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     """Fill every cell with the Maxwellian of its edge's initial moments."""
     if data.n_edges != config.n_edges:
@@ -243,12 +263,13 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     moment_rows = rule.basis[:3].copy()
     maxwell_rows = _maxwellian_rows(rule)
     maxw = _edge_maxwellians(data, maxwell_rows)
-    buffer = np.repeat(maxw[:, :, None], config.cells, axis=2)
     speeds = np.sqrt(2.0) * rule.nodes
     outer_ghost = maxw[:, :N]
+    buffer = _padded(np.broadcast_to(maxw[:, None, :], (config.n_edges, config.cells, 2 * N)),
+                     outer_ghost)
     state = NetworkState(
         config=config, data=data, rule=rule,
-        f=buffer.transpose(0, 2, 1), x=config.cell_centres(), dx=dx,
+        f=_cells_view(buffer), buffer=buffer, x=config.cell_centres(), dx=dx,
         speeds=speeds,
         moment_rows=moment_rows,
         maxwell_rows=maxwell_rows,
@@ -267,25 +288,56 @@ class _StepPlan:
     writes, built once per time level.
 
     ``positive`` and ``negative`` hold, for each velocity sign, the views
-    (old, tail, head, diff, edge, edge_new, new, scale): the range's cells of the
-    buffer, their cells 1: and :-1, the scratch cells their difference fills,
-    the boundary cell next to the ghost and its scratch cell, the scratch and
-    the upwind scale speed*dt/dx. ``relax_t`` is the transposed relaxation
-    operator K = (I + r relax) / (1 + r) with r = dt/epsilon and
+    (old, upwind, new, scale): the range's cells of the padded buffer, the same
+    cells shifted one column upwind, the plan's scratch of that sign and the
+    upwind scale speed*dt/dx. The positive velocities' upwind column of the
+    first cell is the node ghost; the negative velocities' one of the last cell
+    is the outer ghost, or the first coarse cell, which the fine substeps do
+    not change. ``relax_t`` is the transposed relaxation operator
+    K = (I + r relax) / (1 + r) with r = dt/epsilon and
     relax = moment_rows.T @ maxwell_rows, so f @ relax is f's Maxwellian.
     Collisions conserve g0, g1, g2 and ``relax`` reproduces them, so the
     post-transport Maxwellian is also the post-relaxation one and the exact
     implicit update f <- (f + r f relax) / (1 + r) is the single product f K.
+    Where r or that formula overflows, K is its limit relax.T, the projection
+    onto the Maxwellian.
     """
 
     f: np.ndarray               # the state.f the views were taken from
     cells: np.ndarray           # (edges, 2N, stop - start) view of the buffer
-    moved: np.ndarray           # the plan's own contiguous scratch of that shape
+    moved: np.ndarray           # the same view of the plan's contiguous scratch
     positive: tuple
     negative: tuple
     relax_t: np.ndarray
     mirrored: np.ndarray        # f[:, 0, :N][:, ::-1], what the node reflects
-    node_ghost: np.ndarray      # (edges, N) buffer for beta @ mirrored
+    node_ghost: np.ndarray      # (edges, N) view of the buffer's node ghosts
+
+
+def _padded_buffer(state: NetworkState) -> np.ndarray:
+    """The padded buffer whose cells ``state.f`` views. A rebound ``state.f``
+    is first copied into a fresh buffer, and ``state.f`` is rebound to its view."""
+    view = _cells_view(state.buffer)
+    if (isinstance(state.f, np.ndarray)
+            and state.f.__array_interface__ == view.__array_interface__):
+        return state.buffer
+    if np.shape(state.f) != view.shape:
+        raise ValueError(f"f must have shape {view.shape} (edges, cells, 2N), "
+                         f"got {np.shape(state.f)}")
+    state.buffer = _padded(np.asarray(state.f), state.outer_ghost)
+    state.f = _cells_view(state.buffer)
+    state.step_plans.clear()
+    return state.buffer
+
+
+def _relaxation(state: NetworkState, dt: float) -> np.ndarray:
+    """The transposed exact relaxation operator K of a step dt (see _StepPlan)."""
+    relax = state.moment_rows.T @ state.maxwell_rows
+    r = float(dt) / float(state.config.epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        relax_t = (np.eye(relax.shape[0]) + r * relax.T) / (1.0 + r)
+    if np.all(np.isfinite(relax_t)):
+        return relax_t
+    return relax.T.copy()
 
 
 def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPlan:
@@ -298,48 +350,43 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
         return plan
     if len(cache) > 1:
         cache.clear()
+    buffer = _padded_buffer(state)
     N = state.rule.half
-    buffer = state.f.transpose(0, 2, 1)
-    cells = buffer[:, :, start:stop]
+    cells = buffer[:, :, start + 1:stop + 1]
     moved = np.empty(cells.shape)
-    scale = state.speeds[:, None] * (dt / state.dx[start:stop])
-    pos, new = cells[:, N:], moved[:, N:]
-    positive = (pos, pos[:, :, 1:], pos[:, :, :-1], new[:, :, 1:],
-                pos[:, :, 0], new[:, :, 0], new, scale[N:])
-    neg, new = cells[:, :N], moved[:, :N]
-    negative = (neg, neg[:, :, 1:], neg[:, :, :-1], new[:, :, :-1],
-                neg[:, :, -1], new[:, :, -1], new, scale[:N])
-    relax = state.moment_rows.T @ state.maxwell_rows
-    r = dt / state.config.epsilon
-    relax_t = (np.eye(relax.shape[0]) + r * relax.T) / (1.0 + r)
+    # speed*dt/dx repeated over the edges, so the multiply runs contiguously
+    scale = np.repeat((state.speeds[:, None] * (dt / state.dx[start:stop]))[:, None],
+                      cells.shape[1], axis=1)
+    positive = (cells[N:], buffer[N:, :, start:stop], moved[N:], scale[N:])
+    negative = (cells[:N], buffer[:N, :, start + 2:stop + 2], moved[:N], scale[:N])
     plan = cache[key] = _StepPlan(
-        f=state.f, cells=cells, moved=moved, positive=positive, negative=negative,
-        relax_t=relax_t, mirrored=buffer[:, :N, 0][:, ::-1],
-        node_ghost=np.empty((buffer.shape[0], N)))
+        f=state.f, cells=cells.transpose(1, 0, 2), moved=moved.transpose(1, 0, 2),
+        positive=positive, negative=negative, relax_t=_relaxation(state, dt),
+        mirrored=buffer[:N, :, 1][::-1].T, node_ghost=buffer[N:, :, 0].T)
     return plan
 
 
 def _node_ghost(beta: np.ndarray, plan: _StepPlan) -> np.ndarray:
-    """Ghost values at x = 0 for the positive velocities, (n_edges, N), in the
-    plan's buffer: entry [i, k] feeds velocity v_{N+1+k} of edge i with
-    sum_j beta_ij f^j(0, -v_{N+1+k})."""
+    """Ghost values at x = 0 for the positive velocities, (n_edges, N), written
+    into the buffer's column 0: entry [i, k] feeds velocity v_{N+1+k} of edge i
+    with sum_j beta_ij f^j(0, -v_{N+1+k})."""
     return np.matmul(beta, plan.mirrored, out=plan.node_ghost)
 
 
-def _advance(plan: _StepPlan, ghost_left: np.ndarray, ghost_right: np.ndarray) -> None:
+def _advance(plan: _StepPlan, ghost_left: np.ndarray | None = None) -> None:
     """Upwind transport over the plan's dt plus the exact implicit relaxation, in
-    place, on the plan's cells: ghost_left feeds their positive velocities at the
-    left end, ghost_right their negative ones at the right end."""
-    # upwind transport along the contiguous cell axis into the contiguous
-    # scratch: numpy's in-place loops over a cell-range view run slower
-    old, tail, head, diff, edge, edge_new, new, scale = plan.positive
-    np.subtract(tail, head, out=diff)
-    np.subtract(edge, ghost_left, out=edge_new)
+    place, on the plan's cells. Each sign's upwind values are the buffer's
+    neighbouring columns; ghost_left, (N, edges), replaces the positive
+    velocities' one of the first cell."""
+    # upwind transport into the contiguous scratch: new = old - scale (old - up)
+    old, upwind, new, scale = plan.positive
+    np.subtract(old, upwind, out=new)
+    if ghost_left is not None:
+        np.subtract(old[:, :, 0], ghost_left, out=new[:, :, 0])
     np.multiply(new, scale, out=new)
     np.subtract(old, new, out=new)
-    old, tail, head, diff, edge, edge_new, new, scale = plan.negative
-    np.subtract(tail, head, out=diff)
-    np.subtract(ghost_right, edge, out=edge_new)
+    old, upwind, new, scale = plan.negative
+    np.subtract(upwind, old, out=new)
     np.multiply(new, scale, out=new)
     np.subtract(old, new, out=new)
 
@@ -369,7 +416,8 @@ def step(state: NetworkState, dt: float) -> NetworkState:
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {state.cfl_dt:.3e}")
     plan = _step_plan(state, dt, 0, state.dx.size)
     _book_outflow(state, dt)
-    _advance(plan, _node_ghost(state.beta, plan), state.outer_ghost)
+    _node_ghost(state.beta, plan)
+    _advance(plan)
     state.time += dt
     return state
 
@@ -395,23 +443,23 @@ def _time_levels(dx: np.ndarray) -> tuple[int, int]:
 def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
     """k steps of dt on the fine cells, then one step of k dt on the coarse cells.
 
-    The fine cells see the first coarse cell's negative velocities as they were
-    at the start; the coarse cells see the mean of the last fine cell's positive
-    velocities over the k substeps. Both sides of the interface therefore move
-    the same mass across it, and only the outer flux is booked.
+    The fine cells see the first coarse cell's negative velocities, which do
+    not change before the coarse step; the coarse cells see the mean of the
+    last fine cell's positive velocities over the k substeps. Both sides of the
+    interface therefore move the same mass across it, and only the outer flux
+    is booked.
     """
     fine_plan = _step_plan(state, dt, 0, fine)
     coarse_plan = _step_plan(state, k * dt, fine, state.dx.size)
-    N = state.rule.half
-    last_fine = state.f[:, fine - 1, N:]
-    ghost_right = state.f[:, fine, :N].copy()
-    interface = np.zeros_like(ghost_right)
+    last_fine = fine_plan.positive[0][:, :, -1]
+    interface = np.zeros(last_fine.shape)
     for _ in range(k):
         interface += last_fine
-        _advance(fine_plan, _node_ghost(state.beta, fine_plan), ghost_right)
+        _node_ghost(state.beta, fine_plan)
+        _advance(fine_plan)
     interface /= k
     _book_outflow(state, k * dt)
-    _advance(coarse_plan, interface, state.outer_ghost)
+    _advance(coarse_plan, interface)
     state.time += k * dt
 
 

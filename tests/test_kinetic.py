@@ -1,7 +1,11 @@
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bgknet import kinetic
 from bgknet import (
@@ -241,6 +245,24 @@ class TestStep:
             step(state, dt)
         np.testing.assert_allclose(rebound.f, kept.f, rtol=0, atol=1e-14)
 
+    def test_rebound_distribution_is_copied_into_a_fresh_buffer(self):
+        data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0] * 3)
+        state = initialize(small_config(), data)
+        rebound = state.f.copy()
+        state.f = rebound
+        step(state, state.cfl_dt)
+        assert state.f is not rebound
+        assert np.shares_memory(state.f, state.buffer)
+        np.testing.assert_array_equal(state.buffer[:state.rule.half, :, -1],
+                                      state.outer_ghost.T)
+
+    def test_misshaped_rebound_distribution_is_named(self):
+        data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.0] * 3)
+        state = initialize(small_config(cells=20), data)
+        state.f = np.zeros((3, 19, 16))
+        with pytest.raises(ValueError, match=r"^f must have shape \(3, 20, 16\)"):
+            step(state, state.cfl_dt)
+
     def test_cfl_violation_rejected(self):
         data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.0] * 3)
         state = initialize(small_config(), data)
@@ -260,6 +282,16 @@ class TestStep:
         np.testing.assert_allclose(g_after, g_before, atol=1e-12)
         maxw = g_after @ state.maxwell_rows
         assert np.max(np.abs(f_mid - maxw)) < 1e-10
+
+    def test_tiny_epsilon_takes_the_maxwellian_limit(self):
+        # dt/epsilon overflows to inf; K is then its limit, the projection onto
+        # the Maxwellian, instead of inf/inf
+        data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0, 0.9, 1.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(small_config(cells=20, epsilon=1e-320, t_end=0.004), data)
+        assert np.all(np.isfinite(result.rho))
+        assert result.mass_residual < 1e-13
 
     def test_mass_update_matches_flux_oracle(self, coeff_factory):
         # telescoping oracle: explicit boundary-flux sums reproduce the mass change
@@ -562,6 +594,70 @@ class TestNonSymmetricNode:
         assert error(NodeTopology(3, beta)) < 1e-2
         assert error(NodeTopology.symmetric(3)) > 0.1  # the check tells the nodes apart
         assert result.mass_residual < 1e-10
+
+
+#: k = 8 with 24 of 37 cells fine
+PROPERTY_GRADED = graded_spacing(1e-4, 1e-3, 3e-4, 0.02)
+
+
+@st.composite
+def kinetic_cases(draw):
+    """A small network: column-stochastic beta (random, or near a cyclic shift
+    with complex eigenvalue pairs), a uniform or a two-level graded mesh, N = 4."""
+    n = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
+    beta = np.reshape(weights, (n, n))
+    beta = beta / beta.sum(axis=0)
+    mix = draw(st.sampled_from([None, 1e-2, 0.2]))
+    if mix is not None:
+        beta = (1.0 - mix) * np.roll(np.eye(n), 1, axis=0) + mix * beta
+    mesh = {} if draw(st.booleans()) else {"spacing": PROPERTY_GRADED}
+    config = NetworkConfig(n_edges=n, edge_length=0.01, cells=20, N=4, epsilon=5e-4,
+                           t_end=1e-3, beta=beta, **mesh)
+    return config, draw(edge_data(n))
+
+
+def edge_data(n):
+    values = st.lists(st.floats(-1.0, 1.0), min_size=3 * n, max_size=3 * n)
+    return values.map(lambda v: InitialData(rho0=v[:n], q0=v[n:2 * n], S0=v[2 * n:]))
+
+
+def combine(a, d1, b, d2):
+    return InitialData(*(a * getattr(d1, name) + b * getattr(d2, name)
+                         for name in ("rho0", "q0", "S0")))
+
+
+class TestKineticProperties:
+    # a transposed beta in the node ghost is a row-stochastic beta and a dropped
+    # interface sum a zero ghost: both keep the scheme linear and equivariant but
+    # leak mass, so every run here must also conserve mass
+
+    @given(case=kinetic_cases(), data=st.data(),
+           weights=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    def test_linear_in_the_data(self, case, data, weights):
+        config, d1 = case
+        d2 = data.draw(edge_data(config.n_edges))
+        a, b = weights
+        r1, r2 = run(config, d1), run(config, d2)
+        combined = run(config, combine(a, d1, b, d2))
+        np.testing.assert_allclose(combined.state.f, a * r1.state.f + b * r2.state.f,
+                                   rtol=0, atol=1e-13)
+        assert max(r.mass_residual for r in (r1, r2, combined)) < 1e-14
+
+    @given(case=kinetic_cases(), data=st.data())
+    def test_edge_permutation_equivariance(self, case, data):
+        config, d = case
+        perm = np.array(data.draw(st.permutations(range(config.n_edges))))
+        beta = config.beta[np.ix_(perm, perm)]
+        base = run(config, d)
+        permuted = run(dataclasses.replace(config, beta=beta),
+                       InitialData(d.rho0[perm], d.q0[perm], d.S0[perm]))
+        np.testing.assert_allclose(permuted.state.f, base.state.f[perm], rtol=0, atol=1e-13)
+        assert max(base.mass_residual, permuted.mass_residual) < 1e-14
+
+    @given(case=kinetic_cases())
+    def test_conserves_mass(self, case):
+        assert run(*case).mass_residual < 1e-14
 
 
 def leak_at_node(state):
