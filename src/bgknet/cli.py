@@ -18,9 +18,6 @@ from .hermite import MAX_HALF_ORDER
 
 __all__ = ["main", "cmd_deltas", "cmd_node", "cmd_kinetic", "cmd_composite", "cmd_compare"]
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.16e}"
-
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write the rows, or raise ValueError naming the column of a NaN or infinity."""
@@ -30,10 +27,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         i, j = bad[0]
         raise ValueError(f"{path}: column {header[j]!r} holds the non-finite value "
                          f"{table[i, j]} (row {i + 1}); nothing was written")
-    lines = [",".join(header)]
-    for row in table:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    row_format = ",".join(["%.16e"] * len(header)) + "\n"
+    path.write_text(",".join(header) + "\n"
+                    + "".join([row_format % tuple(row) for row in table.tolist()]))
 
 
 def _parse_degree(text: str) -> int | float:

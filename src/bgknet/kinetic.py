@@ -17,9 +17,12 @@ long, so every cell moves at no more than its own CFL number.
 The distribution is stored velocity-outer in one C-contiguous, ghost-padded
 (2N, edges, cells + 2) buffer. Column 0 of the positive-velocity rows holds the
 node ghosts and column cells + 1 of the negative-velocity rows the outer ghosts,
-so each velocity sign's upwind difference is one subtract of two shifted views
-that numpy iterates as 2-d (velocity x edge, cell) arrays. ``state.f`` is the
-(edges, cells, 2N) view of the buffer's cells.
+so each velocity sign's upwind difference is one subtract of two shifted views.
+A step over the whole edge takes those views as 1-d slices of the flattened
+buffer, one element apart, which numpy runs without iterator buffers; the
+lanes between rows then hold junk that lands only in the scratch's ghost lanes.
+A step over part of the edge takes them as 2-d (velocity x edge, cell) views.
+``state.f`` is the (edges, cells, 2N) view of the buffer's cells.
 """
 
 from __future__ import annotations
@@ -209,6 +212,7 @@ class NetworkState:
     beta: np.ndarray            # node coupling matrix
     outer_ghost: np.ndarray     # initial Maxwellians at x = b, negative velocities
     outer_ghost_flux: np.ndarray  # outer_ghost @ (H_0 c) over v < 0, per edge
+    outflow_weights: np.ndarray   # H_0 c over v > 0: f at x = b @ weights is the outflux
     cfl_dt: float               # cfl * min(dx) / max|speed|: the largest stable step
     time: float = 0.0
     mass_inflow: float = 0.0    # time-integrated net mass flux through the outer ends
@@ -276,6 +280,7 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
         beta=config.topology().beta_matrix(),
         outer_ghost=outer_ghost,
         outer_ghost_flux=outer_ghost @ (moment_rows[0, :N] * speeds[:N]),
+        outflow_weights=moment_rows[0, N:] * speeds[N:],
         cfl_dt=config.cfl * float(dx.min()) / float(np.abs(speeds).max()),
     )
     state.mass_initial = total_mass(state)
@@ -288,12 +293,22 @@ class _StepPlan:
     writes, built once per time level.
 
     ``positive`` and ``negative`` hold, for each velocity sign, the views
-    (old, upwind, new, scale): the range's cells of the padded buffer, the same
-    cells shifted one column upwind, the plan's scratch of that sign and the
-    upwind scale speed*dt/dx. The positive velocities' upwind column of the
-    first cell is the node ghost; the negative velocities' one of the last cell
-    is the outer ghost, or the first coarse cell, which the fine substeps do
-    not change. ``relax_t`` is the transposed relaxation operator
+    (old, upwind, new): the sign's cells of the padded buffer, the same cells
+    shifted one column upwind and the plan's scratch of that sign. ``both``
+    holds (old, new, scale) over both signs, with the upwind scale
+    speed*dt/dx. The positive velocities' upwind column of the first cell is
+    the node ghost; the negative velocities' one of the last cell is the outer
+    ghost, or the first coarse cell, which the fine substeps do not change.
+
+    A plan over the whole edge takes every view as a 1-d slice of the
+    flattened buffer and of a scratch and a scale of the buffer's padded
+    shape: each sign's upwind neighbour is the next element in memory, so the
+    ghost lanes between rows are read too, and their results land only in the
+    scratch's ghost lanes, where the scale is zero and ``moved`` never looks.
+    A plan over part of the edge takes 2-d views of its cell range and a
+    contiguous scratch and scale of the range's shape.
+
+    ``relax_t`` is the transposed relaxation operator
     K = (I + r relax) / (1 + r) with r = dt/epsilon and
     relax = moment_rows.T @ maxwell_rows, so f @ relax is f's Maxwellian.
     Collisions conserve g0, g1, g2 and ``relax`` reproduces them, so the
@@ -305,9 +320,10 @@ class _StepPlan:
 
     f: np.ndarray               # the state.f the views were taken from
     cells: np.ndarray           # (edges, 2N, stop - start) view of the buffer
-    moved: np.ndarray           # the same view of the plan's contiguous scratch
+    moved: np.ndarray           # the same view of the plan's scratch
     positive: tuple
     negative: tuple
+    both: tuple
     relax_t: np.ndarray
     mirrored: np.ndarray        # f[:, 0, :N][:, ::-1], what the node reflects
     node_ghost: np.ndarray      # (edges, N) view of the buffer's node ghosts
@@ -352,16 +368,29 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
         cache.clear()
     buffer = _padded_buffer(state)
     N = state.rule.half
+    width = stop - start
     cells = buffer[:, :, start + 1:stop + 1]
-    moved = np.empty(cells.shape)
-    # speed*dt/dx repeated over the edges, so the multiply runs contiguously
-    scale = np.repeat((state.speeds[:, None] * (dt / state.dx[start:stop]))[:, None],
-                      cells.shape[1], axis=1)
-    positive = (cells[N:], buffer[N:, :, start:stop], moved[N:], scale[N:])
-    negative = (cells[:N], buffer[:N, :, start + 2:stop + 2], moved[:N], scale[:N])
+    whole = width == state.dx.size
+    # the scratch and the scale span the padded rows of a whole-edge plan and
+    # the range's cells otherwise; the scale is zero in the ghost lanes
+    lanes = slice(1, width + 1) if whole else slice(0, width)
+    scratch = np.zeros(buffer.shape if whole else cells.shape)
+    scale = np.zeros(scratch.shape)
+    scale[:, :, lanes] = (state.speeds[:, None] * (dt / state.dx[start:stop]))[:, None]
+    moved = scratch[:, :, lanes]
+    if whole:
+        flat, out = buffer.reshape(-1), scratch.reshape(-1)
+        h = flat.size // 2
+        positive = (flat[h + 1:-1], flat[h:-2], out[h + 1:-1])
+        negative = (flat[1:h - 1], flat[2:h], out[1:h - 1])
+        both = (flat[1:-1], out[1:-1], scale.reshape(-1)[1:-1])
+    else:
+        positive = (cells[N:], buffer[N:, :, start:stop], moved[N:])
+        negative = (cells[:N], buffer[:N, :, start + 2:stop + 2], moved[:N])
+        both = (cells, moved, scale)
     plan = cache[key] = _StepPlan(
         f=state.f, cells=cells.transpose(1, 0, 2), moved=moved.transpose(1, 0, 2),
-        positive=positive, negative=negative, relax_t=_relaxation(state, dt),
+        positive=positive, negative=negative, both=both, relax_t=_relaxation(state, dt),
         mirrored=buffer[:N, :, 1][::-1].T, node_ghost=buffer[N:, :, 0].T)
     return plan
 
@@ -376,17 +405,17 @@ def _node_ghost(beta: np.ndarray, plan: _StepPlan) -> np.ndarray:
 def _advance(plan: _StepPlan, ghost_left: np.ndarray | None = None) -> None:
     """Upwind transport over the plan's dt plus the exact implicit relaxation, in
     place, on the plan's cells. Each sign's upwind values are the buffer's
-    neighbouring columns; ghost_left, (N, edges), replaces the positive
+    neighbouring columns; ghost_left, (edges, N), replaces the positive
     velocities' one of the first cell."""
-    # upwind transport into the contiguous scratch: new = old - scale (old - up)
-    old, upwind, new, scale = plan.positive
+    # upwind transport into the scratch: new = old - scale (old - up)
+    old, upwind, new = plan.positive
     np.subtract(old, upwind, out=new)
     if ghost_left is not None:
-        np.subtract(old[:, :, 0], ghost_left, out=new[:, :, 0])
-    np.multiply(new, scale, out=new)
-    np.subtract(old, new, out=new)
-    old, upwind, new, scale = plan.negative
+        N = ghost_left.shape[1]
+        np.subtract(plan.cells[:, N:, 0], ghost_left, out=plan.moved[:, N:, 0])
+    old, upwind, new = plan.negative
     np.subtract(upwind, old, out=new)
+    old, new, scale = plan.both
     np.multiply(new, scale, out=new)
     np.subtract(old, new, out=new)
 
@@ -402,8 +431,7 @@ def _book_outflow(state: NetworkState, dt: float) -> None:
     shows up in :func:`conservation_residual`.
     """
     N = state.rule.half
-    h0 = state.moment_rows[0]
-    outflow = np.sqrt(2.0) * (state.f[:, -1, N:] @ (h0[N:] * state.speeds[N:])
+    outflow = np.sqrt(2.0) * (state.f[:, -1, N:] @ state.outflow_weights
                               + state.outer_ghost_flux)
     state.mass_inflow -= dt * float(outflow.sum())
 
@@ -451,7 +479,7 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
     """
     fine_plan = _step_plan(state, dt, 0, fine)
     coarse_plan = _step_plan(state, k * dt, fine, state.dx.size)
-    last_fine = fine_plan.positive[0][:, :, -1]
+    last_fine = fine_plan.cells[:, state.rule.half:, -1]
     interface = np.zeros(last_fine.shape)
     for _ in range(k):
         interface += last_fine

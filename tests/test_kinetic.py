@@ -358,6 +358,53 @@ class TestStepOracle:
         assert conservation_residual(state) < 1e-14
 
 
+def poison_unread_ghosts(state):
+    """NaN in the two ghost columns no cell reads: column 0 of the negative
+    velocities and the last column of the positive ones."""
+    N = state.rule.half
+    state.buffer[:N, :, 0] = np.nan
+    state.buffer[N:, :, -1] = np.nan
+    return state
+
+
+class TestWholeEdgeKernel:
+    def test_warm_step_allocates_no_iterator_buffers(self):
+        # a whole-edge step runs its transport on 1-d contiguous spans; a
+        # fall back to buffered 2-d iteration takes numpy's iterator scratch
+        # (about 126 kB per step at these settings, `bgknet compare`'s defaults)
+        config = NetworkConfig(n_edges=3, edge_length=0.3, cells=600, N=16, epsilon=5e-4,
+                               cfl=0.9, t_end=0.1)
+        state = initialize(config, InitialData.preset(1, 0.5, 0.35))
+        dt = state.cfl_dt
+        step(state, dt)
+        tracemalloc.start()
+        try:
+            step(state, dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8000
+
+    @pytest.mark.parametrize("config", [
+        small_config(t_end=0.004),
+        small_config(spacing=graded_spacing(2e-4, 1e-3, 1e-3, 0.02), t_end=0.002),
+    ], ids=["uniform", "graded"])
+    def test_unread_ghost_lanes_never_reach_the_cells(self, config, monkeypatch):
+        # the whole-edge spans read the junk lanes between rows, but only into
+        # scratch lanes that the relaxation never reads
+        data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0, 0.9, 1.2])
+        clean = run(config, data)
+        monkeypatch.setattr(kinetic, "initialize",
+                            lambda *args: poison_unread_ghosts(initialize(*args)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            poisoned = run(config, data)
+        assert np.isnan(poisoned.state.buffer[0, 0, 0])
+        np.testing.assert_array_equal(poisoned.state.f, clean.state.f)
+        assert poisoned.state.mass_inflow == clean.state.mass_inflow
+        assert poisoned.mass_residual == clean.mass_residual
+
+
 def criterion_8a_config(eps):
     """Acceptance criterion 8(a)'s graded mesh and run settings at one epsilon."""
     return NetworkConfig(n_edges=3, N=8, epsilon=eps, t_end=0.02,
