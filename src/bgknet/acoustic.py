@@ -23,6 +23,9 @@ __all__ = ["rho_left", "exact_macro", "composite_rho", "viscous_amplitudes"]
 
 def rho_left(data: InitialData, solution: NodeSolution) -> np.ndarray:
     """Per-edge bulk density left of the wave, rho_L = rho_0 + (S_inf - S_0)/3."""
+    if data.n_edges != solution.D.size:
+        raise ValueError(f"data has {data.n_edges} edges, the node solution "
+                         f"{solution.D.size}")
     return data.rho0 + (solution.S_inf - data.S0) / 3.0
 
 

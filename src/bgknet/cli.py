@@ -249,12 +249,12 @@ def cmd_kinetic(args: argparse.Namespace) -> int:
     data, _ = _preset(cfg["case"], cfg["coeff_N"])
     result = _kinetic_profiles(out, config, data)
     # continuous-equivalent node distribution: f_i / (w_i e^{v_i^2} ) * H_0(v_i)
-    h0 = result.state.moment_rows[0]
-    scaled = result.state.rule.scaled_weights
+    state = result.state
+    h0 = state.moment_rows[0]
+    scaled = state.rule.scaled_weights
     for i in range(3):
-        f_cont = h0 * result.f_node[i] / scaled
-        _write_csv(out / f"f_kinetic_{i + 1}.csv", ["v", "f"],
-                   zip(result.velocities, f_cont))
+        f_cont = h0 * state.f[i, 0] / scaled
+        _write_csv(out / f"f_kinetic_{i + 1}.csv", ["v", "f"], zip(state.speeds, f_cont))
     print(f"kinetic case {cfg['case']}: eps={cfg['eps']} t={cfg['t_end']} "
           f"mass residual {result.mass_residual:.3e}")
     print(f"wrote kinetic profiles to {out}")

@@ -81,14 +81,14 @@ class NodeTopology:
         beta = np.asarray(beta, dtype=float)
         n = int(self.n)
         if beta.shape != (n, n):
-            raise ValueError(f"coupling matrix must be {n}x{n}, got {beta.shape}")
+            raise ValueError(f"beta must be {n}x{n}, got {beta.shape}")
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta must be finite")
         if np.any(beta < 0.0):
-            raise ValueError("coupling weights must be nonnegative")
+            raise ValueError("beta must have nonnegative weights")
         colsums = beta.sum(axis=0)
         if np.max(np.abs(colsums - 1.0)) > 1e-10:
-            raise ValueError(f"conservation requires unit column sums, got {colsums}")
+            raise ValueError(f"beta must have unit column sums (conservation), got {colsums}")
         object.__setattr__(self, "beta", beta)
 
     @classmethod

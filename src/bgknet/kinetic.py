@@ -22,7 +22,9 @@ A step over the whole edge takes those views as 1-d slices of the flattened
 buffer, one element apart, which numpy runs without iterator buffers; the
 lanes between rows then hold junk that lands only in the scratch's ghost lanes.
 A step over part of the edge takes them as 2-d (velocity x edge, cell) views.
-``state.f`` is the (edges, cells, 2N) view of the buffer's cells.
+:func:`initialize` makes the buffer and nothing replaces it; ``state.f`` is a
+property that returns the (edges, cells, 2N) view of its cells, and assigning
+to ``state.f`` writes into those cells.
 """
 
 from __future__ import annotations
@@ -119,6 +121,8 @@ class NetworkConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not isinstance(self.n_edges, (int, np.integer)) or self.n_edges < 2:
             raise ValueError(f"n_edges must be an integer >= 2, got {self.n_edges!r}")
+        if self.beta is not None:
+            object.__setattr__(self, "beta", NodeTopology(self.n_edges, self.beta).beta)
 
     def topology(self) -> NodeTopology:
         if self.beta is None:
@@ -197,27 +201,37 @@ class InitialData:
 
 @dataclass
 class NetworkState:
-    """Mutable solver state plus the velocity-space operators :func:`initialize` sets."""
+    """Mutable solver state plus the velocity-space operators :func:`initialize` sets;
+    ``buffer`` is the one home of the distribution and ``f`` a property over its cells."""
 
     config: NetworkConfig
-    data: InitialData
     rule: QuadratureRule
-    f: np.ndarray               # (n_edges, cells, 2N) view of the buffer's cells
     buffer: np.ndarray          # (2N, n_edges, cells + 2) ghost-padded distribution
-    x: np.ndarray               # cell centers
     dx: np.ndarray              # cell widths
     speeds: np.ndarray          # physical velocities sqrt(2) v_i
     moment_rows: np.ndarray     # H_0..H_2 at the nodes: f @ moment_rows.T = (g0, g1, g2)
     maxwell_rows: np.ndarray    # (g0, g1, g2) @ maxwell_rows is the discrete Maxwellian
     beta: np.ndarray            # node coupling matrix
-    outer_ghost: np.ndarray     # initial Maxwellians at x = b, negative velocities
-    outer_ghost_flux: np.ndarray  # outer_ghost @ (H_0 c) over v < 0, per edge
+    outer_ghost_flux: np.ndarray  # outer ghosts @ (H_0 c) over v < 0, per edge
     outflow_weights: np.ndarray   # H_0 c over v > 0: f at x = b @ weights is the outflux
     cfl_dt: float               # cfl * min(dx) / max|speed|: the largest stable step
     time: float = 0.0
     mass_inflow: float = 0.0    # time-integrated net mass flux through the outer ends
     mass_initial: float = 0.0
     step_plans: dict = field(default_factory=dict)  # (dt, start, stop) -> _StepPlan
+
+    @property
+    def f(self) -> np.ndarray:
+        """The (n_edges, cells, 2N) view of the buffer's cells."""
+        return _cells_view(self.buffer)
+
+    @f.setter
+    def f(self, value: np.ndarray) -> None:
+        cells = _cells_view(self.buffer)
+        if np.shape(value) != cells.shape:
+            raise ValueError(f"f must have shape {cells.shape} (edges, cells, 2N), "
+                             f"got {np.shape(value)}")
+        cells[...] = value
 
     def macro_moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-edge, per-cell (rho, q, S) profiles."""
@@ -246,17 +260,6 @@ def _cells_view(buffer: np.ndarray) -> np.ndarray:
     return buffer[:, :, 1:-1].transpose(1, 2, 0)
 
 
-def _padded(f: np.ndarray, outer_ghost: np.ndarray) -> np.ndarray:
-    """A fresh C-contiguous (2N, edges, cells + 2) buffer holding the cells of
-    f, shape (edges, cells, 2N), and the outer ghosts of the negative
-    velocities in its last column."""
-    edges, cells, velocities = f.shape
-    buffer = np.zeros((velocities, edges, cells + 2))
-    buffer[:, :, 1:-1] = f.transpose(2, 0, 1)
-    buffer[:velocities // 2, :, -1] = outer_ghost.T
-    return buffer
-
-
 def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     """Fill every cell with the Maxwellian of its edge's initial moments."""
     if data.n_edges != config.n_edges:
@@ -269,16 +272,15 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     maxw = _edge_maxwellians(data, maxwell_rows)
     speeds = np.sqrt(2.0) * rule.nodes
     outer_ghost = maxw[:, :N]
-    buffer = _padded(np.broadcast_to(maxw[:, None, :], (config.n_edges, config.cells, 2 * N)),
-                     outer_ghost)
+    buffer = np.zeros((2 * N, config.n_edges, config.cells + 2))
+    buffer[:, :, 1:-1] = maxw.T[:, :, None]
+    buffer[:N, :, -1] = outer_ghost.T
     state = NetworkState(
-        config=config, data=data, rule=rule,
-        f=_cells_view(buffer), buffer=buffer, x=config.cell_centres(), dx=dx,
+        config=config, rule=rule, buffer=buffer, dx=dx,
         speeds=speeds,
         moment_rows=moment_rows,
         maxwell_rows=maxwell_rows,
         beta=config.topology().beta_matrix(),
-        outer_ghost=outer_ghost,
         outer_ghost_flux=outer_ghost @ (moment_rows[0, :N] * speeds[:N]),
         outflow_weights=moment_rows[0, N:] * speeds[N:],
         cfl_dt=config.cfl * float(dx.min()) / float(np.abs(speeds).max()),
@@ -318,7 +320,6 @@ class _StepPlan:
     onto the Maxwellian.
     """
 
-    f: np.ndarray               # the state.f the views were taken from
     cells: np.ndarray           # (edges, 2N, stop - start) view of the buffer
     moved: np.ndarray           # the same view of the plan's scratch
     positive: tuple
@@ -327,22 +328,6 @@ class _StepPlan:
     relax_t: np.ndarray
     mirrored: np.ndarray        # f[:, 0, :N][:, ::-1], what the node reflects
     node_ghost: np.ndarray      # (edges, N) view of the buffer's node ghosts
-
-
-def _padded_buffer(state: NetworkState) -> np.ndarray:
-    """The padded buffer whose cells ``state.f`` views. A rebound ``state.f``
-    is first copied into a fresh buffer, and ``state.f`` is rebound to its view."""
-    view = _cells_view(state.buffer)
-    if (isinstance(state.f, np.ndarray)
-            and state.f.__array_interface__ == view.__array_interface__):
-        return state.buffer
-    if np.shape(state.f) != view.shape:
-        raise ValueError(f"f must have shape {view.shape} (edges, cells, 2N), "
-                         f"got {np.shape(state.f)}")
-    state.buffer = _padded(np.asarray(state.f), state.outer_ghost)
-    state.f = _cells_view(state.buffer)
-    state.step_plans.clear()
-    return state.buffer
 
 
 def _relaxation(state: NetworkState, dt: float) -> np.ndarray:
@@ -362,11 +347,11 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
     cache = state.step_plans
     key = (dt, start, stop)
     plan = cache.get(key)
-    if plan is not None and plan.f is state.f:
+    if plan is not None:
         return plan
     if len(cache) > 1:
         cache.clear()
-    buffer = _padded_buffer(state)
+    buffer = state.buffer
     N = state.rule.half
     width = stop - start
     cells = buffer[:, :, start + 1:stop + 1]
@@ -389,7 +374,7 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
         negative = (cells[:N], buffer[:N, :, start + 2:stop + 2], moved[:N])
         both = (cells, moved, scale)
     plan = cache[key] = _StepPlan(
-        f=state.f, cells=cells.transpose(1, 0, 2), moved=moved.transpose(1, 0, 2),
+        cells=cells.transpose(1, 0, 2), moved=moved.transpose(1, 0, 2),
         positive=positive, negative=negative, both=both, relax_t=_relaxation(state, dt),
         mirrored=buffer[:N, :, 1][::-1].T, node_ghost=buffer[N:, :, 0].T)
     return plan
@@ -431,8 +416,8 @@ def _book_outflow(state: NetworkState, dt: float) -> None:
     shows up in :func:`conservation_residual`.
     """
     N = state.rule.half
-    outflow = np.sqrt(2.0) * (state.f[:, -1, N:] @ state.outflow_weights
-                              + state.outer_ghost_flux)
+    last_cell = state.buffer[N:, :, -2].T   # state.f[:, -1, N:], no full view per step
+    outflow = np.sqrt(2.0) * (last_cell @ state.outflow_weights + state.outer_ghost_flux)
     state.mass_inflow -= dt * float(outflow.sum())
 
 
@@ -506,15 +491,13 @@ def conservation_residual(state: NetworkState) -> float:
 
 @dataclass
 class KineticResult:
-    """Recorded profiles at the requested output times plus node distributions."""
+    """Recorded profiles at the requested output times and the final state."""
 
-    x: np.ndarray
+    x: np.ndarray               # cell centres
     times: np.ndarray
     rho: np.ndarray             # (n_times, n_edges, cells)
     q: np.ndarray
     S: np.ndarray
-    f_node: np.ndarray          # (n_edges, 2N) first-cell distributions at t_end
-    velocities: np.ndarray      # physical velocities sqrt(2) v_i
     mass_residual: float
     state: NetworkState
 
@@ -564,13 +547,11 @@ def run(config: NetworkConfig, data: InitialData,
             snaps["S"].append(S)
             next_target += 1
     return KineticResult(
-        x=state.x,
+        x=config.cell_centres(),
         times=np.asarray(snaps["t"]),
         rho=np.asarray(snaps["rho"]),
         q=np.asarray(snaps["q"]),
         S=np.asarray(snaps["S"]),
-        f_node=state.f[:, 0, :].copy(),
-        velocities=state.speeds.copy(),
         mass_residual=conservation_residual(state),
         state=state,
     )

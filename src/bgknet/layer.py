@@ -103,6 +103,9 @@ def stable_manifold(matrix: LayerMatrix) -> LayerSpectrum:
 def build_lift(r2: np.ndarray) -> np.ndarray:
     """The read-only 2N x (N+1) lift from (D, C, B, gamma) to (g_0, ..., g_{2N-1}) at x = 0,
     from the 2(N-2) x (N-2) stable-manifold basis ``LayerSpectrum.R2plus``."""
+    r2 = np.asarray(r2)
+    if r2.ndim != 2 or r2.shape[1] < 1 or r2.shape[0] != 2 * r2.shape[1]:
+        raise ValueError(f"r2 must be a 2-d (2m, m) array with m >= 1, got shape {r2.shape}")
     N = r2.shape[1] + 2
     e1r = r2[0, :]
     T = np.zeros((2 * N, N + 1))

@@ -78,6 +78,18 @@ class TestExactMacro:
         np.testing.assert_allclose(rho_left(data, sol),
                                    data.rho0 + (sol.S_inf - data.S0) / 3, atol=1e-14)
 
+    @pytest.mark.parametrize("evaluate", [
+        rho_left, viscous_amplitudes,
+        lambda data, sol: exact_macro(data, sol, np.array([0.05]), 0.1),
+        lambda data, sol: composite_rho(data, sol, 5e-4, np.array([0.05]), 0.1),
+    ], ids=["rho_left", "viscous_amplitudes", "exact_macro", "composite_rho"])
+    def test_edge_count_mismatch_names_data(self, evaluate, ops_factory, coeff_factory):
+        # a one-edge state against a three-edge solution would broadcast silently
+        _, sol = solved_case(1, 30, ops_factory, coeff_factory)
+        data = InitialData(rho0=[1.0], q0=[0.0], S0=[1.0])
+        with pytest.raises(ValueError, match="^data has 1 edges"):
+            evaluate(data, sol)
+
     def test_rejects_nonpositive_time(self, ops_factory, coeff_factory):
         data, sol = solved_case(1, 30, ops_factory, coeff_factory)
         for t in (0.0, np.nan):

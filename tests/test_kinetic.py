@@ -112,6 +112,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^spacing must"):
             small_config(spacing=spacing)
 
+    @pytest.mark.parametrize("beta", [
+        np.eye(2),
+        np.array([[-0.5, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.0, 0.0]]),
+        np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.4, 0.0]]),
+        np.array([[0.0, 0.5, 0.5], [0.5, np.nan, 0.5], [0.5, 0.5, 0.0]]),
+        np.array([[0.0, 0.5, 0.5], [0.5, 0.3j, 0.5], [0.5, 0.5, 0.0]]),
+    ], ids=["shape", "negative", "column-sum", "nan", "complex"])
+    def test_bad_beta_rejected_when_built(self, beta):
+        with pytest.raises(ValueError, match="^beta"):
+            small_config(beta=beta)
+
+    def test_beta_stored_as_checked_floats(self):
+        beta = [[0, 1, 0], [1, 0, 1], [0, 0, 0]]
+        config = small_config(beta=beta)
+        assert isinstance(config.beta, np.ndarray) and config.beta.dtype == float
+        np.testing.assert_array_equal(config.beta, beta)
+
     def test_spacing_overrides(self):
         sp = graded_spacing(1e-4, 1e-3, 5e-4, 0.05)
         cfg = small_config(spacing=sp)
@@ -208,11 +225,12 @@ class TestGhostValues:
         data = InitialData.preset(2, c.delta1, c.delta2)
         state = initialize(small_config(), data)
         N = state.rule.half
-        np.testing.assert_allclose(state.outer_ghost, state.f[:, -1, :N], atol=1e-15)
+        outer_ghost = state.buffer[:N, :, -1].T
+        np.testing.assert_allclose(outer_ghost, state.f[:, -1, :N], atol=1e-15)
         # the ghost stays the initial Maxwellian while the cells evolve
-        before = state.outer_ghost.copy()
+        before = outer_ghost.copy()
         step(state, state.cfl_dt)
-        np.testing.assert_array_equal(state.outer_ghost, before)
+        np.testing.assert_array_equal(outer_ghost, before)
 
 
 class TestStep:
@@ -233,35 +251,40 @@ class TestStep:
         np.testing.assert_array_equal(state.f, before)
         assert state.time == 0.0 and state.mass_inflow == 0.0
 
-    def test_rebound_distribution_gets_a_new_plan(self, coeff_factory):
+    def test_assigned_distribution_is_written_into_the_buffer(self, coeff_factory):
         c = coeff_factory(30, 3)
         data = InitialData.preset(3, c.delta1, c.delta2)
-        kept, rebound = (initialize(small_config(), data) for _ in range(2))
+        kept, assigned = (initialize(small_config(), data) for _ in range(2))
         dt = kept.cfl_dt
-        for state in (kept, rebound):
+        for state in (kept, assigned):
             step(state, dt)
-        rebound.f = rebound.f.copy()
-        for state in (kept, rebound):
+        buffer, plans = assigned.buffer, dict(assigned.step_plans)
+        assigned.f = assigned.f.copy()
+        assert assigned.buffer is buffer
+        assert assigned.step_plans.keys() == plans.keys()
+        assert all(assigned.step_plans[key] is plan for key, plan in plans.items())
+        for state in (kept, assigned):
             step(state, dt)
-        np.testing.assert_allclose(rebound.f, kept.f, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(assigned.buffer, kept.buffer)
+        assert all(assigned.step_plans[key] is plan for key, plan in plans.items())
 
-    def test_rebound_distribution_is_copied_into_a_fresh_buffer(self):
+    def test_misshaped_assignment_is_named_and_writes_nothing(self):
         data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0] * 3)
-        state = initialize(small_config(), data)
-        rebound = state.f.copy()
-        state.f = rebound
-        step(state, state.cfl_dt)
-        assert state.f is not rebound
-        assert np.shares_memory(state.f, state.buffer)
-        np.testing.assert_array_equal(state.buffer[:state.rule.half, :, -1],
-                                      state.outer_ghost.T)
-
-    def test_misshaped_rebound_distribution_is_named(self):
-        data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.0] * 3)
         state = initialize(small_config(cells=20), data)
-        state.f = np.zeros((3, 19, 16))
+        before = state.buffer.copy()
         with pytest.raises(ValueError, match=r"^f must have shape \(3, 20, 16\)"):
-            step(state, state.cfl_dt)
+            state.f = np.zeros((3, 19, 16))
+        np.testing.assert_array_equal(state.buffer, before)
+
+    def test_in_place_add_updates_the_cells(self):
+        data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0] * 3)
+        state = initialize(small_config(cells=20), data)
+        before = state.f.copy()
+        bump = np.random.default_rng(3).normal(size=before.shape)
+        state.f += bump
+        np.testing.assert_array_equal(state.f, before + bump)
+        np.testing.assert_array_equal(state.buffer[:, :, 1:-1],
+                                      (before + bump).transpose(2, 0, 1))
 
     def test_cfl_violation_rejected(self):
         data = InitialData(rho0=[1.0] * 3, q0=[0.0] * 3, S0=[1.0] * 3)
@@ -302,7 +325,7 @@ class TestStep:
         dt = state.cfl_dt
         mass_before = total_mass(state)
         beta = state.beta
-        ghost_outer = state.outer_ghost
+        ghost_outer = state.buffer[:N, :, -1].T
         h0 = state.moment_rows[0]
         c_vec = state.speeds
         flux_in = 0.0
@@ -802,6 +825,6 @@ class TestConvergence:
         f_spectral = ops.transform.solve(sol.g_at_0.T).T
         keep = np.abs(ops.rule.nodes) > np.sort(np.abs(ops.rule.nodes))[1]
         for i in range(3):
-            diff = result.f_node[i, keep] - f_spectral[i, keep]
+            diff = result.state.f[i, 0, keep] - f_spectral[i, keep]
             rel = np.linalg.norm(diff) / np.linalg.norm(f_spectral[i, keep])
             assert rel < 0.05

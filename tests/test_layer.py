@@ -161,6 +161,11 @@ class TestLift:
         assert sv.size == N + 1
         assert sv[-1] > 1e-10 * sv[0]
 
+    @pytest.mark.parametrize("shape", [(6,), (6, 2), (0, 0), (2, 3, 6)])
+    def test_misshaped_basis_is_named(self, shape):
+        with pytest.raises(ValueError, match="^r2 must be a 2-d"):
+            build_lift(np.zeros(shape))
+
 
 class TestLayerProfile:
     def test_zero_amplitudes(self):
