@@ -7,7 +7,6 @@ separated, one header row, no timestamps) so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 from pathlib import Path
 
@@ -111,6 +110,8 @@ def _settings(command: str, args: argparse.Namespace) -> dict:
     table = _PARAMETERS[command]
     text = {key: default for key, (default, _, _) in table.items()}
     if args.config is not None:
+        import configparser  # only a --config run reads INI files
+
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case-sensitive ("N" vs "n")
         if not parser.read(args.config):

@@ -588,7 +588,10 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
 def node_distribution(solution: NodeSolution, v_samples: np.ndarray) -> np.ndarray:
     """Distribution of every edge at the node, f(v) = H_0(v/sqrt2) sum_k g_k H_k(v/sqrt2),
     as an (n_edges, len(v_samples)) array; the Hermite table is evaluated once."""
-    u = np.asarray(v_samples, dtype=float) / np.sqrt(2.0)
+    v = np.asarray(v_samples, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v_samples must be finite")
+    u = v / np.sqrt(2.0)
     h = hermite_functions(u, solution.g_at_0.shape[1])
     return np.array([h[0] * (g @ h) for g in solution.g_at_0])
 

@@ -22,9 +22,9 @@ A step over the whole edge takes those views as 1-d slices of the flattened
 buffer, one element apart, which numpy runs without iterator buffers; the
 lanes between rows then hold junk that lands only in the scratch's ghost lanes.
 A step over part of the edge takes them as 2-d (velocity x edge, cell) views.
-:func:`initialize` makes the buffer and nothing replaces it; ``state.f`` is a
-property that returns the (edges, cells, 2N) view of its cells, and assigning
-to ``state.f`` writes into those cells.
+:func:`initialize` makes the buffer and ``state.buffer`` is read-only, so nothing
+replaces it; ``state.f`` is a property that returns the (edges, cells, 2N) view
+of its cells, and assigning to ``state.f`` writes into those cells.
 """
 
 from __future__ import annotations
@@ -202,11 +202,12 @@ class InitialData:
 @dataclass
 class NetworkState:
     """Mutable solver state plus the velocity-space operators :func:`initialize` sets;
-    ``buffer`` is the one home of the distribution and ``f`` a property over its cells."""
+    ``buffer`` is the one home of the distribution, read-only because the cached step
+    plans hold views of it, and ``f`` a property over its cells."""
 
     config: NetworkConfig
     rule: QuadratureRule
-    buffer: np.ndarray          # (2N, n_edges, cells + 2) ghost-padded distribution
+    _buffer: np.ndarray         # (2N, n_edges, cells + 2) ghost-padded distribution
     dx: np.ndarray              # cell widths
     speeds: np.ndarray          # physical velocities sqrt(2) v_i
     moment_rows: np.ndarray     # H_0..H_2 at the nodes: f @ moment_rows.T = (g0, g1, g2)
@@ -219,6 +220,11 @@ class NetworkState:
     mass_inflow: float = 0.0    # time-integrated net mass flux through the outer ends
     mass_initial: float = 0.0
     step_plans: dict = field(default_factory=dict)  # (dt, start, stop) -> _StepPlan
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The (2N, n_edges, cells + 2) ghost-padded distribution."""
+        return self._buffer
 
     @property
     def f(self) -> np.ndarray:
@@ -276,7 +282,7 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     buffer[:, :, 1:-1] = maxw.T[:, :, None]
     buffer[:N, :, -1] = outer_ghost.T
     state = NetworkState(
-        config=config, rule=rule, buffer=buffer, dx=dx,
+        config=config, rule=rule, _buffer=buffer, dx=dx,
         speeds=speeds,
         moment_rows=moment_rows,
         maxwell_rows=maxwell_rows,

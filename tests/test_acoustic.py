@@ -5,6 +5,7 @@ from scipy.special import erfc
 from bgknet import (
     ACOUSTIC_SPEED,
     InitialData,
+    NetworkConfig,
     NodeProblem,
     NodeTopology,
     composite_rho,
@@ -14,6 +15,7 @@ from bgknet import (
     solve_node_general,
     viscous_amplitudes,
 )
+from bgknet.acoustic import _erfc
 
 A = ACOUSTIC_SPEED
 
@@ -96,6 +98,13 @@ class TestExactMacro:
             with pytest.raises(ValueError, match="^time must"):
                 exact_macro(data, sol, np.array([0.1]), t)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_positions(self, bad, ops_factory, coeff_factory):
+        # a NaN position would fall "ahead of the wave" and return the initial state
+        data, sol = solved_case(1, 30, ops_factory, coeff_factory)
+        with pytest.raises(ValueError, match="^x must be finite"):
+            exact_macro(data, sol, np.array([0.0, bad]), 0.1)
+
 
 class TestCompositeRho:
     def test_value_at_node(self, ops_factory, coeff_factory):
@@ -155,6 +164,63 @@ class TestCompositeRho:
             composite_rho(data, sol, np.nan, np.array([0.1]), 0.1)
         with pytest.raises(ValueError, match="^time must"):
             composite_rho(data, sol, 5e-4, np.array([0.1]), np.nan)
+        for bad in (np.nan, np.inf):  # a NaN position gave a NaN density
+            with pytest.raises(ValueError, match="^x must be finite"):
+                composite_rho(data, sol, 5e-4, np.array([0.0, bad]), 0.1)
+
+
+def cli_default_case(case, ops_factory, coeff_factory):
+    """Data, node solution and cell centres of `compare --case <case>` at its defaults."""
+    coeff = coeff_factory(100, 3)
+    data = InitialData.preset(case, coeff.delta1, coeff.delta2)
+    problem = NodeProblem.from_macro_data(NodeTopology.symmetric(3), None,
+                                          data.rho0, data.q0, data.S0)
+    config = NetworkConfig(n_edges=3, edge_length=0.3, cells=600, N=16,
+                           epsilon=5e-4, t_end=0.1)
+    return data, solve_node(problem, ops_factory(16)), config.cell_centres()
+
+
+def composite_reference(data, sol, epsilon, x, t, erfc_profile):
+    """composite_rho's formula, term for term, with a given erfc."""
+    left = rho_left(data, sol)
+    bulk = np.where((x < A * t)[None, :], left[:, None], data.rho0[:, None])
+    viscous = (sol.rho_inf - left)[:, None] * erfc_profile(x / (2.0 * np.sqrt(epsilon * t)))
+    decay = np.sqrt(2.0) * sol.layer_eigenvalues * epsilon
+    with np.errstate(under="ignore"):
+        kinetic = sol.rho_layer_amplitudes @ np.exp(-x[None, :] / decay[:, None])
+    return bulk, viscous, kinetic
+
+
+class TestViscousErfc:
+    # the package evaluates erfc with the standard library's math.erfc;
+    # scipy.special.erfc is the reference
+    eps, t = 5e-4, 0.1
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_matches_scipy_erfc_at_cli_defaults(self, case, ops_factory, coeff_factory):
+        data, sol, x = cli_default_case(case, ops_factory, coeff_factory)
+        rho = composite_rho(data, sol, self.eps, x, self.t)
+        bulk, viscous, kinetic = composite_reference(data, sol, self.eps, x, self.t, erfc)
+        reference = bulk + viscous + kinetic
+        live = np.abs(viscous) > 1e-300
+        assert live.sum() > 0
+        ulps = np.abs(rho - reference)[live] / (np.finfo(float).eps * np.abs(reference)[live])
+        assert ulps.max() <= 4.0
+
+    def test_profile_keeps_its_tail(self):
+        # beside the O(1) bulk the composite hides the profile's tail; an erfc formed
+        # as 1 - erf would lose every digit there, so the profile is checked alone
+        z = np.linspace(0.0, 15.0, 3001)   # erfc(15) = 7e-100
+        np.testing.assert_allclose(_erfc(z), erfc(z), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_profile_is_exactly_one_at_the_node(self, case, ops_factory, coeff_factory):
+        data, sol, _ = cli_default_case(case, ops_factory, coeff_factory)
+        x = np.array([0.0])
+        bulk, viscous, kinetic = composite_reference(data, sol, self.eps, x, self.t,
+                                                     np.ones_like)
+        np.testing.assert_array_equal(composite_rho(data, sol, self.eps, x, self.t),
+                                      bulk + viscous + kinetic)
 
 
 class TestViscousLayer:

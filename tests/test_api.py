@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,15 @@ def test_readme_matches_the_package(capsys):
     assert called, "README calls no function in backticks"
     missing = sorted(name for name in called if not hasattr(bgknet, name))
     assert not missing, f"README calls {missing}, which bgknet does not have"
+
+
+def test_cli_import_is_lean():
+    # process start: neither scipy.special (about 60 ms, 3.7 MB) nor configparser
+    # is loaded by importing the CLI; each is paid only where it is used
+    lazy = ["scipy.special", "configparser"]
+    code = ("import bgknet.cli, sys; "
+            f"print(','.join(m for m in {lazy!r} if m in sys.modules))")
+    package_root = str(Path(bgknet.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=package_root)
+    assert out.stdout.strip() == "", f"importing bgknet.cli loads {out.stdout.strip()}"

@@ -816,6 +816,14 @@ class TestNodeDistribution:
         assert f[1] - f[0] > 0.1            # jump across v = 0
         assert abs(f[3] - f[2]) < 0.02      # smooth away from it
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_samples(self, bad, ops_factory, coeff_factory):
+        # NaN gave NaN rows and +-inf a RuntimeWarning inside hermite_functions
+        data, topo, coeff, problem = preset_problem(1, 30, ops_factory, coeff_factory)
+        sol = solve_node(problem, ops_factory(30))
+        with pytest.raises(ValueError, match="^v_samples must be finite"):
+            node_distribution(sol, np.array([0.0, bad, 1.0]))
+
 
 class TestImmutability:
     def test_constructed_arrays_are_readonly(self, ops_factory):

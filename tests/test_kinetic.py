@@ -268,6 +268,21 @@ class TestStep:
         np.testing.assert_array_equal(assigned.buffer, kept.buffer)
         assert all(assigned.step_plans[key] is plan for key, plan in plans.items())
 
+    def test_buffer_cannot_be_replaced(self):
+        # the cached plans hold views of the buffer: a replaced buffer would leave
+        # later steps writing the old one while time and mass_inflow advance
+        data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0] * 3)
+        state = initialize(small_config(), data)
+        step(state, state.cfl_dt)
+        buffer, plans = state.buffer, dict(state.step_plans)
+        with pytest.raises(AttributeError, match="buffer"):
+            state.buffer = buffer.copy()
+        assert state.buffer is buffer
+        before = state.f.copy()
+        step(state, state.cfl_dt)
+        assert all(state.step_plans[key] is plan for key, plan in plans.items())
+        assert np.max(np.abs(state.f - before)) > 0.0
+
     def test_misshaped_assignment_is_named_and_writes_nothing(self):
         data = InitialData(rho0=[1.0, 0.8, 1.1], q0=[0.0, 0.2, -0.2], S0=[1.0] * 3)
         state = initialize(small_config(cells=20), data)
