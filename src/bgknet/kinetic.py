@@ -18,10 +18,12 @@ The distribution is stored velocity-outer in one C-contiguous, ghost-padded
 (2N, edges, cells + 2) buffer. Column 0 of the positive-velocity rows holds the
 node ghosts and column cells + 1 of the negative-velocity rows the outer ghosts,
 so each velocity sign's upwind difference is one subtract of two shifted views.
-A step over the whole edge takes those views as 1-d slices of the flattened
-buffer, one element apart, which numpy runs without iterator buffers; the
-lanes between rows then hold junk that lands only in the scratch's ghost lanes.
-A step over part of the edge takes them as 2-d (velocity x edge, cell) views.
+Every step takes those views as 1-d slices of a flattened padded buffer, one
+element apart, which numpy runs without iterator buffers: the whole rows are
+stepped with the upwind scale zero outside the step's cells, and what the
+spans compute there and in the lanes between rows is never written back. The
+coarse level steps the buffer itself; the fine level steps a compact copy of
+its cells and their ghosts, filled and emptied once per coarse step.
 :func:`initialize` makes the buffer and ``state.buffer`` is read-only, so nothing
 replaces it; ``state.f`` is a property that returns the (edges, cells, 2N) view
 of its cells, and assigning to ``state.f`` writes into those cells.
@@ -300,21 +302,26 @@ class _StepPlan:
     """Everything one kernel call with step dt on cells start:stop reads and
     writes, built once per time level.
 
-    ``positive`` and ``negative`` hold, for each velocity sign, the views
-    (old, upwind, new): the sign's cells of the padded buffer, the same cells
-    shifted one column upwind and the plan's scratch of that sign. ``both``
-    holds (old, new, scale) over both signs, with the upwind scale
-    speed*dt/dx. The positive velocities' upwind column of the first cell is
-    the node ghost; the negative velocities' one of the last cell is the outer
-    ghost, or the first coarse cell, which the fine substeps do not change.
+    ``buffer`` is the padded buffer the plan steps: ``state.buffer`` for a
+    range that ends at the outer end (a whole edge or the coarse level), and
+    for the fine level, which ends short of it, a compact (2N, edges,
+    stop + 2) buffer that :func:`_two_level_step` fills from the first stop + 2
+    columns of ``state.buffer`` and copies back once per coarse step.
 
-    A plan over the whole edge takes every view as a 1-d slice of the
-    flattened buffer and of a scratch and a scale of the buffer's padded
-    shape: each sign's upwind neighbour is the next element in memory, so the
-    ghost lanes between rows are read too, and their results land only in the
-    scratch's ghost lanes, where the scale is zero and ``moved`` never looks.
-    A plan over part of the edge takes 2-d views of its cell range and a
-    contiguous scratch and scale of the range's shape.
+    ``positive`` and ``negative`` hold, for each velocity sign, the views
+    (old, upwind, new): the sign's whole rows of the flattened buffer, the
+    same rows shifted one element upwind and the plan's scratch of that sign.
+    ``both`` holds (old, new, scale) over both signs, with the upwind scale
+    speed*dt/dx on the plan's cells and zero elsewhere. The positive
+    velocities' upwind column of the first cell is the node ghost; the
+    negative velocities' one of the last cell is the outer ghost, or for the
+    fine level the first coarse cell, copied with the fine cells.
+
+    Every view is a 1-d slice of the flattened buffer and of a scratch and a
+    scale of its padded shape, which numpy runs without iterator buffers. The
+    spans also read the ghost lanes between rows and the cells outside the
+    plan's range; those results land only in scratch lanes that ``moved``
+    never reads, so only the plan's cells are written back.
 
     ``relax_t`` is the transposed relaxation operator
     K = (I + r relax) / (1 + r) with r = dt/epsilon and
@@ -326,7 +333,8 @@ class _StepPlan:
     onto the Maxwellian.
     """
 
-    cells: np.ndarray           # (edges, 2N, stop - start) view of the buffer
+    buffer: np.ndarray          # the padded buffer the plan steps
+    cells: np.ndarray           # (edges, 2N, stop - start) view of its cells
     moved: np.ndarray           # the same view of the plan's scratch
     positive: tuple
     negative: tuple
@@ -357,31 +365,24 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
         return plan
     if len(cache) > 1:
         cache.clear()
-    buffer = state.buffer
     N = state.rule.half
-    width = stop - start
-    cells = buffer[:, :, start + 1:stop + 1]
-    whole = width == state.dx.size
-    # the scratch and the scale span the padded rows of a whole-edge plan and
-    # the range's cells otherwise; the scale is zero in the ghost lanes
-    lanes = slice(1, width + 1) if whole else slice(0, width)
-    scratch = np.zeros(buffer.shape if whole else cells.shape)
-    scale = np.zeros(scratch.shape)
+    buffer = state.buffer
+    if stop < state.dx.size:
+        # the fine level steps a compact copy of the first stop + 2 columns
+        buffer = np.zeros(buffer.shape[:2] + (stop + 2,))
+    lanes = slice(start + 1, stop + 1)
+    scratch = np.zeros(buffer.shape)
+    scale = np.zeros(buffer.shape)
     scale[:, :, lanes] = (state.speeds[:, None] * (dt / state.dx[start:stop]))[:, None]
-    moved = scratch[:, :, lanes]
-    if whole:
-        flat, out = buffer.reshape(-1), scratch.reshape(-1)
-        h = flat.size // 2
-        positive = (flat[h + 1:-1], flat[h:-2], out[h + 1:-1])
-        negative = (flat[1:h - 1], flat[2:h], out[1:h - 1])
-        both = (flat[1:-1], out[1:-1], scale.reshape(-1)[1:-1])
-    else:
-        positive = (cells[N:], buffer[N:, :, start:stop], moved[N:])
-        negative = (cells[:N], buffer[:N, :, start + 2:stop + 2], moved[:N])
-        both = (cells, moved, scale)
+    flat, out = buffer.reshape(-1), scratch.reshape(-1)
+    h = flat.size // 2
     plan = cache[key] = _StepPlan(
-        cells=cells.transpose(1, 0, 2), moved=moved.transpose(1, 0, 2),
-        positive=positive, negative=negative, both=both, relax_t=_relaxation(state, dt),
+        buffer=buffer, cells=buffer[:, :, lanes].transpose(1, 0, 2),
+        moved=scratch[:, :, lanes].transpose(1, 0, 2),
+        positive=(flat[h + 1:-1], flat[h:-2], out[h + 1:-1]),
+        negative=(flat[1:h - 1], flat[2:h], out[1:h - 1]),
+        both=(flat[1:-1], out[1:-1], scale.reshape(-1)[1:-1]),
+        relax_t=_relaxation(state, dt),
         mirrored=buffer[:N, :, 1][::-1].T, node_ghost=buffer[N:, :, 0].T)
     return plan
 
@@ -467,9 +468,16 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
     last fine cell's positive velocities over the k substeps. Both sides of the
     interface therefore move the same mass across it, and only the outer flux
     is booked.
+
+    The substeps run on the fine plan's compact buffer, filled from the first
+    fine + 2 columns of ``state.buffer``: the node ghosts, the fine cells and
+    the first coarse cell. Its node ghosts and fine cells are copied back
+    before the coarse step.
     """
     fine_plan = _step_plan(state, dt, 0, fine)
     coarse_plan = _step_plan(state, k * dt, fine, state.dx.size)
+    compact = fine_plan.buffer
+    compact[...] = state.buffer[:, :, :fine + 2]
     last_fine = fine_plan.cells[:, state.rule.half:, -1]
     interface = np.zeros(last_fine.shape)
     for _ in range(k):
@@ -477,6 +485,7 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
         _node_ghost(state.beta, fine_plan)
         _advance(fine_plan)
     interface /= k
+    state.buffer[:, :, :fine + 1] = compact[:, :, :fine + 1]
     _book_outflow(state, k * dt)
     _advance(coarse_plan, interface)
     state.time += k * dt
