@@ -55,6 +55,7 @@ from .layer import (
     build_layer_matrix,
     build_lift,
     stable_manifold,
+    stable_modes,
 )
 
 __version__ = "0.1.0"

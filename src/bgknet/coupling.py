@@ -22,7 +22,7 @@ from scipy.linalg import get_lapack_funcs, rsf2csf, schur, solve_triangular
 from .errors import DegeneracyError, NumericalError, SingularSystemError
 from .hermite import (MomentTransform, QuadratureRule, build_rule, check_half_order,
                       hermite_functions, readonly)
-from .layer import build_layer_matrix, build_lift, stable_manifold
+from .layer import build_layer_matrix, build_lift, stable_modes
 
 __all__ = [
     "ACOUSTIC_SPEED",
@@ -119,7 +119,8 @@ class NodeOperators:
     f(-v) = E - O. The lift puts C only in g_1 and D and B only in g_0 and
     g_2, so E's C column and O's D and B columns are exactly zero. Row 4 of
     the lift, from column 3 on, is e_1^T r_j of the layer eigenvectors; the
-    rest of the layer spectrum is dropped once the lift is built.
+    stable-manifold basis is dropped once the lift is built, and the negative
+    half of the layer spectrum is never formed.
     """
 
     rule: QuadratureRule
@@ -132,19 +133,18 @@ class NodeOperators:
     @classmethod
     def build(cls, N: int) -> "NodeOperators":
         check_half_order(N)
-        # the layer eigenvectors go before the Hermite table is made, so the
-        # two largest arrays of the build are never alive together
-        spectrum = stable_manifold(build_layer_matrix(N))
-        lift = build_lift(spectrum.R2plus)
-        eigenvalues = spectrum.positive_eigenvalues
-        del spectrum
+        # the layer modes go before the Hermite table is made, so the two
+        # largest stages of the build are never alive together
+        eigenvalues, r2plus = stable_modes(build_layer_matrix(N))
+        lift = build_lift(r2plus)
+        del r2plus
         rule = build_rule(N)
         positive, weights = rule.basis[:, N:], rule.scaled_weights[N:, None]
         even = positive[0::2].T @ lift[0::2]
         odd = positive[1::2].T @ lift[1::2]
         even *= weights
         odd *= weights
-        readonly(eigenvalues, even, odd)
+        readonly(even, odd)
         transform = MomentTransform(rule.basis, rule.scaled_weights)
         return cls(rule, transform, eigenvalues, lift, even, odd)
 
@@ -589,6 +589,8 @@ def node_distribution(solution: NodeSolution, v_samples: np.ndarray) -> np.ndarr
     """Distribution of every edge at the node, f(v) = H_0(v/sqrt2) sum_k g_k H_k(v/sqrt2),
     as an (n_edges, len(v_samples)) array; the Hermite table is evaluated once."""
     v = np.asarray(v_samples, dtype=float)
+    if v.ndim > 1:
+        raise ValueError(f"v_samples must be a scalar or a 1-d array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("v_samples must be finite")
     u = v / np.sqrt(2.0)

@@ -51,6 +51,8 @@ def hermite_functions(points, count: int) -> np.ndarray:
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     x = np.atleast_1d(np.asarray(points, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"points must be a scalar or a 1-d array, got shape {x.shape}")
     out = np.empty((count, x.size))
     log_scale = -0.5 * x * x - 0.25 * np.log(np.pi)
     u_prev = np.zeros_like(x)

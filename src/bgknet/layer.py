@@ -6,14 +6,24 @@ coefficients alpha_5..alpha_{2N-1} and zero diagonal. Bounded solutions on
 [0, inf) live on the span of the eigenvectors with positive eigenvalue; the
 lift matrix maps the reduced unknowns (D, C, B, gamma) of a layer solution to
 the full moment vector at x = 0.
+
+The zero diagonal makes A the Golub-Kahan form of a bidiagonal matrix: the
+even rows and odd columns of A are the lower-bidiagonal B of order m = N - 2,
+with diagonal alpha_5, alpha_7, ... and subdiagonal alpha_6, alpha_8, ....
+From B = U diag(sigma) V^T, A has the eigenvalues +-sigma_j, and the
+eigenvector of +-sigma_j interleaves u_j (even entries) and +-v_j (odd
+entries), divided by sqrt(2). One SVD of B by LAPACK's dbdsdc, which gets
+every sigma to high relative accuracy, gives the whole spectrum; the stable
+manifold needs only the m positive modes.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .errors import NumericalError
 from .hermite import readonly, recursion_coefficients
@@ -22,9 +32,58 @@ __all__ = [
     "LayerMatrix",
     "LayerSpectrum",
     "build_layer_matrix",
+    "stable_modes",
     "stable_manifold",
     "build_lift",
 ]
+
+
+def _lapack_routine(name: str, *argtypes):
+    """LAPACK routine ``name`` as a ctypes function, from the function-pointer
+    capsule scipy's Cython LAPACK table holds for it."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, capsule_name(capsule)))
+
+
+_INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+# dbdsdc(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
+_dbdsdc = _lapack_routine("dbdsdc", ctypes.c_char_p, ctypes.c_char_p, _INT, _ARRAY, _ARRAY,
+                          _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT)
+
+
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SVD B = U diag(sigma) V^T of the lower-bidiagonal B with diagonal ``d``
+    and subdiagonal ``e``, by LAPACK dbdsdc (divide and conquer).
+
+    Works in place: ``d`` comes back holding sigma, descending, and ``e`` is
+    overwritten. Returns the Fortran-ordered (U, V^T). LAPACK reads and writes
+    the raw buffers, so both arguments are checked before the call.
+    """
+    for name, array in (("d", d), ("e", e)):
+        if not isinstance(array, np.ndarray) or array.dtype != np.float64 or array.ndim != 1:
+            raise ValueError(f"{name} must be a 1-d float64 array")
+        if not (array.flags.c_contiguous and array.flags.writeable):
+            raise ValueError(f"{name} must be contiguous and writeable")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} must be finite")
+    m = d.size
+    if m < 1:
+        raise ValueError("d must hold at least one entry")
+    if e.size != m - 1:
+        raise ValueError(f"e must hold len(d) - 1 = {m - 1} entries, got {e.size}")
+    u, vt = np.empty((m, m), order="F"), np.empty((m, m), order="F")
+    work, iwork = np.empty(3 * m * m + 4 * m), np.empty(8 * m, dtype=np.intc)
+    n, info = ctypes.byref(ctypes.c_int(m)), ctypes.c_int(0)
+    # q and iq are not referenced for compq = "I"
+    _dbdsdc(b"L", b"I", n, d.ctypes.data, e.ctypes.data, u.ctypes.data, n, vt.ctypes.data, n,
+            None, None, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalError(f"bidiagonal SVD (dbdsdc) of order {m} failed, info = {info.value}")
+    return u, vt
 
 
 @dataclass(frozen=True)
@@ -80,22 +139,44 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _positive_modes(matrix: LayerMatrix, out: np.ndarray) -> np.ndarray:
+    """Write the m eigenvectors of positive eigenvalue into the (2m, m) ``out``
+    and return those eigenvalues sigma, ascending: column j interleaves u_j and
+    v_j of sigma_j, divided by sqrt(2), its first nonzero component positive."""
+    d, e = matrix.offdiag[0::2].copy(), matrix.offdiag[1::2].copy()
+    u, vt = _bidiagonal_svd(d, e)
+    np.divide(u[:, ::-1], np.sqrt(2.0), out=out[0::2])
+    np.divide(vt[::-1].T, np.sqrt(2.0), out=out[1::2])
+    _fix_signs(out)
+    sigma = d[::-1].copy()
+    if not sigma[0] > 0.0:
+        raise NumericalError(f"expected {sigma.size} positive layer eigenvalues, "
+                             f"the smallest is {sigma[0]}")
+    return sigma
+
+
+def stable_modes(matrix: LayerMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The N-2 positive layer eigenvalues, ascending, and the 2(N-2) x (N-2)
+    stable-manifold basis of their eigenvectors, ``LayerSpectrum.R2plus``
+    without the rest of the spectrum."""
+    r2plus = np.empty((matrix.dim, matrix.dim // 2))
+    sigma = _positive_modes(matrix, r2plus)
+    readonly(sigma, r2plus)
+    return sigma, r2plus
+
+
 def stable_manifold(matrix: LayerMatrix) -> LayerSpectrum:
     """Full spectrum of the layer matrix and the positive-eigenvalue basis."""
-    try:
-        lam, vec = scipy.linalg.eigh_tridiagonal(np.zeros(matrix.dim), matrix.offdiag)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(
-            f"tridiagonal eigensolver failed for layer matrix of size {matrix.dim}"
-        ) from exc
-    vec = _fix_signs(vec)
-    positive = np.flatnonzero(lam > 0.0)
-    expected = matrix.dim // 2
-    if positive.size != expected:
-        raise NumericalError(
-            f"expected {expected} positive layer eigenvalues, found {positive.size}"
-        )
-    r2plus = vec[:, -expected:]
+    m = matrix.dim // 2
+    vec = np.empty((matrix.dim, matrix.dim))
+    negative, r2plus = vec[:, :m], vec[:, m:]
+    sigma = _positive_modes(matrix, r2plus)
+    # -sigma_j pairs with (u_j, -v_j); reversed, the eigenvalues ascend
+    negative[0::2] = r2plus[0::2, ::-1]
+    np.negative(r2plus[1::2, ::-1], out=negative[1::2])
+    _fix_signs(negative)
+    lam = np.concatenate((-sigma[::-1], sigma))
+    positive = np.arange(m, matrix.dim)
     readonly(lam, vec, positive, r2plus)
     return LayerSpectrum(lam, vec, positive, r2plus)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import eigh_tridiagonal
 
 from bgknet import (
     ACOUSTIC_SPEED,
@@ -34,6 +35,7 @@ from bgknet import (
 )
 from bgknet.coupling import SV_CUTOFF, _modal_null_space, _reflected, _sum_modal
 from bgknet.hermite import hermite_functions
+from bgknet.layer import _fix_signs
 
 A = ACOUSTIC_SPEED
 
@@ -54,6 +56,21 @@ def svd_extract(M):
     z1 = left_null(Ms[:, 2:]) @ Ms
     z2 = left_null(Ms[:, np.r_[0, 3:Ms.shape[1]]]) @ Ms
     return z1[1] / z1[0], z2[1] / z2[2], eta
+
+
+def stemr_operators(ops):
+    """ops with the layer part rebuilt as NodeOperators.build made it from the
+    full tridiagonal eigensolve (LAPACK stemr, all 2(N-2) eigenvectors) that
+    one bidiagonal SVD replaced, kept as an oracle."""
+    N = ops.N
+    matrix = build_layer_matrix(N)
+    lam, vec = eigh_tridiagonal(np.zeros(matrix.dim), matrix.offdiag)
+    r2plus = _fix_signs(vec)[:, N - 2:]
+    lift = build_lift(r2plus)
+    positive, weights = ops.rule.basis[:, N:], ops.rule.scaled_weights[N:, None]
+    even = weights * (positive[0::2].T @ lift[0::2])
+    odd = weights * (positive[1::2].T @ lift[1::2])
+    return replace(ops, layer_eigenvalues=lam[N - 2:], lift=lift, even=even, odd=odd)
 
 
 def chain_coefficients(eta):
@@ -322,6 +339,30 @@ class TestExtractDeltas:
         with pytest.raises(DegeneracyError) as err:
             compute_coefficients(replace(ops, even=even, odd=odd), NodeTopology.symmetric(3))
         assert err.value.singular_values is not None
+
+
+class TestLayerSolverAgreement:
+    """Operators from the bidiagonal SVD against the stemr operators it replaced."""
+
+    @pytest.mark.parametrize("N", [20, 99, 300])
+    @pytest.mark.parametrize("n", [3, INFINITE])
+    def test_coefficients(self, ops_factory, coeff_factory, N, n):
+        expected = compute_coefficients(stemr_operators(ops_factory(N)),
+                                        NodeTopology.symmetric(n))
+        got = coeff_factory(N, n)
+        assert abs(got.delta1 - expected.delta1) <= 1e-14 * abs(expected.delta1)
+        assert abs(got.delta2 - expected.delta2) <= 1e-14 * abs(expected.delta2)
+
+    def test_node_state_case1(self, ops_factory, coeff_factory):
+        data, topo, coeff, problem = preset_problem(1, 100, ops_factory, coeff_factory)
+        sol = solve_node(problem, ops_factory(100))
+        expected = solve_node(problem, stemr_operators(ops_factory(100)))
+        for got, want in ((sol.D, expected.D), (sol.C, expected.C), (sol.B, expected.B)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(sol.layer_eigenvalues, expected.layer_eigenvalues,
+                                   rtol=1e-13, atol=0.0)
+        assert (sol.layer_eigenvalues.tobytes()
+                == stable_manifold(build_layer_matrix(100)).positive_eigenvalues.tobytes())
 
 
 class TestMaxwellDelta:
@@ -824,6 +865,13 @@ class TestNodeDistribution:
         with pytest.raises(ValueError, match="^v_samples must be finite"):
             node_distribution(sol, np.array([0.0, bad, 1.0]))
 
+    def test_rejects_multidimensional_samples(self, ops_factory, coeff_factory):
+        # a 2-d array used to fail inside the table product with a broadcast error
+        data, topo, coeff, problem = preset_problem(1, 30, ops_factory, coeff_factory)
+        sol = solve_node(problem, ops_factory(30))
+        with pytest.raises(ValueError, match="^v_samples must be a scalar or a 1-d array"):
+            node_distribution(sol, np.zeros((2, 2)))
+
 
 class TestImmutability:
     def test_constructed_arrays_are_readonly(self, ops_factory):
@@ -916,6 +964,17 @@ class TestOperatorMemory:
         finally:
             tracemalloc.stop()
         assert peak <= sum(held_buffers(ops).values()) + 0.5 * self.unit
+
+    def test_build_peak_is_pinned(self):
+        # the layer stage (U, V^T and dbdsdc's 3m^2 + 4m work, 5m^2 doubles)
+        # stays below the Hermite-table stage, which sets the peak: 5.64 MiB
+        tracemalloc.start()
+        try:
+            NodeOperators.build(self.N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.9 * 2**20
 
     def test_coefficients_hold_no_matrix_beside_the_qr(self, ops_factory):
         # M(mu) is summed into the QR's one input buffer; the QR's own copy and

@@ -284,6 +284,14 @@ class TestHermiteFunctions:
         with pytest.raises(ValueError, match="^count must"):
             hermite_functions([0.0, 1.0], count)
 
+    @pytest.mark.parametrize("points", [np.zeros((2, 2)), [[0.0, 1.0]]])
+    def test_multidimensional_points_are_named(self, points):
+        with pytest.raises(ValueError, match="^points must be a scalar or a 1-d array"):
+            hermite_functions(points, 4)
+
+    def test_scalar_point(self):
+        np.testing.assert_array_equal(hermite_functions(0.5, 4), hermite_functions([0.5], 4))
+
     def test_one_function(self):
         h = hermite_functions([0.0, 1.0], 1)
         np.testing.assert_allclose(h[0], np.pi**-0.25 * np.exp(-0.5 * np.array([0.0, 1.0])),

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bgknet import build_layer_matrix, build_lift, recursion_coefficients, stable_manifold
-from bgknet.layer import _fix_signs
+from bgknet import (NumericalError, build_layer_matrix, build_lift, recursion_coefficients,
+                    stable_manifold, stable_modes)
+from bgknet import layer
+from bgknet.layer import _bidiagonal_svd, _fix_signs
 
 
 def quartic_eigenvalues(a, b, c):
@@ -124,6 +126,81 @@ class TestStableManifold:
         spectrum = stable_manifold(build_layer_matrix(12))
         gram = spectrum.eigenvectors.T @ spectrum.eigenvectors
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
+
+
+def match_up_to_sign(got, expected):
+    """Largest entry of got - expected after each column of got is given the
+    sign of its largest inner product with the same column of expected."""
+    signs = np.where(np.sum(got * expected, axis=0) < 0.0, -1.0, 1.0)
+    return np.max(np.abs(got * signs - expected))
+
+
+class TestBidiagonalSVD:
+    """The dbdsdc binding: a wrong argument to it crashes the process rather than
+    raising, so the smallest orders are covered beside sizeable ones."""
+
+    @pytest.mark.parametrize("N", [4, 5, 30, 300])
+    def test_spectrum_against_the_tridiagonal_eigensolver(self, N):
+        m = build_layer_matrix(N)
+        lam, vec = eigh_tridiagonal(np.zeros(m.dim), m.offdiag)
+        spectrum = stable_manifold(m)
+        assert np.max(np.abs(spectrum.eigenvalues - lam) / np.abs(lam)) <= 1e-13
+        assert match_up_to_sign(spectrum.eigenvectors, vec) <= 1e-12
+        x = spectrum.eigenvectors
+        assert np.max(np.abs(m.dense() @ x - x * spectrum.eigenvalues)) <= 1e-13
+        assert np.max(np.abs(x.T @ x - np.eye(m.dim))) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 28, 298])
+    def test_factorization(self, m):
+        rng = np.random.default_rng(m)
+        d, e = rng.uniform(0.5, 2.0, m), rng.uniform(-1.0, 1.0, m - 1)
+        b = np.diag(d) + np.diag(e, -1)
+        sigma = d.copy()
+        u, vt = _bidiagonal_svd(sigma, e.copy())
+        assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] > 0.0  # in place, descending
+        assert np.max(np.abs(b @ vt.T - u * sigma)) <= 1e-13 * sigma[0]
+        assert np.max(np.abs(u.T @ u - np.eye(m))) <= 1e-13
+        assert np.max(np.abs(vt @ vt.T - np.eye(m))) <= 1e-13
+
+    @pytest.mark.parametrize("name, d, e", [
+        ("d", np.ones(3, np.float32), np.ones(2)),
+        ("e", np.ones(3), np.ones(2, np.int64)),
+        ("d", np.ones((3, 1)), np.ones(2)),
+        ("d", [1.0, 1.0, 1.0], np.ones(2)),
+        ("d", np.ones(6)[::2], np.ones(2)),
+        ("e", np.ones(3), np.ones(4)[::2]),
+        ("d", np.array([1.0, np.nan, 1.0]), np.ones(2)),
+        ("e", np.ones(3), np.array([1.0, np.inf])),
+        ("e", np.ones(3), np.ones(3)),
+        ("e", np.ones(3), np.ones(0)),
+        ("d", np.ones(0), np.ones(0)),
+    ])
+    def test_bad_argument_is_named(self, name, d, e):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            _bidiagonal_svd(d, e)
+
+    def test_readonly_argument_is_named(self):
+        d = np.ones(3)
+        readonly_d = d.copy()
+        readonly_d.flags.writeable = False
+        with pytest.raises(ValueError, match="^d must be contiguous and writeable"):
+            _bidiagonal_svd(readonly_d, np.ones(2))
+
+    def test_failure_raises(self, monkeypatch):
+        def failing(*args):
+            args[-1]._obj.value = 2  # info, passed by reference
+        monkeypatch.setattr(layer, "_dbdsdc", failing)
+        with pytest.raises(NumericalError, match="info = 2"):
+            stable_modes(build_layer_matrix(6))
+
+    @pytest.mark.parametrize("N", [4, 5, 100])
+    def test_stable_modes_are_the_positive_half(self, N):
+        m = build_layer_matrix(N)
+        sigma, r2plus = stable_modes(m)
+        spectrum = stable_manifold(m)
+        assert sigma.tobytes() == spectrum.positive_eigenvalues.tobytes()
+        assert r2plus.tobytes() == spectrum.R2plus.tobytes()
+        assert not sigma.flags.writeable and not r2plus.flags.writeable
 
 
 class TestLift:
