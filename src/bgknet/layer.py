@@ -14,19 +14,18 @@ From B = U diag(sigma) V^T, A has the eigenvalues +-sigma_j, and the
 eigenvector of +-sigma_j interleaves u_j (even entries) and +-v_j (odd
 entries), divided by sqrt(2). One SVD of B by LAPACK's dbdsdc, which gets
 every sigma to high relative accuracy, gives the whole spectrum; the stable
-manifold needs only the m positive modes.
+manifold needs only the m positive modes. The dbdsdc binding lives in
+``hermite``, whose rule takes its nodes from the same routine.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
 from .errors import NumericalError
-from .hermite import readonly, recursion_coefficients
+from .hermite import _bidiagonal_svd, readonly, recursion_coefficients
 
 __all__ = [
     "LayerMatrix",
@@ -36,54 +35,6 @@ __all__ = [
     "stable_manifold",
     "build_lift",
 ]
-
-
-def _lapack_routine(name: str, *argtypes):
-    """LAPACK routine ``name`` as a ctypes function, from the function-pointer
-    capsule scipy's Cython LAPACK table holds for it."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, capsule_name(capsule)))
-
-
-_INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-# dbdsdc(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
-_dbdsdc = _lapack_routine("dbdsdc", ctypes.c_char_p, ctypes.c_char_p, _INT, _ARRAY, _ARRAY,
-                          _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT)
-
-
-def _bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SVD B = U diag(sigma) V^T of the lower-bidiagonal B with diagonal ``d``
-    and subdiagonal ``e``, by LAPACK dbdsdc (divide and conquer).
-
-    Works in place: ``d`` comes back holding sigma, descending, and ``e`` is
-    overwritten. Returns the Fortran-ordered (U, V^T). LAPACK reads and writes
-    the raw buffers, so both arguments are checked before the call.
-    """
-    for name, array in (("d", d), ("e", e)):
-        if not isinstance(array, np.ndarray) or array.dtype != np.float64 or array.ndim != 1:
-            raise ValueError(f"{name} must be a 1-d float64 array")
-        if not (array.flags.c_contiguous and array.flags.writeable):
-            raise ValueError(f"{name} must be contiguous and writeable")
-        if not np.all(np.isfinite(array)):
-            raise ValueError(f"{name} must be finite")
-    m = d.size
-    if m < 1:
-        raise ValueError("d must hold at least one entry")
-    if e.size != m - 1:
-        raise ValueError(f"e must hold len(d) - 1 = {m - 1} entries, got {e.size}")
-    u, vt = np.empty((m, m), order="F"), np.empty((m, m), order="F")
-    work, iwork = np.empty(3 * m * m + 4 * m), np.empty(8 * m, dtype=np.intc)
-    n, info = ctypes.byref(ctypes.c_int(m)), ctypes.c_int(0)
-    # q and iq are not referenced for compq = "I"
-    _dbdsdc(b"L", b"I", n, d.ctypes.data, e.ctypes.data, u.ctypes.data, n, vt.ctypes.data, n,
-            None, None, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
-    if info.value != 0:
-        raise NumericalError(f"bidiagonal SVD (dbdsdc) of order {m} failed, info = {info.value}")
-    return u, vt
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bgknet import MomentTransform, build_rule, hermite_functions, recursion_coefficients
 from bgknet.kinetic import _maxwellian_rows
 
 SQRT_PI = math.sqrt(math.pi)
+DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 def transform_of(rule):
@@ -20,8 +24,36 @@ def polynomial_values(rule):
 
 
 def loop_hermite_functions(points, count):
-    """The recursion with fresh temporaries at every step, kept as the bit-level
-    oracle of the buffered kernel."""
+    """The block-rescaled recursion with fresh temporaries at every step, kept as
+    the bit-level oracle of the kernel that writes into the table's rows."""
+    x = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.empty((count, x.size))
+    out[0] = np.pi ** -0.25
+    if count > 1:
+        out[1] = x * (math.sqrt(2.0) * np.pi ** -0.25)
+    block = max(1, int(600.0 / math.log(math.sqrt(2.0) * (1.0 + np.max(np.abs(x))))))
+    alpha = recursion_coefficients(count)
+    starts, scales = [0], [-0.5 * x * x]
+    for k in range(1, count - 1):
+        if k % block == 0:
+            mag = np.maximum(np.abs(out[k - 1]), np.abs(out[k]))
+            out[k - 1] = out[k - 1] / mag
+            out[k] = out[k] / mag
+            starts.append(k - 1)
+            scales.append(scales[-1] + np.log(mag))
+        out[k + 1] = (x * out[k] - alpha[k - 1] * out[k - 1]) / alpha[k]
+    starts.append(count)
+    with np.errstate(under="ignore"):
+        for start, stop, scale in zip(starts, starts[1:], scales):
+            half = np.exp(0.5 * scale)
+            out[start:stop] = out[start:stop] * half * half
+    return out
+
+
+def per_step_hermite_functions(points, count):
+    """The recursion rescaled to max(|u_k|, |u_{k+1}|) = 1 at every step, with the
+    log scale summed step by step, that the block form replaced; kept as the
+    accuracy baseline."""
     x = np.atleast_1d(np.asarray(points, dtype=float))
     out = np.empty((count, x.size))
     log_scale = -0.5 * x * x - 0.25 * np.log(np.pi)
@@ -40,6 +72,55 @@ def loop_hermite_functions(points, count):
             log_scale += np.log(mag)
             out[k + 1] = u * np.exp(log_scale)
     return out
+
+
+def decimal_hermite_functions(points, count):
+    """H_k(x), k < count, at the exact binary value of each point, by the
+    recursion in 50-digit decimal arithmetic, rounded to double at the end."""
+    out = np.empty((count, len(points)))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        alpha = [(Decimal(k) / 2).sqrt() for k in range(1, count + 1)]
+        p0 = 1 / DECIMAL_PI.sqrt().sqrt()
+        for i, point in enumerate(points):
+            x = Decimal(float(point))
+            weight = (-x * x / 2).exp()
+            p_prev, p = Decimal(0), p0
+            out[0, i] = float(p * weight)
+            for k in range(count - 1):
+                a_k = alpha[k - 1] if k >= 1 else Decimal(0)
+                p_prev, p = p, (x * p - a_k * p_prev) / alpha[k]
+                out[k + 1, i] = float(p * weight)
+    return out
+
+
+def decimal_hermite_roots(starts, order):
+    """Roots of H_order to 50 digits: three Newton steps in decimal arithmetic
+    from each start, through the monic ratios s_k = x - (k/2)/s_{k-1}."""
+    roots = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for start in starts:
+            x = Decimal(float(start))
+            for _ in range(3):
+                s = x
+                for k in range(1, order):
+                    s = x - Decimal(k) / 2 / s
+                x -= s / order
+            roots.append(x)
+    return roots
+
+
+def eigh_rule(N):
+    """(nodes, scaled weights, table) of the 2N-point rule from the tridiagonal
+    eigensolver and the per-step recursion, the construction that the
+    bidiagonal SVD, the Newton step and the block recursion replaced."""
+    order = 2 * N
+    nodes = eigh_tridiagonal(np.zeros(order), recursion_coefficients(order - 1),
+                             eigvals_only=True)
+    nodes = 0.5 * (nodes - nodes[::-1])
+    table = per_step_hermite_functions(nodes, order)
+    return nodes, 1.0 / np.einsum("ki,ki->i", table, table), table
 
 
 def gaussian_moment(m: int) -> float:
@@ -90,6 +171,35 @@ class TestBuildRule:
         rule = build_rule(16)
         np.testing.assert_allclose(rule.scaled_weights,
                                    rule.weights * np.exp(rule.nodes**2), rtol=1e-11)
+
+    @pytest.mark.parametrize("N", [5, 20, 100])
+    def test_nodes_match_a_50_digit_reference(self, N):
+        rule = build_rule(N)
+        oracle, _, _ = eigh_rule(N)
+        exact = decimal_hermite_roots(oracle[N:], rule.order)
+        for node, root in zip(rule.nodes[N:], exact):
+            assert abs(Decimal(float(node)) - root) <= Decimal("1e-15") * root
+
+    def test_largest_nodes_match_a_50_digit_reference(self):
+        # seven nodes across the range and the three largest, where the
+        # bidiagonal SVD alone is off by up to 7e-14
+        N = 1000
+        rule = build_rule(N)
+        oracle, _, _ = eigh_rule(N)
+        picks = [0, 150, 300, 450, 600, 750, 900, N - 3, N - 2, N - 1]
+        exact = decimal_hermite_roots(oracle[N:][picks], rule.order)
+        for node, root in zip(rule.nodes[N:][picks], exact):
+            assert abs(Decimal(float(node)) - root) <= Decimal("1e-15") * max(1, root)
+
+    @pytest.mark.parametrize("N", [1, 5, 20, 100, 1000])
+    def test_matches_the_tridiagonal_eigensolver_rule(self, N):
+        # the bounds are the oracle's own errors: at N = 1000 its nodes are off
+        # by 1.5e-14 max(1, |x|), its weights by 6.2e-12 and its table by 3.4e-12
+        rule = build_rule(N)
+        nodes, scaled, table = eigh_rule(N)
+        assert np.max(np.abs(rule.nodes - nodes) / np.maximum(1.0, np.abs(nodes))) <= 5e-14
+        np.testing.assert_allclose(rule.scaled_weights, scaled, rtol=2e-11, atol=0.0)
+        assert np.max(np.abs(rule.basis - table)) <= 1e-11
 
     def test_large_order_scaled_weights_finite(self):
         # raw weights underflow at the extreme nodes here; the scaled ones must not
@@ -165,16 +275,16 @@ class TestMomentTransform:
         back = transform.solve(transform.matrix @ f)
         assert np.max(np.abs(back - f)) < 1e-9 * np.max(np.abs(f))
 
-    @pytest.mark.parametrize("N, bound", [(8, 1e-12), (100, 1e-12), (1000, 2e-12)])
-    def test_weighted_transpose_is_inverse(self, N, bound):
-        # the 2N-node rule is exact to degree 4N - 1: S diag(w~) S^T = I. At
-        # N = 1000 the tridiagonal eigensolver's nodes (off by up to 8e-13)
-        # leave a defect of 1.4e-12 in the highest-degree rows
+    @pytest.mark.parametrize("N", [8, 100, 1000])
+    def test_weighted_transpose_is_inverse(self, N):
+        # the 2N-node rule is exact to degree 4N - 1: S diag(w~) S^T = I. The
+        # Newton-polished nodes hold it to 1.2e-14 at N = 1000, where the
+        # tridiagonal eigensolver's nodes left 1.4e-12
         rule = build_rule(N)
         transform = transform_of(rule)
         S = transform.matrix
         defect = (S * rule.scaled_weights) @ S.T - np.eye(rule.order)
-        assert np.max(np.abs(defect)) <= bound
+        assert np.max(np.abs(defect)) <= 2e-14
 
     def test_solve_is_weighted_transpose_for_batches(self):
         rng = np.random.default_rng(3)
@@ -268,6 +378,41 @@ class TestHermiteFunctions:
         for points in (nodes, nodes[N:], np.linspace(-4.0, 4.0, 1201)):
             np.testing.assert_array_equal(hermite_functions(points, 2 * N),
                                           loop_hermite_functions(points, 2 * N))
+
+    @pytest.mark.parametrize("N", [20, 160, 1000])
+    def test_no_less_accurate_than_per_step_rescaling(self, N):
+        # against 50 digits at the smallest, middle and largest node and five
+        # points in [-4, 4], relative to each column's largest entry
+        nodes = build_rule(N).nodes
+        points = np.concatenate((nodes[[0, N, 2 * N - 1]], np.linspace(-4.0, 4.0, 5)))
+        exact = decimal_hermite_functions(points, 2 * N)
+        scale = np.max(np.abs(exact), axis=0)
+        blocks = np.max(np.abs(hermite_functions(points, 2 * N) - exact), axis=0) / scale
+        per_step = np.max(np.abs(per_step_hermite_functions(points, 2 * N) - exact),
+                          axis=0) / scale
+        assert np.all(blocks <= 2.0 * per_step + 4e-16)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_named(self, bad):
+        with pytest.raises(ValueError, match="^points must be finite"):
+            hermite_functions([0.5, bad], 4)
+
+    @pytest.mark.parametrize("huge", [1e160, 1e300, -1e300, np.finfo(float).max])
+    def test_huge_point_gives_a_zero_column(self, huge):
+        # x^2 overflows beyond 1.3e154; every H_k there is far below the
+        # smallest double, and the other columns keep their values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hermite_functions([huge, 0.5, -3.0], 200)
+        assert np.all(h[:, 0] == 0.0)
+        np.testing.assert_allclose(h[:, 1:], hermite_functions([0.5, -3.0], 200),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_rescaled_at_every_step_for_large_points(self):
+        # max |x| = 1e100 makes every block one step long
+        points = [1e100, 0.5, -3.0]
+        np.testing.assert_array_equal(hermite_functions(points, 64),
+                                      loop_hermite_functions(points, 64))
 
     def test_against_table(self):
         rule = build_rule(12)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bgknet import (NumericalError, build_layer_matrix, build_lift, recursion_coefficients,
-                    stable_manifold, stable_modes)
-from bgknet import layer
+from bgknet import (NumericalError, build_layer_matrix, build_lift, build_rule,
+                    recursion_coefficients, stable_manifold, stable_modes)
+from bgknet import hermite
 from bgknet.layer import _bidiagonal_svd, _fix_signs
 
 
@@ -135,6 +135,21 @@ def match_up_to_sign(got, expected):
     return np.max(np.abs(got * signs - expected))
 
 
+BAD_ARGUMENTS = [
+    ("d", np.ones(3, np.float32), np.ones(2)),
+    ("e", np.ones(3), np.ones(2, np.int64)),
+    ("d", np.ones((3, 1)), np.ones(2)),
+    ("d", [1.0, 1.0, 1.0], np.ones(2)),
+    ("d", np.ones(6)[::2], np.ones(2)),
+    ("e", np.ones(3), np.ones(4)[::2]),
+    ("d", np.array([1.0, np.nan, 1.0]), np.ones(2)),
+    ("e", np.ones(3), np.array([1.0, np.inf])),
+    ("e", np.ones(3), np.ones(3)),
+    ("e", np.ones(3), np.ones(0)),
+    ("d", np.ones(0), np.ones(0)),
+]
+
+
 class TestBidiagonalSVD:
     """The dbdsdc binding: a wrong argument to it crashes the process rather than
     raising, so the smallest orders are covered beside sizeable ones."""
@@ -162,19 +177,7 @@ class TestBidiagonalSVD:
         assert np.max(np.abs(u.T @ u - np.eye(m))) <= 1e-13
         assert np.max(np.abs(vt @ vt.T - np.eye(m))) <= 1e-13
 
-    @pytest.mark.parametrize("name, d, e", [
-        ("d", np.ones(3, np.float32), np.ones(2)),
-        ("e", np.ones(3), np.ones(2, np.int64)),
-        ("d", np.ones((3, 1)), np.ones(2)),
-        ("d", [1.0, 1.0, 1.0], np.ones(2)),
-        ("d", np.ones(6)[::2], np.ones(2)),
-        ("e", np.ones(3), np.ones(4)[::2]),
-        ("d", np.array([1.0, np.nan, 1.0]), np.ones(2)),
-        ("e", np.ones(3), np.array([1.0, np.inf])),
-        ("e", np.ones(3), np.ones(3)),
-        ("e", np.ones(3), np.ones(0)),
-        ("d", np.ones(0), np.ones(0)),
-    ])
+    @pytest.mark.parametrize("name, d, e", BAD_ARGUMENTS)
     def test_bad_argument_is_named(self, name, d, e):
         with pytest.raises(ValueError, match=f"^{name} must"):
             _bidiagonal_svd(d, e)
@@ -189,9 +192,40 @@ class TestBidiagonalSVD:
     def test_failure_raises(self, monkeypatch):
         def failing(*args):
             args[-1]._obj.value = 2  # info, passed by reference
-        monkeypatch.setattr(layer, "_dbdsdc", failing)
+        monkeypatch.setattr(hermite, "_dbdsdc", failing)
         with pytest.raises(NumericalError, match="info = 2"):
             stable_modes(build_layer_matrix(6))
+
+    def test_values_only_failure_raises(self, monkeypatch):
+        def failing(*args):
+            args[-1]._obj.value = 1
+        monkeypatch.setattr(hermite, "_dbdsdc", failing)
+        with pytest.raises(NumericalError, match="info = 1"):
+            build_rule(6)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 300])
+    def test_values_only_against_the_tridiagonal_eigensolver(self, m):
+        # the Golub-Kahan tridiagonal of B interleaves its diagonal and
+        # subdiagonal; its positive eigenvalues are B's singular values
+        rng = np.random.default_rng(m)
+        d, e = rng.uniform(0.5, 2.0, m), rng.uniform(-1.0, 1.0, m - 1)
+        offdiag = np.empty(2 * m - 1)
+        offdiag[0::2], offdiag[1::2] = d, e
+        lam = eigh_tridiagonal(np.zeros(2 * m), offdiag, eigvals_only=True)
+        sigma = d.copy()
+        assert _bidiagonal_svd(sigma, e.copy(), "N") is None
+        assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] > 0.0  # in place, descending
+        np.testing.assert_allclose(sigma[::-1], lam[m:], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name, d, e", BAD_ARGUMENTS)
+    def test_values_only_bad_argument_is_named(self, name, d, e):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            _bidiagonal_svd(d, e, "N")
+
+    @pytest.mark.parametrize("compq", ["P", "n", "", None])
+    def test_bad_mode_is_named(self, compq):
+        with pytest.raises(ValueError, match="^compq must"):
+            _bidiagonal_svd(np.ones(3), np.ones(2), compq)
 
     @pytest.mark.parametrize("N", [4, 5, 100])
     def test_stable_modes_are_the_positive_half(self, N):
