@@ -31,7 +31,6 @@ from .coupling import (
 )
 from .errors import DegeneracyError, NumericalError, SingularSystemError
 from .hermite import (
-    MomentTransform,
     QuadratureRule,
     build_rule,
     hermite_functions,

@@ -20,8 +20,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, rsf2csf, schur, solve_triangular
 
 from .errors import DegeneracyError, NumericalError, SingularSystemError
-from .hermite import (MomentTransform, QuadratureRule, build_rule, check_half_order,
-                      hermite_functions, readonly)
+from .hermite import QuadratureRule, build_rule, check_half_order, hermite_functions, readonly
 from .layer import build_layer_matrix, build_lift, stable_modes
 
 __all__ = [
@@ -108,8 +107,9 @@ class NodeTopology:
 
 @dataclass(frozen=True)
 class NodeOperators:
-    """Velocity basis, positive layer eigenvalues, lift and its parity halves
-    shared by all node computations at fixed N.
+    """Quadrature rule, positive layer eigenvalues, lift and its parity halves
+    shared by all node computations at fixed N. The rule is also the moment
+    transform S (see :class:`QuadratureRule`).
 
     ``lift`` = T maps the reduced unknowns (D, C, B, gamma) of one edge to its
     moments at x = 0, and f = S^{-1} T to its distribution values. By the
@@ -124,7 +124,6 @@ class NodeOperators:
     """
 
     rule: QuadratureRule
-    transform: MomentTransform
     layer_eigenvalues: np.ndarray
     lift: np.ndarray
     even: np.ndarray
@@ -145,12 +144,16 @@ class NodeOperators:
         even *= weights
         odd *= weights
         readonly(even, odd)
-        transform = MomentTransform(rule.basis, rule.scaled_weights)
-        return cls(rule, transform, eigenvalues, lift, even, odd)
+        return cls(rule, eigenvalues, lift, even, odd)
 
     @property
     def N(self) -> int:
         return self.rule.half
+
+    @property
+    def transform(self) -> QuadratureRule:
+        """The rule, under the name :func:`coupling_residual` callers pass it by."""
+        return self.rule
 
 
 def _sum_modal(ops: NodeOperators, mu: complex, out: np.ndarray) -> None:
@@ -253,11 +256,11 @@ def maxwell_delta(n: int | float) -> tuple[float, float]:
 
 
 def _node_data(n: int | float, incoming, zero_balance) -> tuple[np.ndarray, float]:
-    """``incoming`` as a float vector of length n (any length for INFINITE) and
-    ``zero_balance`` as a float; a wrong length or a non-finite value raises a
-    ValueError that names the parameter."""
+    """``incoming`` as a float vector of length n and ``zero_balance`` as a
+    float; a wrong length or a non-finite value raises a ValueError that names
+    the parameter."""
     incoming = np.asarray(incoming, dtype=float)
-    if incoming.ndim != 1 or n not in (INFINITE, incoming.size):
+    if incoming.ndim != 1 or incoming.size != n:
         raise ValueError(f"incoming must be a vector of length {n}, got shape {incoming.shape}")
     if not np.all(np.isfinite(incoming)):
         raise ValueError(f"incoming must be finite, got {incoming}")
@@ -327,13 +330,16 @@ def macro_coupling_solve(coefficients: CouplingCoefficients, incoming: np.ndarra
 @dataclass(frozen=True)
 class NodeProblem:
     """Data of a coupled half-space problem at one node, checked when built:
-    ``incoming`` has one finite entry per edge and ``zero_balance`` is finite."""
+    the topology has a finite degree, ``incoming`` has one finite entry per
+    edge and ``zero_balance`` is finite."""
 
     topology: NodeTopology
     incoming: np.ndarray
     zero_balance: float
 
     def __post_init__(self):
+        if self.topology.n == INFINITE:
+            raise ValueError("topology must have a finite node degree, got INFINITE")
         incoming, zero_balance = _node_data(self.topology.n, self.incoming, self.zero_balance)
         incoming = incoming.copy()
         incoming.flags.writeable = False
@@ -462,8 +468,6 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     DegeneracyError and is left to :func:`solve_node_general`.
     """
     topo = problem.topology
-    if topo.n == INFINITE:
-        raise ValueError("solve_node needs a finite node degree")
     n = int(topo.n)
     beta = topo.beta_matrix()
     modes = _eigenmodes(beta)
@@ -489,7 +493,7 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
         raise SingularSystemError("modal node system is singular") from exc
     m = (W * c) @ Z.T
     solution = _package_solution(m.real, ops)
-    residual = max(coupling_residual(solution, topo, ops.transform),
+    residual = max(coupling_residual(solution, topo, ops.rule),
                    np.max(np.abs(A @ c - rhs)), np.max(np.abs(m.imag)))
     if not residual <= 1e-8 * max(1.0, np.max(np.abs(rhs))):
         raise NumericalError(f"modal node solution misses the coupling equations or "
@@ -599,8 +603,14 @@ def node_distribution(solution: NodeSolution, v_samples: np.ndarray) -> np.ndarr
 
 
 def coupling_residual(solution: NodeSolution, topology: NodeTopology,
-                      transform: MomentTransform) -> float:
-    """Max violation of f^i(0, v) = sum_j beta_ij f^j(0, -v) over positive velocities."""
+                      transform: QuadratureRule) -> float:
+    """Max violation of f^i(0, v) = sum_j beta_ij f^j(0, -v) over positive velocities;
+    ``transform`` is the rule of the solution's N, and a mismatch raises a ValueError."""
+    edges, moments = solution.g_at_0.shape
+    if topology.n != edges:
+        raise ValueError(f"topology has degree {topology.n}, the solution {edges} edges")
+    if transform.order != moments:
+        raise ValueError(f"transform has order {transform.order}, the solution {moments}")
     beta = topology.beta_matrix()
     f = transform.solve(solution.g_at_0.T).T
     N = f.shape[1] // 2

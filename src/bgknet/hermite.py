@@ -1,4 +1,5 @@
-"""Gauss-Hermite velocity grid, orthonormal Hermite basis and moment transform.
+"""Gauss-Hermite velocity grid and orthonormal Hermite basis; the rule is its own
+moment transform.
 
 The velocity discretization lives on the 2N Gauss-Hermite nodes for the weight
 e^{-v^2}. All basis evaluations carry the exponential weight, i.e. we work with
@@ -29,7 +30,6 @@ from .errors import NumericalError
 __all__ = [
     "MAX_HALF_ORDER",
     "QuadratureRule",
-    "MomentTransform",
     "recursion_coefficients",
     "hermite_functions",
     "build_rule",
@@ -178,9 +178,10 @@ class QuadratureRule:
 
     ``scaled_weights`` holds w_i e^{v_i^2}; this is the combination entering the
     discrete Maxwellian and the only form that stays representable at large N.
-    ``basis`` is the Hermite function table H_k(v_i), k < 2N, the weights were
-    computed from; it is the one table of the rule's N, and the moment
-    transform is built on it.
+    ``basis`` is the Hermite function table S = H_k(v_i), k < 2N, the weights
+    were computed from, and the moment transform g = S f. The rule is exact to
+    degree 4N - 1, so S diag(w~) S^T = I with w~ = ``scaled_weights`` and
+    :meth:`solve` applies S^{-1} = diag(w~) S^T.
     """
 
     order: int
@@ -193,6 +194,11 @@ class QuadratureRule:
     def half(self) -> int:
         """N, the number of positive velocities."""
         return self.order // 2
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """Inverse transform f = diag(w~) S^T g; g is one moment vector or a (2N, k) batch."""
+        f = self.basis.T @ g
+        return f * self.scaled_weights.reshape((-1,) + (1,) * (f.ndim - 1))
 
 
 def check_half_order(N) -> None:
@@ -249,21 +255,3 @@ def build_rule(N: int) -> QuadratureRule:
     readonly(nodes, weights, scaled, table)
     return QuadratureRule(order, nodes, weights, scaled, table)
 
-
-@dataclass(frozen=True)
-class MomentTransform:
-    """The invertible map between nodal values f_i and moments g_k = sum_i H_k(v_i) f_i,
-    g = ``matrix`` @ f.
-
-    The 2N-node rule integrates polynomials up to degree 4N - 1 exactly, so
-    the discrete orthonormality S diag(w~) S^T = I with w~ = ``scaled_weights``
-    makes the inverse the weighted transpose, S^{-1} = diag(w~) S^T.
-    """
-
-    matrix: np.ndarray
-    scaled_weights: np.ndarray
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        """Inverse transform f = diag(w~) S^T g; g is one moment vector or a (2N, k) batch."""
-        f = self.matrix.T @ g
-        return f * self.scaled_weights.reshape((-1,) + (1,) * (f.ndim - 1))

@@ -22,8 +22,9 @@ Every step takes those views as 1-d slices of a flattened padded buffer, one
 element apart, which numpy runs without iterator buffers: the whole rows are
 stepped with the upwind scale zero outside the step's cells, and what the
 spans compute there and in the lanes between rows is never written back. The
-coarse level steps the buffer itself; the fine level steps a compact copy of
-its cells and their ghosts, filled and emptied once per coarse step.
+coarse level steps the buffer itself and reads its inflow from the last fine
+cell's column; the fine level steps a compact copy of its cells and their
+ghosts, filled and emptied once per coarse step.
 :func:`initialize` makes the buffer and ``state.buffer`` is read-only, so nothing
 replaces it; ``state.f`` is a property that returns the (edges, cells, 2N) view
 of its cells, and assigning to ``state.f`` writes into those cells.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import ACOUSTIC_SPEED, NodeTopology
-from .hermite import QuadratureRule, build_rule
+from .hermite import QuadratureRule, build_rule, check_half_order
 
 __all__ = [
     "NetworkConfig",
@@ -111,7 +112,8 @@ class NetworkConfig:
             object.__setattr__(self, "spacing", spacing)
             object.__setattr__(self, "cells", spacing.size)
             object.__setattr__(self, "edge_length", float(spacing.sum()))
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
+        check_half_order(self.N)
+        if self.N < 2:
             raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
         for name in ("t_end", "edge_length", "epsilon"):
             value = getattr(self, name)
@@ -313,7 +315,8 @@ class _StepPlan:
     same rows shifted one element upwind and the plan's scratch of that sign.
     ``both`` holds (old, new, scale) over both signs, with the upwind scale
     speed*dt/dx on the plan's cells and zero elsewhere. The positive
-    velocities' upwind column of the first cell is the node ghost; the
+    velocities' upwind column of the first cell is the node ghost, or for the
+    coarse level the last fine cell's, which holds the interface inflow; the
     negative velocities' one of the last cell is the outer ghost, or for the
     fine level the first coarse cell, copied with the fine cells.
 
@@ -394,17 +397,13 @@ def _node_ghost(beta: np.ndarray, plan: _StepPlan) -> np.ndarray:
     return np.matmul(beta, plan.mirrored, out=plan.node_ghost)
 
 
-def _advance(plan: _StepPlan, ghost_left: np.ndarray | None = None) -> None:
+def _advance(plan: _StepPlan) -> None:
     """Upwind transport over the plan's dt plus the exact implicit relaxation, in
     place, on the plan's cells. Each sign's upwind values are the buffer's
-    neighbouring columns; ghost_left, (edges, N), replaces the positive
-    velocities' one of the first cell."""
+    neighbouring columns, the inflows of the first and last cells included."""
     # upwind transport into the scratch: new = old - scale (old - up)
     old, upwind, new = plan.positive
     np.subtract(old, upwind, out=new)
-    if ghost_left is not None:
-        N = ghost_left.shape[1]
-        np.subtract(plan.cells[:, N:, 0], ghost_left, out=plan.moved[:, N:, 0])
     old, upwind, new = plan.negative
     np.subtract(upwind, old, out=new)
     old, new, scale = plan.both
@@ -471,23 +470,25 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
 
     The substeps run on the fine plan's compact buffer, filled from the first
     fine + 2 columns of ``state.buffer``: the node ghosts, the fine cells and
-    the first coarse cell. Its node ghosts and fine cells are copied back
-    before the coarse step.
+    the first coarse cell. The mean builds up in the last fine cell's column
+    of ``state.buffer``, the coarse step's upwind column, and the node ghosts
+    and fine cells are copied back over it after the coarse step.
     """
     fine_plan = _step_plan(state, dt, 0, fine)
     coarse_plan = _step_plan(state, k * dt, fine, state.dx.size)
     compact = fine_plan.buffer
     compact[...] = state.buffer[:, :, :fine + 2]
     last_fine = fine_plan.cells[:, state.rule.half:, -1]
-    interface = np.zeros(last_fine.shape)
+    inflow = state.buffer[state.rule.half:, :, fine].T
+    inflow[...] = 0.0
     for _ in range(k):
-        interface += last_fine
+        inflow += last_fine
         _node_ghost(state.beta, fine_plan)
         _advance(fine_plan)
-    interface /= k
-    state.buffer[:, :, :fine + 1] = compact[:, :, :fine + 1]
+    inflow /= k
     _book_outflow(state, k * dt)
-    _advance(coarse_plan, interface)
+    _advance(coarse_plan)
+    state.buffer[:, :, :fine + 1] = compact[:, :, :fine + 1]
     state.time += k * dt
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .hermite import _bidiagonal_svd, readonly, recursion_coefficients
+from .hermite import _bidiagonal_svd, check_half_order, readonly, recursion_coefficients
 
 __all__ = [
     "LayerMatrix",
@@ -72,7 +72,8 @@ class LayerSpectrum:
 
 
 def build_layer_matrix(N: int) -> LayerMatrix:
-    """Layer matrix for 2N velocities; rejects N < 4 where the system degenerates."""
+    """Layer matrix for 2N velocities, N an integer in [4, MAX_HALF_ORDER]."""
+    check_half_order(N)
     if N < 4:
         raise ValueError(f"layer system needs N >= 4, got {N}")
     offdiag = recursion_coefficients(2 * N - 1)[4:]  # alpha_5 .. alpha_{2N-1}

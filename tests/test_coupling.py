@@ -224,7 +224,7 @@ class TestInvariantMatrix:
 
     def test_lifted_is_inverse_transform_of_lift(self, ops_factory):
         ops = ops_factory(8)
-        np.testing.assert_allclose(ops.transform.matrix @ nodal_lift(ops), ops.lift,
+        np.testing.assert_allclose(ops.transform.basis @ nodal_lift(ops), ops.lift,
                                    rtol=0.0, atol=1e-13)
 
     def test_rejects_general_topology(self, ops_factory):
@@ -456,6 +456,16 @@ class TestSolveNode:
         assert odd_moment_residual(sol) < 1e-9
         assert flux_residual(sol) < 1e-10
 
+    def test_residual_rejects_a_topology_of_another_degree(self, ops_factory):
+        sol = solve_node(NodeProblem(NodeTopology.symmetric(3), np.ones(3), 0.0), ops_factory(20))
+        with pytest.raises(ValueError, match="^topology"):
+            coupling_residual(sol, NodeTopology.symmetric(4), ops_factory(20).transform)
+
+    def test_residual_rejects_the_rule_of_another_N(self, ops_factory):
+        sol = solve_node(NodeProblem(NodeTopology.symmetric(3), np.ones(3), 0.0), ops_factory(20))
+        with pytest.raises(ValueError, match="^transform"):
+            coupling_residual(sol, NodeTopology.symmetric(3), ops_factory(30).transform)
+
     def test_invariant_equalities_across_edges(self, ops_factory, coeff_factory):
         data, topo, coeff, problem = preset_problem(3, 30, ops_factory, coeff_factory)
         sol = solve_node(problem, ops_factory(30))
@@ -526,8 +536,8 @@ class TestSolveNode:
                                    sol.rho_at_0 - sol.B, atol=1e-13)
 
     def test_rejects_infinite_topology(self, ops_factory):
-        problem = NodeProblem(NodeTopology.symmetric(INFINITE), np.zeros(3), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^topology"):
+            problem = NodeProblem(NodeTopology.symmetric(INFINITE), np.zeros(3), 0.0)
             solve_node(problem, ops_factory(30))
 
 
@@ -1092,6 +1102,11 @@ class TestNodeDataValidation:
         with pytest.raises(ValueError, match="^incoming must be a vector of length 3"):
             NodeProblem.from_macro_data(NodeTopology.symmetric(3), None,
                                         two_edges, two_edges, two_edges)
+
+    def test_from_macro_data_rejects_the_infinite_node(self):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="^topology"):
+            NodeProblem.from_macro_data(NodeTopology.symmetric(INFINITE), None, ones, ones, ones)
 
     def test_problem_holds_floats(self):
         problem = NodeProblem(NodeTopology.symmetric(3), [1, 0, -1], np.float32(0.5))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bgknet import MomentTransform, build_rule, hermite_functions, recursion_coefficients
+from bgknet import build_rule, hermite_functions, recursion_coefficients
 from bgknet.kinetic import _maxwellian_rows
 
 SQRT_PI = math.sqrt(math.pi)
@@ -14,8 +14,8 @@ DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097
 
 
 def transform_of(rule):
-    """The moment transform on the rule's own table, as NodeOperators.build makes it."""
-    return MomentTransform(rule.basis, rule.scaled_weights)
+    """The moment transform: the rule itself, as NodeOperators.transform returns it."""
+    return rule
 
 
 def polynomial_values(rule):
@@ -272,7 +272,7 @@ class TestMomentTransform:
         rule = build_rule(N)
         transform = transform_of(rule)
         f = rng.standard_normal(rule.order)
-        back = transform.solve(transform.matrix @ f)
+        back = transform.solve(transform.basis @ f)
         assert np.max(np.abs(back - f)) < 1e-9 * np.max(np.abs(f))
 
     @pytest.mark.parametrize("N", [8, 100, 1000])
@@ -282,7 +282,7 @@ class TestMomentTransform:
         # tridiagonal eigensolver's nodes left 1.4e-12
         rule = build_rule(N)
         transform = transform_of(rule)
-        S = transform.matrix
+        S = transform.basis
         defect = (S * rule.scaled_weights) @ S.T - np.eye(rule.order)
         assert np.max(np.abs(defect)) <= 2e-14
 
@@ -291,7 +291,7 @@ class TestMomentTransform:
         rule = build_rule(12)
         transform = transform_of(rule)
         g = rng.standard_normal((rule.order, 4))
-        expected = rule.scaled_weights[:, None] * (transform.matrix.T @ g)
+        expected = rule.scaled_weights[:, None] * (transform.basis.T @ g)
         np.testing.assert_array_equal(transform.solve(g), expected)
         for k in range(4):  # gemv and gemm round differently
             np.testing.assert_allclose(transform.solve(g[:, k]), expected[:, k],
@@ -301,7 +301,7 @@ class TestMomentTransform:
         # one Hermite table per N: the operators' transform is the rule's own table
         ops = ops_factory(10)
         rule = ops.rule
-        assert ops.transform.matrix is rule.basis
+        assert ops.transform.basis is rule.basis
         assert ops.transform.scaled_weights is rule.scaled_weights
         assert not rule.basis.flags.writeable
         np.testing.assert_array_equal(rule.basis, hermite_functions(rule.nodes, rule.order))
@@ -313,7 +313,7 @@ class TestMomentTransform:
         b = rng.standard_normal(rule.order)
         b /= np.linalg.norm(b)
         x = transform.solve(b)
-        assert np.linalg.norm(transform.matrix @ x - b) < 1e-8
+        assert np.linalg.norm(transform.basis @ x - b) < 1e-8
 
 
 class TestMoments:
@@ -325,12 +325,12 @@ class TestMoments:
         direct = np.array([np.sum(m * rule.basis[k]) for k in range(rule.order)])
         assert abs(direct[0] - 1 / math.sqrt(2)) < 1e-13
         assert np.max(np.abs(direct[1:])) < 1e-13
-        np.testing.assert_allclose(transform_of(rule).matrix @ m, direct, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(transform_of(rule).basis @ m, direct, rtol=0.0, atol=1e-13)
 
     def test_zero_distribution(self):
         rule = build_rule(4)
         transform = transform_of(rule)
-        assert np.all(transform.matrix @ np.zeros(rule.order) == 0.0)
+        assert np.all(transform.basis @ np.zeros(rule.order) == 0.0)
         assert np.all(transform.solve(np.zeros(rule.order)) == 0.0)
 
     def test_single_mode(self):
@@ -338,7 +338,7 @@ class TestMoments:
         transform = transform_of(rule)
         c = 0.37
         f = rule.scaled_weights * rule.basis[1] * c
-        g = transform.matrix @ f
+        g = transform.basis @ f
         assert abs(g[1] - c) < 1e-13
         others = np.delete(g, 1)
         assert np.max(np.abs(others)) < 1e-13
@@ -359,7 +359,7 @@ class TestDiscreteMaxwellian:
         for _ in range(5):
             g0, g1, g2 = rng.standard_normal(3)
             m = np.array([g0, g1, g2]) @ rows
-            g = transform.matrix @ m
+            g = transform.basis @ m
             assert np.max(np.abs(g[:3] - (g0, g1, g2))) < 1e-10
             assert np.max(np.abs(g[3:])) < 1e-10
 

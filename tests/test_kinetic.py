@@ -88,7 +88,7 @@ class TestConfigValidation:
             small_config(**kw)
 
     @pytest.mark.parametrize("name, value", [
-        ("N", 1), ("N", 0), ("N", 8.0),
+        ("N", 1), ("N", 0), ("N", 8.0), ("N", 2000),
         ("t_end", 0.0), ("t_end", -0.1), ("t_end", np.nan), ("t_end", np.inf),
         ("edge_length", -1.0), ("edge_length", 0.0), ("edge_length", np.nan),
         ("edge_length", np.inf), ("epsilon", np.nan), ("epsilon", np.inf),

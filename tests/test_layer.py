@@ -57,6 +57,12 @@ class TestLayerMatrix:
         with pytest.raises(ValueError):
             build_layer_matrix(N)
 
+    @pytest.mark.parametrize("N", [4.5, 5000])
+    def test_rejects_an_order_no_rule_has(self, N):
+        # the N check of the rule and the operators, before any array is made
+        with pytest.raises(ValueError, match="^N must"):
+            build_layer_matrix(N)
+
     def test_dense_is_symmetric(self):
         a = build_layer_matrix(7).dense()
         np.testing.assert_array_equal(a, a.T)
