@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, rsf2csf, schur, solve_triangular
 
+from . import _lapack
 from .errors import DegeneracyError, NumericalError, SingularSystemError
 from .hermite import QuadratureRule, build_rule, check_half_order, hermite_functions, readonly
 from .layer import build_layer_matrix, build_lift, stable_modes
@@ -54,6 +54,9 @@ INFINITE = math.inf
 
 #: Relative singular-value cutoff used by every rank decision in this module.
 SV_CUTOFF = 1e-10
+
+# Rows of M(mu) summed per block by _sum_modal.
+_SUM_ROWS = 64
 
 
 def _check_degree(n: int | float) -> None:
@@ -159,11 +162,24 @@ class NodeOperators:
 def _sum_modal(ops: NodeOperators, mu: complex, out: np.ndarray) -> None:
     """Sum M(mu) = (1 - mu) E + (1 + mu) O into the N x (N+1) ``out``, its columns
     in the order (gamma, D, C, B): row k of M(mu) is f(v_k) - mu f(-v_k) over
-    the positive velocities v_k."""
+    the positive velocities v_k.
+
+    The sum goes through a block of _SUM_ROWS rows at a time, which stays in
+    cache while it is written to ``out`` in either memory order, and no
+    N x (N+1) temporary is made. A complex ``out`` is summed by its real and
+    imaginary parts, so E and O are never cast to complex.
+    """
     N = ops.N
-    for dest, columns in ((out[:, :N - 2], np.s_[:, 3:]), (out[:, N - 2:], np.s_[:, :3])):
-        np.multiply(ops.even[columns], 1.0 - mu, out=dest)
-        dest += (1.0 + mu) * ops.odd[columns]
+    parts = [(out.real, 1.0 - mu.real, 1.0 + mu.real)]
+    if np.iscomplexobj(out):
+        parts.append((out.imag, -mu.imag, mu.imag))
+    for start in range(0, N, _SUM_ROWS):
+        rows = slice(start, start + _SUM_ROWS)
+        for part, even, odd in parts:
+            block = ops.even[rows] * even
+            block += odd * ops.odd[rows]
+            part[rows, :N - 2] = block[:, 3:]
+            part[rows, N - 2:] = block[:, :3]
 
 
 @dataclass(frozen=True)
@@ -175,43 +191,99 @@ class CouplingCoefficients:
     delta2: float
 
 
-def _reduce(ops: NodeOperators, mu: complex, rhs: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+@dataclass(frozen=True)
+class _Reduction:
     """One QR of the row-equilibrated M(mu), its columns in the order (gamma, D,
-    C, B), carrying the right-hand-side columns of M(mu) y = rhs along.
+    C, B), with the right-hand-side columns of M(mu) y = rhs carried along.
 
-    Returns (R, T, K, norm, b): R is the (N-2) x (N-2) triangular factor of the
-    gamma block, T = Q_1^H A and K = Q_2^H A for the (D, C, B) columns A, where
-    Q_2 spans the two-dimensional left null space of the gamma block (K comes
-    out triangularized by a 2 x 2 unitary factor, which no use of it sees).
-    The null vectors of M(mu) are (x, -R^{-1} T x) with K x = 0. ``norm`` is
-    the Frobenius norm of the equilibrated matrix, the scale for rank
-    decisions, and b = Q^H rhs (N x 0 without rhs) with rhs equilibrated like
-    M(mu)'s rows. Row equilibration leaves every null space unchanged. M(mu)
-    is summed straight into the one buffer [gamma | D C B | rhs] the QR gets,
-    so no copy of it stays alive beside the QR.
+    ``qr`` is the Fortran-ordered buffer [gamma | D C B | rhs] after LAPACK
+    geqrf. Above its diagonal it holds R, the (N-2) x (N-2) triangular factor of
+    the gamma block, T = Q_1^H A for the (D, C, B) columns A, and b = Q^H rhs;
+    below it, the Householder vectors of Q, with their scalars in ``tau``.
+    K = Q_2^H A is the upper triangle of the 2 x 3 block under T (its entry
+    below the diagonal holds a reflector), where Q_2 spans the two-dimensional
+    left null space of the gamma block; K comes out triangularized by a 2 x 2
+    unitary factor, which no use of it sees. The null vectors of M(mu) are
+    (x, -R^{-1} T x) with K x = 0. ``scale`` holds the row equilibration and
+    ``norm`` the Frobenius norm of the equilibrated M(mu), the scale for rank
+    decisions; row equilibration leaves every null space unchanged.
+    """
+
+    qr: np.ndarray
+    tau: np.ndarray
+    scale: np.ndarray
+    norm: float
+
+    @property
+    def K(self) -> np.ndarray:
+        split = self.qr.shape[0] - 2
+        K = self.qr[split:, split:split + 3].copy()
+        K[1, 0] = 0.0  # a reflector entry, below R's diagonal
+        return K
+
+    def solve(self, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Solutions of M(mu) y = rhs, the kernel of both node solves.
+
+        ``b`` is Q^H rhs, by default the columns carried in ``qr``. Returns
+        (particular, null, s): one solution y per column of rhs, the null
+        vectors of M(mu) as columns (not orthonormal), and the singular values
+        s of K, whose rank is cut at SV_CUTOFF times ``norm``. A particular
+        solution takes the minimum-norm x of K x = Q_2^H rhs, exact when K has
+        full row rank, and gamma by back substitution.
+        """
+        qr = self.qr
+        split, cols = qr.shape[0] - 2, qr.shape[0] + 1
+        b = qr[:, cols:] if b is None else b
+        T = qr[:split, split:cols]
+        u, s, vh = np.linalg.svd(self.K)
+        rank = int(np.count_nonzero(s > SV_CUTOFF * self.norm))
+        X = vh[rank:].conj().T
+        null = np.vstack([X, -_lapack.trtrs(qr, np.asfortranarray(T @ X))])
+        x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b[split:]) / s[:rank, None])
+        gamma = _lapack.trtrs(qr, np.asfortranarray(b[:split] - T @ x))
+        return np.vstack([x, gamma]), null, s
+
+    def conjugate_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`solve` for conj(M(mu)) y = rhs, which is M(conj(mu)) y = rhs:
+        the same reflectors applied to conj(rhs) (LAPACK unmqr) solve
+        M(mu) conj(y) = conj(rhs), so no second QR is needed."""
+        c = np.empty(rhs.shape, self.qr.dtype, order="F")
+        np.conjugate(rhs, out=c)
+        c /= self.scale
+        particular, null, s = self.solve(_lapack.unmqr(self.qr, self.tau, c))
+        return particular.conj(), null.conj(), s
+
+
+def _reduce(ops: NodeOperators, mu: complex, rhs: np.ndarray | None = None) -> _Reduction:
+    """The :class:`_Reduction` of M(mu), carrying ``rhs`` along.
+
+    M(mu) is summed straight into the one Fortran-ordered buffer the QR works
+    in, so no copy of it is made; the QR's R-factor is checked by LAPACK
+    trcon, and a rank-deficient gamma block raises DegeneracyError.
     """
     N, cols = ops.N, ops.N + 1
-    rhs = np.empty((N, 0)) if rhs is None else rhs
-    Ms = np.empty((N, cols + rhs.shape[1]), np.result_type(mu, ops.even, rhs))
-    _sum_modal(ops, mu, Ms[:, :cols])
-    scale = np.max(np.abs(Ms[:, :cols]), axis=1)
+    k = 0 if rhs is None else rhs.shape[1]
+    dtype = np.result_type(mu, ops.even, *(() if rhs is None else (rhs,)))
+    qr = np.empty((N, cols + k), dtype, order="F")
+    _sum_modal(ops, mu, qr[:, :cols])
+    scale = np.max(np.abs(qr[:, :cols]), axis=1, keepdims=True)
     if not np.all(np.isfinite(scale)):
         raise NumericalError("invariant matrix contains non-finite entries")
     if np.any(scale == 0.0):
         raise DegeneracyError("invariant matrix has an identically zero row")
-    scale = scale[:, None]
-    Ms[:, :cols] /= scale
-    np.divide(rhs, scale, out=Ms[:, cols:])
-    full = np.linalg.qr(Ms, mode="r")
-    R, T, K = full[:N - 2, :N - 2], full[:N - 2, N - 2:cols], full[N - 2:, N - 2:cols]
-    rcond, _ = get_lapack_funcs("trcon", (R,))(R, norm="1", uplo="U", diag="N")
+    qr[:, :cols] /= scale
+    if k:
+        np.divide(rhs, scale, out=qr[:, cols:])
+    # the Frobenius norm of the triangular factor, read before the QR: Q is unitary
+    norm = float(np.linalg.norm(qr[:, :cols]))
+    tau = _lapack.geqrf(qr)
+    rcond = _lapack.trcon(qr, N - 2)
     if not rcond > SV_CUTOFF:
         raise DegeneracyError(f"gamma block of the invariant matrix is rank deficient "
                               f"(reciprocal condition {rcond:.3e}); singular_values "
                               "holds the magnitudes of its triangular factor's diagonal",
-                              singular_values=np.abs(np.diag(R)))
-    return R, T, K, float(np.linalg.norm(full[:, :cols])), full[:, cols:]
+                              singular_values=np.abs(np.diag(qr[:N - 2, :N - 2])))
+    return _Reduction(qr, tau, scale, norm)
 
 
 def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
@@ -228,7 +300,8 @@ def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> Coupling
         raise ValueError("compute_coefficients supports only symmetric topologies; "
                          "use solve_node for an arbitrary coupling matrix")
     mu = 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
-    _, _, K, norm, _ = _reduce(ops, mu)
+    reduction = _reduce(ops, mu)
+    K, norm = reduction.K, reduction.norm
     s = np.linalg.svd(K, compute_uv=False)
     if s[-1] <= SV_CUTOFF * norm:
         raise DegeneracyError("invariant matrix is numerically row-rank deficient; "
@@ -402,32 +475,10 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, ops.layer_eigenvalues, modal)
 
 
-def _modal_solve(ops: NodeOperators, mu: complex, rhs: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solutions of M(mu) y = rhs from the QR reduction, the kernel of both node solves.
-
-    Returns (particular, null, s): one solution y per column of rhs (none
-    without rhs), the null vectors of M(mu) as columns (not orthonormal), and
-    the singular values s of the 2 x 3 K, whose rank is cut at SV_CUTOFF
-    times the matrix norm. A particular solution takes the minimum-norm x of
-    K x = Q_2^H rhs, exact when K has full row rank, and gamma by back
-    substitution.
-    """
-    R, T, K, norm, b = _reduce(ops, mu, rhs)
-    u, s, vh = np.linalg.svd(K)
-    rank = int(np.count_nonzero(s > SV_CUTOFF * norm))
-    X = vh[rank:].conj().T
-    null = np.vstack([X, -solve_triangular(R, T @ X)])
-    split = R.shape[0]
-    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b[split:]) / s[:rank, None])
-    particular = np.vstack([x, solve_triangular(R, b[:split] - T @ x)])
-    return particular, null, s
-
-
 def _modal_null_space(ops: NodeOperators, mu: complex) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of M(mu)."""
-    basis, _ = np.linalg.qr(_modal_solve(ops, mu)[1])
-    return basis
+    """Orthonormal null-space basis (columns) of M(mu): the left singular vectors
+    of the null vectors the QR reduction gives."""
+    return np.linalg.svd(_reduce(ops, mu).solve()[1], full_matrices=False)[0]
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -476,8 +527,12 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
         raise DegeneracyError("coupling matrix has no well-conditioned eigenbasis "
                               "(defective beta); use solve_node_general")
     weights, columns = [], []             # one (eigenvector, null vector) pair per unknown
+    nulls = {}
     for mu, vecs in modes:
-        null = _modal_null_space(ops, mu)
+        # M(conj(mu)) = conj(M(mu)): a conjugate pair shares one QR
+        partner = np.conj(mu)
+        null = nulls[mu] = (nulls[partner].conj() if partner in nulls
+                            else _modal_null_space(ops, mu))
         weights.append(np.repeat(vecs, null.shape[1], axis=1))
         columns.append(np.tile(null, vecs.shape[1]))
     W, Z = np.hstack(weights), np.hstack(columns)
@@ -523,8 +578,9 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     block takes one QR of M(U_ii) that carries its right-hand sides and adds
     its null vectors to the free coefficients: two for mu = 1, whose block is
     the only rank-deficient one and never sees a right-hand side, and one
-    for every other block. The n outgoing characteristics D - a C = r_- and
-    the zero-characteristic balance fix those n+1 coefficients.
+    for every other block. The two blocks of a complex pair share one QR, as
+    M(conj(mu)) = conj(M(mu)). The n outgoing characteristics D - a C = r_-
+    and the zero-characteristic balance fix those n+1 coefficients.
 
     It checks the modal kernel of :func:`solve_node`, with which it coincides
     for every diagonalizable beta, and it is the only solver for a defective
@@ -537,18 +593,30 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     n = int(topology.n)
     incoming, zero_balance = _node_data(n, incoming, zero_balance)
     N, E, O = ops.N, ops.even, ops.odd
+    from scipy.linalg import rsf2csf, schur  # the only scipy call of the solver
+
     # eigenvalues farther than 1e-8 from 1 go to the top left, so the block of
-    # mu = 1 comes last; a 2 x 2 block of a complex pair makes the form complex
+    # mu = 1 comes last; a 2 x 2 block of a complex pair makes the form complex,
+    # with the pair's eigenvalues at i and i + 1 for every i in ``pairs``
     U, Q, _ = schur(beta, output="real", sort=lambda re, im: abs(complex(re, im) - 1.0) > 1e-8)
-    if np.any(np.diag(U, -1)):
+    pairs = set(np.flatnonzero(np.diag(U, -1)).tolist())
+    if pairs:
         U, Q = rsf2csf(U, Q)
     # y_i = Y[i] c in the free coefficients c, introduced block by block
     Y = np.zeros((n, N + 1, n + 1), U.dtype)
     free = 0
+    kept = None  # the QR of block i + 1 while block i is its conjugate partner
     for i in range(n - 1, -1, -1):
         mu = U[i, i].real if U[i, i].imag == 0 else U[i, i]
         coupled = np.tensordot(U[i, i + 1:], Y[i + 1:, :, :free], axes=1)
-        particular, null, s = _modal_solve(ops, mu, _reflected(ops, coupled) if free else None)
+        rhs = _reflected(ops, coupled) if free else None
+        if i in pairs:  # mu is conj(U[i+1, i+1]) to rounding
+            particular, null, s = kept.conjugate_solve(rhs)
+        else:
+            kept = _reduce(ops, mu, rhs)
+            particular, null, s = kept.solve()
+        if i - 1 not in pairs:
+            kept = None  # freed before the next block's QR is made
         expected = 2 if i == n - 1 else 1
         if null.shape[1] != expected:
             raise DegeneracyError(f"coupling system is rank deficient: the block of eigenvalue "

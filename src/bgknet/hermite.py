@@ -12,8 +12,9 @@ weights underflow.
 
 The Jacobi matrix of the rule has a zero diagonal, so it is the Golub-Kahan
 form of a bidiagonal matrix and its positive eigenvalues, the positive nodes,
-are singular values. This module holds the one binding to LAPACK's bidiagonal
-SVD, dbdsdc, that the rule and the layer spectrum share.
+are singular values. This module holds the one checked call of LAPACK's
+bidiagonal SVD, dbdsdc, that the rule and the layer spectrum share; the routine
+itself is bound in ``_lapack``, from the LAPACK numpy links.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
+from . import _lapack
+from ._lapack import dbdsdc as _dbdsdc
 from .errors import NumericalError
 
 __all__ = [
@@ -49,23 +51,6 @@ def readonly(*arrays: np.ndarray) -> None:
     """Mark constructed arrays immutable; shared objects must not be written."""
     for array in arrays:
         array.flags.writeable = False
-
-
-def _lapack_routine(name: str, *argtypes):
-    """LAPACK routine ``name`` as a ctypes function, from the function-pointer
-    capsule scipy's Cython LAPACK table holds for it."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, capsule_name(capsule)))
-
-
-_INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-# dbdsdc(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
-_dbdsdc = _lapack_routine("dbdsdc", ctypes.c_char_p, ctypes.c_char_p, _INT, _ARRAY, _ARRAY,
-                          _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT)
 
 
 def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, compq: str = "I"):
@@ -99,8 +84,8 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, compq: str = "I"):
     else:
         # u and vt are not referenced for compq = "N"
         work, u_data, vt_data = np.empty(4 * m), None, None
-    iwork = np.empty(8 * m, dtype=np.intc)
-    n, info = ctypes.byref(ctypes.c_int(m)), ctypes.c_int(0)
+    iwork = _lapack.integer_array(8 * m)
+    n, info = ctypes.byref(_lapack.integer(m)), _lapack.integer(0)
     # q and iq are referenced only for compq = "P"
     _dbdsdc(b"L", compq.encode(), n, d.ctypes.data, e.ctypes.data, u_data, n, vt_data, n,
             None, None, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))

@@ -14,7 +14,7 @@ From B = U diag(sigma) V^T, A has the eigenvalues +-sigma_j, and the
 eigenvector of +-sigma_j interleaves u_j (even entries) and +-v_j (odd
 entries), divided by sqrt(2). One SVD of B by LAPACK's dbdsdc, which gets
 every sigma to high relative accuracy, gives the whole spectrum; the stable
-manifold needs only the m positive modes. The dbdsdc binding lives in
+manifold needs only the m positive modes. The checked dbdsdc call lives in
 ``hermite``, whose rule takes its nodes from the same routine.
 """
 

@@ -42,13 +42,20 @@ def test_readme_matches_the_package(capsys):
     assert not missing, f"README calls {missing}, which bgknet does not have"
 
 
-def test_cli_import_is_lean():
-    # process start: neither scipy.special (about 60 ms, 3.7 MB) nor configparser
-    # is loaded by importing the CLI; each is paid only where it is used
-    lazy = ["scipy.special", "configparser"]
-    code = ("import bgknet.cli, sys; "
-            f"print(','.join(m for m in {lazy!r} if m in sys.modules))")
+def test_cli_import_is_lean(tmp_path):
+    # process start: neither scipy (its special functions alone take about 60
+    # ms and 3.7 MB) nor configparser is loaded by importing the CLI; each is
+    # paid only where it is used. LAPACK comes from numpy's own library, so a
+    # coefficient sweep and a node solve load no scipy module either.
     package_root = str(Path(bgknet.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, cwd=package_root)
-    assert out.stdout.strip() == "", f"importing bgknet.cli loads {out.stdout.strip()}"
+    report = ("print('loaded:' + ','.join(m for m in sys.modules "
+              "if m == 'configparser' or m.split('.')[0] == 'scipy'))")
+    runs = {"import": ""}
+    for argv in (["deltas", "--N", "5:8"], ["node", "--N", "20"]):
+        out = str(tmp_path / argv[0])
+        runs[argv[0]] = f"bgknet.cli.main({argv + ['--out', out]!r}); "
+    for label, run in runs.items():
+        out = subprocess.run([sys.executable, "-c", f"import bgknet.cli, sys; {run}{report}"],
+                             capture_output=True, text=True, check=True, cwd=package_root)
+        loaded = out.stdout.splitlines()[-1]
+        assert loaded == "loaded:", f"{label} {loaded}"

@@ -987,8 +987,8 @@ class TestOperatorMemory:
         assert peak <= 5.9 * 2**20
 
     def test_coefficients_hold_no_matrix_beside_the_qr(self, ops_factory):
-        # M(mu) is summed into the QR's one input buffer; the QR's own copy and
-        # its triangular factor make three N x (N+1) arrays at the peak
+        # M(mu) is summed block by block into the one buffer the QR works in,
+        # and the row scales take one more N x (N+1) array: two units at the peak
         ops = ops_factory(self.N)
         topology = NodeTopology.symmetric(3)
         compute_coefficients(ops, topology)
@@ -998,7 +998,22 @@ class TestOperatorMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * self.unit
+        assert peak <= 2.3 * self.unit
+
+    def test_complex_pair_solve_holds_one_complex_qr(self, ops_factory):
+        # the two blocks of a complex pair share one complex buffer (two units)
+        # and no earlier block's QR stays alive beside it; scipy.linalg, which
+        # the solve imports, is loaded by this module already
+        ops = ops_factory(self.N)
+        beta = 0.9 * np.roll(np.eye(3), 1, axis=0) + 0.1 / 3.0
+        args = (NodeTopology(3, beta), np.array([0.3, -0.2, 0.5]), 0.1, ops)
+        tracemalloc.start()
+        try:
+            solve_node_general(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * self.unit
 
     def test_reflection_of_a_complex_block_stays_real(self, ops_factory):
         # E y - O y for a complex y goes by its real and imaginary parts: no
