@@ -154,11 +154,13 @@ def cmd_deltas(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     topo = coupling.NodeTopology.symmetric(cfg["n"])
+    halves = range(lo - 1, hi + 1)
+    operators = coupling._sweep(halves)
     sweep = {}
-    for N in range(lo - 1, hi + 1):
+    for N in halves:
         try:
-            ops = coupling.NodeOperators.build(N)
-            coeff = coupling.compute_coefficients(ops, topo)
+            # unbound, the operators at N are freed before those at N + 1 are built
+            coeff = coupling.compute_coefficients(next(operators), topo)
         except Exception as exc:
             raise RuntimeError(f"coefficient computation failed at N={N}: {exc}") from exc
         sweep[N] = (coeff.delta1, coeff.delta2)

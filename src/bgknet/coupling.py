@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _lapack
 from .errors import DegeneracyError, NumericalError, SingularSystemError
-from .hermite import QuadratureRule, build_rule, check_half_order, hermite_functions, readonly
+from .hermite import (QuadratureRule, _rules, build_rule, check_half_order, hermite_functions,
+                      readonly)
 from .layer import build_layer_matrix, build_lift, stable_modes
 
 __all__ = [
@@ -134,13 +135,18 @@ class NodeOperators:
 
     @classmethod
     def build(cls, N: int) -> "NodeOperators":
+        return cls._assemble(N, lambda: build_rule(N))
+
+    @classmethod
+    def _assemble(cls, N: int, next_rule) -> "NodeOperators":
+        """The operators at N, with the rule that ``next_rule()`` returns."""
         check_half_order(N)
-        # the layer modes go before the Hermite table is made, so the two
-        # largest stages of the build are never alive together
+        # the layer modes go before the rule is asked for, so the two largest
+        # stages of the build are never alive together
         eigenvalues, r2plus = stable_modes(build_layer_matrix(N))
         lift = build_lift(r2plus)
         del r2plus
-        rule = build_rule(N)
+        rule = next_rule()
         positive, weights = rule.basis[:, N:], rule.scaled_weights[N:, None]
         even = positive[0::2].T @ lift[0::2]
         odd = positive[1::2].T @ lift[1::2]
@@ -157,6 +163,20 @@ class NodeOperators:
     def transform(self) -> QuadratureRule:
         """The rule, under the name :func:`coupling_residual` callers pass it by."""
         return self.rule
+
+
+def _sweep(halves):
+    """Yield ``NodeOperators.build(N)`` for each N of the sequence ``halves``.
+
+    The rules of consecutive N come from one recursion in batches
+    (``hermite._rules``); a batch's table is made after the layer stage of its
+    first N and lives until the rule after its last is asked for. The
+    generator holds nothing of the operators it yields, so a caller that drops
+    them holds no N's operators while the next are built.
+    """
+    rules = _rules(halves)
+    for N in halves:
+        yield NodeOperators._assemble(N, rules.__next__)
 
 
 def _sum_modal(ops: NodeOperators, mu: complex, out: np.ndarray) -> None:

@@ -45,6 +45,8 @@ _CLIP = 1e150
 # Between two rescales the recursion may grow or shrink by at most e^600, so no
 # intermediate value leaves the normal range of a double.
 _LOG_BLOCK = 600.0
+# The recursion table of one batch of rules holds at most this many bytes.
+_BATCH_BYTES = 2 ** 20
 
 
 def readonly(*arrays: np.ndarray) -> None:
@@ -102,17 +104,9 @@ def recursion_coefficients(count: int) -> np.ndarray:
 def hermite_functions(points, count: int) -> np.ndarray:
     """Evaluate the Hermite functions H_k at arbitrary points.
 
-    Returns the (count, len(points)) table H[k, i] = P_k(x_i) e^{-x_i^2/2}.
-    The recursion writes unnormalized values straight into the rows of the
-    table and carries the weight e^{-x^2/2} as a log scale. Every R steps the
-    last two rows are divided by the larger of their magnitudes and a new
-    block, with its own log scale, begins; at the end each block is multiplied
-    twice by the exponential of half its scale, since e^scale alone can
-    underflow where the block's rows are large. R follows from max |x|: one step
-    changes the pair's magnitude by at most sqrt(2)(1 + |x|), so no
-    intermediate value of a block leaves the normal range and no finite point
-    overflows. Entries whose true size is below the double-precision range
-    come out as an honest zero.
+    Returns the (count, len(points)) table H[k, i] = P_k(x_i) e^{-x_i^2/2}:
+    the one-group case of :func:`_recurrence`. Entries whose true size is
+    below the double-precision range come out as an honest zero.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
@@ -121,39 +115,77 @@ def hermite_functions(points, count: int) -> np.ndarray:
         raise ValueError(f"points must be a scalar or a 1-d array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("points must be finite")
-    x = np.clip(x, -_CLIP, _CLIP)
+    return _recurrence(np.clip(x, -_CLIP, _CLIP), [(int(count), x.size)])
+
+
+def _recurrence(x: np.ndarray, groups) -> np.ndarray:
+    """The Hermite functions of several column groups of ``x`` in one recursion.
+
+    ``groups`` lists (count, stop) pairs with non-increasing counts: group g is
+    the columns from the previous stop up to ``stop``, and its entries of the
+    returned (groups[0][0], x.size) table are H_k(x_i) for k < count; its rows
+    from count on are left unwritten. The columns still stepped at k are then
+    a prefix, and every step is four numpy calls on it.
+
+    The recursion writes unnormalized values straight into the rows of the
+    table and carries the weight e^{-x^2/2} as a log scale. Every R steps of a
+    group, its last two rows are divided by the larger of their magnitudes and
+    a new block, with its own log scale, begins; at the end each block is
+    multiplied twice by the exponential of half its scale, since e^scale alone
+    can underflow where the block's rows are large. R follows from the group's
+    max |x|: one step changes the pair's magnitude by at most
+    sqrt(2)(1 + |x|), so no intermediate value of a block leaves the normal
+    range and no finite point overflows. Each entry is made by the same
+    operations as in a recursion over its group alone.
+    """
+    count = groups[0][0]
     out = np.empty((count, x.size))
     out[0] = np.pi ** -0.25
     if count > 1:
         np.multiply(x, math.sqrt(2.0) * np.pi ** -0.25, out=out[1])
-    peak = float(np.max(np.abs(x), initial=0.0))
-    block = max(1, int(_LOG_BLOCK / math.log(math.sqrt(2.0) * (1.0 + peak))))
     alpha = recursion_coefficients(count)
     work = np.empty_like(x)
-    starts, scales = [0], [-0.5 * x * x]
+    columns, starts, scales, rescales, begin = [], [], [], {}, 0
+    for g, (rows, stop) in enumerate(groups):
+        cols, begin = slice(begin, stop), stop
+        peak = float(np.max(np.abs(x[cols]), initial=0.0))
+        block = max(1, int(_LOG_BLOCK / math.log(math.sqrt(2.0) * (1.0 + peak))))
+        for k in range(block, rows - 1, block):
+            rescales.setdefault(k, []).append(g)
+        columns.append(cols)
+        starts.append([0])
+        scales.append([-0.5 * x[cols] * x[cols]])
+    # step k writes row k + 1, so groups[:stepped] are those with k + 1 < count
+    stepped, table, xs, ws = len(groups), out, x, work
     for k in range(1, count - 1):
-        if k % block == 0:
+        if groups[stepped - 1][0] <= k + 1:
+            while groups[stepped - 1][0] <= k + 1:
+                stepped -= 1
+            m = groups[stepped - 1][1]
+            table, xs, ws = out[:, :m], x[:m], work[:m]
+        for g in rescales.get(k, ()):
             # rows k - 1 and k open the next block; max(|u_{k-1}|, |u_k|) > 0
-            pair = out[k - 1:k + 1]
+            pair = out[k - 1:k + 1, columns[g]]
             mag = np.maximum(np.abs(pair[0]), np.abs(pair[1]))
             pair /= mag
-            starts.append(k - 1)
-            scales.append(scales[-1] + np.log(mag))
+            starts[g].append(k - 1)
+            scales[g].append(scales[g][-1] + np.log(mag))
         # u_{k+1} = (x u_k - alpha_k u_{k-1}) / alpha_{k+1}
-        row = out[k + 1]
-        np.multiply(out[k - 1], alpha[k - 1], out=row)
-        np.multiply(x, out[k], out=work)
-        np.subtract(work, row, out=row)
+        row = table[k + 1]
+        np.multiply(table[k - 1], alpha[k - 1], out=row)
+        np.multiply(xs, table[k], out=ws)
+        np.subtract(ws, row, out=row)
         np.divide(row, alpha[k], out=row)
-    starts.append(count)
     with np.errstate(under="ignore"):
-        for start, stop, scale in zip(starts, starts[1:], scales):
-            # two half factors: e^scale alone may leave the normal range
-            # where the block's rows are large
-            half = np.exp(0.5 * scale)
-            rows = out[start:stop]
-            rows *= half
-            rows *= half
+        for (rows, _), cols, group_starts, group_scales in zip(groups, columns, starts, scales):
+            for start, stop, scale in zip(group_starts, group_starts[1:] + [rows],
+                                          group_scales):
+                # two half factors: e^scale alone may leave the normal range
+                # where the block's rows are large
+                half = np.exp(0.5 * scale)
+                entries = out[start:stop, cols]
+                entries *= half
+                entries *= half
     return out
 
 
@@ -192,19 +224,28 @@ def check_half_order(N) -> None:
         raise ValueError(f"N must be an integer in [1, {MAX_HALF_ORDER}], got {N!r}")
 
 
-def _newton_step(x: np.ndarray, order: int) -> np.ndarray:
-    """One Newton step on the monic Hermite polynomial p_order at the points ``x``.
+def _newton_step(x: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """One Newton step on the monic Hermite polynomial p_order at the points ``x``,
+    ``order`` holding each point's order, non-increasing.
 
     The ratios s_k = p_{k+1}/p_k obey s_0 = x, s_k = x - (k/2)/s_{k-1}, and
     p_order' = order p_{order-1}, so the step is x - s_{order-1}/order. A zero
     ratio gives an infinite next one and a ratio x after it, as the recursion
-    of the p_k does.
+    of the p_k does. The points still stepped at k, those with k < order, are a
+    prefix, and each point's ratios are made by the same operations as in a
+    step over its order alone.
     """
+    orders = order.tolist()
     s = x.copy()
+    stepped, xs, ss = x.size, x, s
     with np.errstate(divide="ignore"):
-        for k in range(1, order):
-            np.divide(0.5 * k, s, out=s)
-            np.subtract(x, s, out=s)
+        for k in range(1, orders[0]):
+            if orders[stepped - 1] <= k:
+                while orders[stepped - 1] <= k:
+                    stepped -= 1
+                xs, ss = x[:stepped], s[:stepped]
+            np.divide(0.5 * k, ss, out=ss)
+            np.subtract(xs, ss, out=ss)
     return x - s / order
 
 
@@ -220,15 +261,63 @@ def build_rule(N: int) -> QuadratureRule:
     Christoffel form w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2. The table is
     evaluated at the N positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v),
     which the recursion satisfies bit for bit on the exactly symmetric nodes.
+    The rule is the one-rule batch of :func:`_rules`, which checks N.
     """
-    check_half_order(N)
+    return next(_rules([N]))
+
+
+def _rules(halves):
+    """Yield build_rule(N) for each N of the sequence ``halves``, in order.
+
+    The positive nodes of every N are polished by one Newton step. Runs of
+    consecutive N whose recursion table, 2 max(N) rows by sum(N) columns of
+    doubles, fits in _BATCH_BYTES share one recursion; a larger N is a batch
+    of its own. A batch's table is made when its first rule is asked for, and
+    each rule when it is asked for.
+    """
+    for N in halves:
+        check_half_order(N)
+    positive = _positive_nodes(sorted(set(halves), reverse=True))
+    batch = []
+    for N in halves:
+        if batch and 16 * max(*batch, N) * (sum(batch) + N) > _BATCH_BYTES:
+            yield from _batch(batch, positive)
+            batch = []
+        batch.append(N)
+    if batch:
+        yield from _batch(batch, positive)
+
+
+def _positive_nodes(down) -> dict:
+    """N -> the N positive nodes, ascending, for each N of the descending ``down``:
+    singular values polished by one Newton step on all of them at once, whose
+    points still stepped at k are then a prefix."""
+    singular = []
+    for N in down:
+        alpha = recursion_coefficients(2 * N - 1)
+        d, e = alpha[0::2].copy(), alpha[1::2].copy()
+        _bidiagonal_svd(d, e, "N")
+        singular.append(d[::-1])
+    polished = _newton_step(np.concatenate(singular), np.repeat([2 * N for N in down], down))
+    return dict(zip(down, np.split(polished, np.cumsum(down)[:-1])))
+
+
+def _batch(halves, positive: dict):
+    """The rules of ``halves`` from one recursion over their positive nodes,
+    taken by N descending so that the columns stepped at k are a prefix."""
+    down = sorted(set(halves), reverse=True)
+    x = np.concatenate([positive[N] for N in down])
+    stops = np.cumsum(down).tolist()
+    table = _recurrence(x, [(2 * N, stop) for N, stop in zip(down, stops)])
+    columns = {N: slice(stop - N, stop) for N, stop in zip(down, stops)}
+    for N in halves:
+        yield _rule(N, positive[N], table[:2 * N, columns[N]])
+
+
+def _rule(N: int, positive: np.ndarray, half: np.ndarray) -> QuadratureRule:
+    """The rule from its N positive nodes and their Hermite table ``half``."""
     order = 2 * N
-    alpha = recursion_coefficients(order - 1)
-    d, e = alpha[0::2].copy(), alpha[1::2].copy()
-    _bidiagonal_svd(d, e, "N")
-    positive = _newton_step(d[::-1], order)
     nodes = np.concatenate((-positive[::-1], positive))
-    half = hermite_functions(positive, order)
     scaled_half = 1.0 / np.einsum("ki,ki->i", half, half)
     table = np.empty((order, order))
     table[:, N:] = half
@@ -239,4 +328,3 @@ def build_rule(N: int) -> QuadratureRule:
         weights = scaled * np.exp(-nodes * nodes)
     readonly(nodes, weights, scaled, table)
     return QuadratureRule(order, nodes, weights, scaled, table)
-

@@ -70,8 +70,10 @@ class TestDeltasCommand:
         assert f"[5, {MAX_HALF_ORDER}]" in " ".join(capsys.readouterr().out.split())
 
     def test_csv_independent_of_blas_threads(self, tmp_path):
-        # OpenBLAS threads only the larger calls, so short sweeps cannot show
-        # a thread-dependent rounding; from about N = 70 on they can
+        # OpenBLAS threads only the larger calls, so this range cannot show a
+        # thread-dependent rounding. From N = 100 on, the E and O products of
+        # the operator build round differently at one and two threads (the
+        # rule and the layer modes do not), and delta moves by up to 9e-16
         src = str(Path(bgknet.__file__).resolve().parents[1])
         outputs = {}
         for threads in ("1", "2"):
@@ -86,6 +88,20 @@ class TestDeltasCommand:
                 outputs[degree, threads] = (out / "deltas.csv").read_bytes()
         for degree in ("3", "inf"):
             assert outputs[degree, "1"] == outputs[degree, "2"]
+
+    def test_failure_names_its_resolution(self, tmp_path, monkeypatch, capsys):
+        # an error inside the batched operator sweep still names the N it hit
+        stable_modes = coupling.stable_modes
+
+        def failing(matrix):
+            if matrix.dim == 2 * (37 - 2):
+                raise bgknet.NumericalError("injected")
+            return stable_modes(matrix)
+
+        monkeypatch.setattr(coupling, "stable_modes", failing)
+        assert main(["deltas", "--N", "30:40", "--out", str(tmp_path)]) == 1
+        assert "coefficient computation failed at N=37: injected" in capsys.readouterr().err
+        assert not (tmp_path / "deltas.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

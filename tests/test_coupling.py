@@ -33,7 +33,7 @@ from bgknet import (
     solve_node_general,
     stable_manifold,
 )
-from bgknet.coupling import SV_CUTOFF, _modal_null_space, _reflected, _sum_modal
+from bgknet.coupling import SV_CUTOFF, _modal_null_space, _reflected, _sum_modal, _sweep
 from bgknet.hermite import hermite_functions
 from bgknet.layer import _fix_signs
 
@@ -1031,6 +1031,47 @@ class TestOperatorMemory:
         cast = ops.even @ y - ops.odd @ y
         np.testing.assert_allclose(reflected, cast, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(cast)))
+
+
+class TestOperatorSweep:
+    @pytest.mark.parametrize("n", [3, INFINITE])
+    def test_deltas_equal_single_builds(self, n):
+        # the sweep's operators carry the bits of NodeOperators.build(N)
+        topology = NodeTopology.symmetric(n)
+        halves = range(5, 41)
+        for N, ops in zip(halves, _sweep(halves), strict=True):
+            swept = compute_coefficients(ops, topology)
+            single = compute_coefficients(NodeOperators.build(N), topology)
+            assert swept.delta1.hex() == single.delta1.hex()
+            assert swept.delta2.hex() == single.delta2.hex()
+
+    def test_peak_is_no_higher_than_the_per_n_loop(self):
+        # a batch's Hermite table is paid for by holding no N's operators
+        # while the next are built, which the loop of single builds does. The
+        # loop carries nothing else from one N to the next, so its largest N
+        # set its peak and it runs from N = 150 only
+        topology = NodeTopology.symmetric(3)
+        halves = range(4, 161)
+
+        def per_n_loop():
+            for N in range(150, 161):
+                ops = NodeOperators.build(N)
+                compute_coefficients(ops, topology)
+
+        def sweep():
+            operators = _sweep(halves)
+            for _ in halves:
+                compute_coefficients(next(operators), topology)
+
+        peaks = {}
+        for run in (per_n_loop, sweep):
+            tracemalloc.start()
+            try:
+                run()
+                peaks[run.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["sweep"] <= peaks["per_n_loop"], peaks
 
 
 class TestTopologyValidation:

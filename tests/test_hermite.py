@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bgknet import build_rule, hermite_functions, recursion_coefficients
+from bgknet import build_rule, hermite, hermite_functions, recursion_coefficients
+from bgknet.hermite import _newton_step, _rules
 from bgknet.kinetic import _maxwellian_rows
 
 SQRT_PI = math.sqrt(math.pi)
@@ -441,3 +442,52 @@ class TestHermiteFunctions:
         h = hermite_functions([0.0, 1.0], 1)
         np.testing.assert_allclose(h[0], np.pi**-0.25 * np.exp(-0.5 * np.array([0.0, 1.0])),
                                    rtol=1e-15)
+
+
+class TestBatchedRules:
+    # N = 4..12, the rescale onset at 80..100 and 150..160, in one sequence
+    HALVES = [*range(4, 13), *range(80, 101), *range(150, 161)]
+
+    @pytest.mark.parametrize("budget", [0, 2**20, 2**30])
+    def test_bit_identical_to_build_rule(self, monkeypatch, budget):
+        # budget 0 makes every N a batch of its own and 2^30 one batch of all,
+        # so the batch edges move between the three runs
+        monkeypatch.setattr(hermite, "_BATCH_BYTES", budget)
+        rules = list(_rules(self.HALVES))
+        assert [rule.half for rule in rules] == self.HALVES
+        for N, rule in zip(self.HALVES, rules):
+            single = build_rule(N)
+            assert rule.order == single.order
+            for field in ("nodes", "weights", "scaled_weights", "basis"):
+                swept, alone = getattr(rule, field), getattr(single, field)
+                assert swept.shape == alone.shape and swept.tobytes() == alone.tobytes(), field
+
+    def test_any_order_of_halves(self, monkeypatch):
+        # repeated and descending N come back in the order asked for
+        monkeypatch.setattr(hermite, "_BATCH_BYTES", 2**30)
+        halves = [30, 7, 30, 12, 5]
+        for N, rule in zip(halves, _rules(halves)):
+            assert rule.basis.tobytes() == build_rule(N).basis.tobytes()
+
+    def test_newton_step_with_mixed_orders(self):
+        # every point is stepped as in a call with its own order alone; x = 0
+        # gives a zero ratio and an infinite next one
+        rng = np.random.default_rng(0)
+        orders = [320, 201, 64, 7, 1]
+        points = [np.concatenate(([0.0], rng.uniform(-12.0, 12.0, 6))) for _ in orders]
+        mixed = _newton_step(np.concatenate(points),
+                             np.repeat(orders, [p.size for p in points]))
+        alone = np.concatenate([_newton_step(p, np.full(p.size, order))
+                                for p, order in zip(points, orders)])
+        assert mixed.tobytes() == alone.tobytes()
+
+    def test_batch_table_is_built_on_the_first_request(self, monkeypatch):
+        # the rule generator does no recursion before a rule is asked for
+        calls = []
+        recurrence = hermite._recurrence
+        monkeypatch.setattr(hermite, "_recurrence",
+                            lambda x, groups: calls.append(groups) or recurrence(x, groups))
+        rules = _rules([5, 6])
+        assert calls == []
+        next(rules)
+        assert calls == [[(12, 6), (10, 11)]]
