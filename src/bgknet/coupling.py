@@ -363,6 +363,12 @@ def _node_data(n: int | float, incoming, zero_balance) -> tuple[np.ndarray, floa
     return incoming, zero_balance
 
 
+def _check_edge_count(n) -> None:
+    """Reject an edge count of the macroscopic system that is not an integer >= 2."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+
+
 @dataclass(frozen=True)
 class MacroCouplingSystem:
     """The 3n x 3n block system for the asymptotic states (D, C, B) of all edges."""
@@ -374,6 +380,7 @@ class MacroCouplingSystem:
 def build_macro_system(delta1: float, delta2: float, n: int,
                        incoming: np.ndarray, zero_balance: float) -> MacroCouplingSystem:
     """Assemble the macroscopic block system for unknowns m = (D^i, C^i, B^i)."""
+    _check_edge_count(n)
     incoming, zero_balance = _node_data(n, incoming, zero_balance)
     diff = np.zeros((n, n))
     idx = np.arange(1, n)
@@ -400,12 +407,14 @@ def macro_determinant(n: int, delta1: float) -> float:
     density block det(A - 3B) = -3n. The system is singular exactly at
     delta_1 = -a and invertible for every nonnegative delta_1.
     """
+    _check_edge_count(n)
     return (-1.0) ** (n + 1) * 3.0 * n ** 2 * (ACOUSTIC_SPEED + delta1) ** (n - 1)
 
 
 def macro_coupling_solve(coefficients: CouplingCoefficients, incoming: np.ndarray,
                          zero_balance: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the macroscopic coupling system; returns per-edge (S_inf, q_inf, rho_inf)."""
+    _check_edge_count(n)
     for name in ("delta1", "delta2"):
         value = getattr(coefficients, name)
         if not math.isfinite(value):

@@ -47,6 +47,15 @@ _CLIP = 1e150
 _LOG_BLOCK = 600.0
 # The recursion table of one batch of rules holds at most this many bytes.
 _BATCH_BYTES = 2 ** 20
+# A rule's table holds no nonzero entry below 2^-900 ~ 1.2e-271: the product of
+# an entry with an operand of 2^-122 or more is then a normal double, and BLAS
+# runs at full speed (a subnormal operand slows a product at N = 1000 about
+# twofold). The smallest nonzero lift entry at N = 1000 is about 1e-33 ~ 2^-109,
+# and a dropped term is below 2^-900 times its operand. No table with N <= 300
+# has an entry below the floor; at N = 1000 about 49,000 do.
+_FLOOR = 2.0 ** -900
+# Rows of a rule's table flushed at once.
+_FLUSH_ROWS = 64
 
 
 def readonly(*arrays: np.ndarray) -> None:
@@ -195,8 +204,9 @@ class QuadratureRule:
 
     ``scaled_weights`` holds w_i e^{v_i^2}; this is the combination entering the
     discrete Maxwellian and the only form that stays representable at large N.
-    ``basis`` is the Hermite function table S = H_k(v_i), k < 2N, the weights
-    were computed from, and the moment transform g = S f. The rule is exact to
+    ``basis`` is the Hermite function table S = H_k(v_i), k < 2N, and the
+    moment transform g = S f; its entries below 2^-900 in magnitude are zero,
+    and the weights were computed before they were flushed. The rule is exact to
     degree 4N - 1, so S diag(w~) S^T = I with w~ = ``scaled_weights`` and
     :meth:`solve` applies S^{-1} = diag(w~) S^T.
     """
@@ -260,7 +270,9 @@ def build_rule(N: int) -> QuadratureRule:
     them, and they are mirrored to -v exactly. The weights take the
     Christoffel form w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2. The table is
     evaluated at the N positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v),
-    which the recursion satisfies bit for bit on the exactly symmetric nodes.
+    which the recursion satisfies bit for bit on the exactly symmetric nodes;
+    its entries below 2^-900 are flushed to zero after the weights are taken,
+    so that products with it never meet a subnormal number.
     The rule is the one-rule batch of :func:`_rules`, which checks N.
     """
     return next(_rules([N]))
@@ -315,10 +327,18 @@ def _batch(halves, positive: dict):
 
 
 def _rule(N: int, positive: np.ndarray, half: np.ndarray) -> QuadratureRule:
-    """The rule from its N positive nodes and their Hermite table ``half``."""
+    """The rule from its N positive nodes and their Hermite table ``half``,
+    which is flushed below _FLOOR in place after the weights are taken."""
     order = 2 * N
     nodes = np.concatenate((-positive[::-1], positive))
     scaled_half = 1.0 / np.einsum("ki,ki->i", half, half)
+    # flushed in place a block of rows at a time, so that no temporary is
+    # larger than a block; a rule asked for again in the batch reads the
+    # flushed half, and its weights are the same, since the square of an
+    # entry below _FLOOR is zero
+    for start in range(0, order, _FLUSH_ROWS):
+        block = half[start:start + _FLUSH_ROWS]
+        np.copyto(block, 0.0, where=np.abs(block) < _FLOOR)
     table = np.empty((order, order))
     table[:, N:] = half
     np.negative(half[1::2, ::-1], out=table[1::2, :N])

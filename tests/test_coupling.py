@@ -34,7 +34,7 @@ from bgknet import (
     stable_manifold,
 )
 from bgknet.coupling import SV_CUTOFF, _modal_null_space, _reflected, _sum_modal, _sweep
-from bgknet.hermite import hermite_functions
+from bgknet.hermite import _FLOOR, hermite_functions
 from bgknet.layer import _fix_signs
 
 A = ACOUSTIC_SPEED
@@ -438,6 +438,23 @@ class TestMacroSystem:
         system = build_macro_system(coeff.delta1, coeff.delta2, 3, incoming, balance)
         assert macro_determinant(3, coeff.delta1) == pytest.approx(36.0)
         np.testing.assert_allclose(system.calA @ m, system.rhs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, -3, 2.5, 3.0, math.inf, math.nan, "3", None])
+    def test_rejects_an_invalid_edge_count(self, coeff_factory, n):
+        # n = 0 used to end in an IndexError, n = 1 in a one-edge "solution"
+        # and 2.5 or infinity in a message about the length of incoming
+        incoming = np.zeros(3)
+        coeff = coeff_factory(30, 3)
+        for call in (lambda: build_macro_system(0.5, 0.3, n, incoming, 0.0),
+                     lambda: macro_coupling_solve(coeff, incoming, 0.0, n),
+                     lambda: macro_determinant(n, 0.5)):
+            with pytest.raises(ValueError, match="^n must be an integer >= 2"):
+                call()
+
+    def test_accepts_a_numpy_integer_edge_count(self):
+        system = build_macro_system(0.5, 0.3, np.int64(3), np.zeros(3), 0.0)
+        assert system.calA.shape == (9, 9)
+        assert macro_determinant(np.int64(3), 0.5) == macro_determinant(3, 0.5)
 
 
 class TestSolveNode:
@@ -946,6 +963,25 @@ class TestParityHalves:
         ops, topology = ops_factory(99), NodeTopology.symmetric(n)
         mu = 0.0 if n == INFINITE else -1.0 / (n - 1.0)
         assert compute_coefficients(ops, topology) == held_coefficients(ops, modal_matrix(ops, mu))
+
+    def test_products_ignore_the_table_floor(self, ops_factory):
+        # the rule's table at N = 1000 is zero below _FLOOR, the recursion's is
+        # not: E and O equal the products with the recursion's table bit for
+        # bit in every entry above 2^20 _FLOOR, and elsewhere move by at most
+        # the dropped terms, _FLOOR w_i sum_k |T_kj| (no moved entry reaches
+        # 2^-895)
+        N = 1000
+        ops = ops_factory(N)
+        exact = hermite_functions(ops.rule.nodes, 2 * N)[:, N:]
+        weights = ops.rule.scaled_weights[N:, None]
+        for parity, flushed in ((0, ops.even), (1, ops.odd)):
+            lift = ops.lift[parity::2]
+            product = exact[parity::2].T @ lift
+            product *= weights
+            large = np.abs(product) >= 2.0 ** 20 * _FLOOR
+            assert flushed[large].tobytes() == product[large].tobytes()
+            dropped = _FLOOR * weights * np.sum(np.abs(lift), axis=0)
+            assert np.all(np.abs(flushed - product) <= dropped)
 
 
 class TestOperatorMemory:

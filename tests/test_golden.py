@@ -15,6 +15,10 @@ from bgknet.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
+#: (case, N) of each golden node solve and the distribution rows kept, as in
+#: tests/golden/regenerate.py
+NODE = [(1, 100), (2, 100), (3, 100), (4, 100), (1, 1000)]
+NODE_STRIDE = 20
 
 
 def read_csv(path: Path) -> tuple[list, np.ndarray]:
@@ -39,3 +43,32 @@ def test_deltas_sweep(tmp_path, degree):
           f"{increment_dev:.2e} (increment, relative to max |delta|)")
     assert delta_dev <= RTOL
     assert increment_dev <= 2.0 * RTOL
+
+
+def column_deviation(rows: np.ndarray, golden: np.ndarray) -> float:
+    """Largest |rows - golden| relative to the largest |golden| of its column: a
+    value that is zero up to rounding, such as q_inf on edge 1, moves by ulps
+    of its column, not of itself."""
+    return float(np.max(np.abs(rows - golden) / np.max(np.abs(golden), axis=0)))
+
+
+@pytest.mark.parametrize("case,N", NODE)
+def test_node_solve(tmp_path, case, N):
+    assert main(["node", "--case", str(case), "--N", str(N), "--out", str(tmp_path)]) == 0
+    header, summary = read_csv(tmp_path / f"node_case{case}_summary.csv")
+    golden_header, golden = read_csv(GOLDEN / f"node_case{case}_N{N}_summary.csv")
+    assert header == golden_header and summary.shape == golden.shape
+    np.testing.assert_array_equal(summary[:, 0], golden[:, 0])
+    summary_dev = column_deviation(summary[:, 1:], golden[:, 1:])
+    edges = [read_csv(tmp_path / f"node_case{case}_edge{i}_distribution.csv")[1][::NODE_STRIDE]
+             for i in (1, 2, 3)]
+    _, golden = read_csv(GOLDEN / f"node_case{case}_N{N}_distributions.csv")
+    assert all(edge.shape == (golden.shape[0], 2) for edge in edges)
+    for edge in edges:
+        np.testing.assert_array_equal(edge[:, 0], golden[:, 0])
+    distributions = np.column_stack([edge[:, 1] for edge in edges])
+    distribution_dev = column_deviation(distributions, golden[:, 1:])
+    print(f"node case {case}, N = {N}: largest deviation {summary_dev:.2e} (summary), "
+          f"{distribution_dev:.2e} (distributions), relative to the column's max")
+    assert summary_dev <= RTOL
+    assert distribution_dev <= RTOL

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -442,6 +443,54 @@ class TestHermiteFunctions:
         h = hermite_functions([0.0, 1.0], 1)
         np.testing.assert_allclose(h[0], np.pi**-0.25 * np.exp(-0.5 * np.array([0.0, 1.0])),
                                    rtol=1e-15)
+
+
+class TestTableFloor:
+    # entries of the Hermite table below the floor at the rule's nodes, from
+    # the unflushed recursion; none at N <= 300
+    BELOW_FLOOR = {20: 0, 160: 0, 300: 0, 500: 4746, 1000: 49030}
+
+    @pytest.mark.parametrize("N", sorted(BELOW_FLOOR))
+    def test_basis_is_the_recursion_above_the_floor(self, ops_factory, N):
+        # the recursion keeps its subnormal and near-subnormal entries; the
+        # rule's table zeroes those below the floor and equals it elsewhere
+        rule = ops_factory(N).rule
+        exact = hermite_functions(rule.nodes, rule.order)
+        below = np.abs(exact) < hermite._FLOOR
+        assert np.count_nonzero(exact[below]) == self.BELOW_FLOOR[N]
+        assert np.all(rule.basis[below] == 0.0)
+        assert rule.basis[~below].tobytes() == exact[~below].tobytes()
+        if self.BELOW_FLOOR[N] == 0:
+            assert rule.basis.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("N", [500, 1000])
+    def test_weights_come_from_the_unflushed_table(self, ops_factory, N):
+        rule = ops_factory(N).rule
+        half = hermite_functions(rule.nodes[N:], rule.order)
+        scaled = 1.0 / np.einsum("ki,ki->i", half, half)
+        assert rule.scaled_weights[N:].tobytes() == scaled.tobytes()
+        assert rule.scaled_weights[:N].tobytes() == scaled[::-1].tobytes()
+
+    def test_a_rule_asked_for_twice_in_a_batch_is_the_same(self, monkeypatch):
+        # the second N = 500 of the batch reads the half its first flushed
+        monkeypatch.setattr(hermite, "_BATCH_BYTES", 2**30)
+        halves = [500, 20, 500]
+        for N, rule in zip(halves, _rules(halves)):
+            single = build_rule(N)
+            for field in ("nodes", "weights", "scaled_weights", "basis"):
+                assert getattr(rule, field).tobytes() == getattr(single, field).tobytes(), field
+
+    def test_flush_makes_no_table_sized_temporary(self):
+        # the rule's table and the half-width recursion table are 1.5 tables
+        # at the peak; a flush of the rule's table through a table-sized
+        # temporary would pass 1.6
+        tracemalloc.start()
+        try:
+            rule = build_rule(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * rule.basis.nbytes
 
 
 class TestBatchedRules:
