@@ -155,12 +155,11 @@ def cmd_deltas(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     topo = coupling.NodeTopology.symmetric(cfg["n"])
     halves = range(lo - 1, hi + 1)
-    operators = coupling._sweep(halves)
+    coefficients = coupling._swept_coefficients(halves, topo)
     sweep = {}
     for N in halves:
         try:
-            # unbound, the operators at N are freed before those at N + 1 are built
-            coeff = coupling.compute_coefficients(next(operators), topo)
+            coeff = next(coefficients)
         except Exception as exc:
             raise RuntimeError(f"coefficient computation failed at N={N}: {exc}") from exc
         sweep[N] = (coeff.delta1, coeff.delta2)

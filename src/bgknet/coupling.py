@@ -14,15 +14,14 @@ moments at x = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _lapack
 from .errors import DegeneracyError, NumericalError, SingularSystemError
-from .hermite import (QuadratureRule, _rules, build_rule, check_half_order, hermite_functions,
-                      readonly)
-from .layer import build_layer_matrix, build_lift, stable_modes
+from .hermite import QuadratureRule, _rules, hermite_functions, readonly
+from .layer import _modes, build_lift
 
 __all__ = [
     "ACOUSTIC_SPEED",
@@ -58,6 +57,11 @@ SV_CUTOFF = 1e-10
 
 # Rows of M(mu) summed per block by _sum_modal.
 _SUM_ROWS = 64
+# node_distribution evaluates the Hermite table for blocks of samples whose
+# table holds at most this many bytes: at the CLI default of 1,201 samples and
+# N = 1000 three blocks instead of one 19 MB table, so the distribution stage
+# holds little beside the operators.
+_TABLE_BYTES = 2 ** 23
 
 
 def _check_degree(n: int | float) -> None:
@@ -78,10 +82,7 @@ class NodeTopology:
             return
         if self.n == INFINITE:
             raise ValueError("an explicit coupling matrix requires a finite node degree")
-        beta = np.asarray(self.beta)
-        if np.iscomplexobj(beta):
-            raise ValueError("beta must be real, got a complex coupling matrix")
-        beta = np.asarray(beta, dtype=float)
+        beta = _real_array("beta", self.beta)
         n = int(self.n)
         if beta.shape != (n, n):
             raise ValueError(f"beta must be {n}x{n}, got {beta.shape}")
@@ -132,18 +133,21 @@ class NodeOperators:
     lift: np.ndarray
     even: np.ndarray
     odd: np.ndarray
+    # mu -> orthonormal null basis of M(mu), kept by compute_coefficients from
+    # the QR it makes, so that a solve_node at the same mu makes no second one
+    _null_spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, N: int) -> "NodeOperators":
-        return cls._assemble(N, lambda: build_rule(N))
+        return next(_sweep([N]))
 
     @classmethod
-    def _assemble(cls, N: int, next_rule) -> "NodeOperators":
-        """The operators at N, with the rule that ``next_rule()`` returns."""
-        check_half_order(N)
+    def _assemble(cls, N: int, next_modes, next_rule) -> "NodeOperators":
+        """The operators at N, with the layer modes and the rule that
+        ``next_modes()`` and ``next_rule()`` return."""
         # the layer modes go before the rule is asked for, so the two largest
         # stages of the build are never alive together
-        eigenvalues, r2plus = stable_modes(build_layer_matrix(N))
+        eigenvalues, r2plus = next_modes()
         lift = build_lift(r2plus)
         del r2plus
         rule = next_rule()
@@ -168,15 +172,15 @@ class NodeOperators:
 def _sweep(halves):
     """Yield ``NodeOperators.build(N)`` for each N of the sequence ``halves``.
 
-    The rules of consecutive N come from one recursion in batches
-    (``hermite._rules``); a batch's table is made after the layer stage of its
-    first N and lives until the rule after its last is asked for. The
-    generator holds nothing of the operators it yields, so a caller that drops
-    them holds no N's operators while the next are built.
+    The layer modes and the rules of consecutive N come from one recursion
+    each in batches (``layer._modes``, ``hermite._rules``); a batch's table
+    is made at the stage of its first N and lives until the stage after its
+    last. The generator holds nothing of the operators it yields, so a caller
+    that drops them holds no N's operators while the next are built.
     """
-    rules = _rules(halves)
+    modes, rules = _modes(halves), _rules(halves)
     for N in halves:
-        yield NodeOperators._assemble(N, rules.__next__)
+        yield NodeOperators._assemble(N, modes.__next__, rules.__next__)
 
 
 def _sum_modal(ops: NodeOperators, mu: complex, out: np.ndarray) -> None:
@@ -314,13 +318,38 @@ def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> Coupling
     on the two-dimensional left null space Q_2 of those columns. delta_1
     comes from the unique row combination of K vanishing on the B column
     (normalized to unit D coefficient), delta_2 from the one vanishing on the
-    D column.
+    D column. The null basis of M(mu) from the same QR, one back substitution,
+    is kept on ``ops`` for a :func:`solve_node` at this mu; the QR is not.
     """
+    mu = _symmetric_mu(topology)
+    reduction = _reduce(ops, mu)
+    coefficients = _coefficients(reduction)
+    null = ops._null_spaces[mu] = _orthonormal_null_space(reduction)
+    readonly(null)
+    return coefficients
+
+
+def _symmetric_mu(topology: NodeTopology) -> float:
+    """mu of a symmetric node: -1/(n-1), or 0 for INFINITE."""
     if topology.beta is not None:
         raise ValueError("compute_coefficients supports only symmetric topologies; "
                          "use solve_node for an arbitrary coupling matrix")
-    mu = 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
-    reduction = _reduce(ops, mu)
+    return 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
+
+
+def _swept_coefficients(halves, topology: NodeTopology):
+    """Yield compute_coefficients(NodeOperators.build(N), topology) for each N
+    of ``halves`` through :func:`_sweep`, keeping no null basis, which no
+    caller would read."""
+    mu = _symmetric_mu(topology)
+    operators = _sweep(halves)
+    for _ in halves:
+        # unbound, the operators at N are freed before those at N + 1 are built
+        yield _coefficients(_reduce(next(operators), mu))
+
+
+def _coefficients(reduction: _Reduction) -> CouplingCoefficients:
+    """delta_1 and delta_2 from the K block of a symmetric node's reduction."""
     K, norm = reduction.K, reduction.norm
     s = np.linalg.svd(K, compute_uv=False)
     if s[-1] <= SV_CUTOFF * norm:
@@ -348,15 +377,27 @@ def maxwell_delta(n: int | float) -> tuple[float, float]:
     return 4.0 * factor / root, factor * 2.0 * (math.pi - 2.0) / root
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; a complex value raises a ValueError that
+    names ``name``, where a cast would drop its imaginary part."""
+    array = np.asarray(value)
+    if np.iscomplexobj(array):
+        raise ValueError(f"{name} must be real, got a complex value")
+    return np.asarray(array, dtype=float)
+
+
 def _node_data(n: int | float, incoming, zero_balance) -> tuple[np.ndarray, float]:
     """``incoming`` as a float vector of length n and ``zero_balance`` as a
-    float; a wrong length or a non-finite value raises a ValueError that names
-    the parameter."""
-    incoming = np.asarray(incoming, dtype=float)
+    float; a wrong length or a complex or non-finite value raises a
+    ValueError that names the parameter."""
+    incoming = _real_array("incoming", incoming)
     if incoming.ndim != 1 or incoming.size != n:
         raise ValueError(f"incoming must be a vector of length {n}, got shape {incoming.shape}")
     if not np.all(np.isfinite(incoming)):
         raise ValueError(f"incoming must be finite, got {incoming}")
+    zero_balance = _real_array("zero_balance", zero_balance)
+    if zero_balance.ndim != 0:
+        raise ValueError(f"zero_balance must be a scalar, got shape {zero_balance.shape}")
     zero_balance = float(zero_balance)
     if not math.isfinite(zero_balance):
         raise ValueError(f"zero_balance must be finite, got {zero_balance}")
@@ -457,7 +498,8 @@ class NodeProblem:
         ``coefficients`` is neither stored nor read, and may be None; the
         solve needs no coupling coefficients.
         """
-        rho0, q0, S0 = (np.asarray(v, dtype=float) for v in (rho0, q0, S0))
+        rho0, q0, S0 = (_real_array(name, v) for name, v in (("rho0", rho0), ("q0", q0),
+                                                              ("S0", S0)))
         return cls(topology, S0 - ACOUSTIC_SPEED * q0, float(np.sum(S0 - 3.0 * rho0)))
 
 
@@ -504,10 +546,19 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, ops.layer_eigenvalues, modal)
 
 
+def _orthonormal_null_space(reduction: _Reduction) -> np.ndarray:
+    """Orthonormal null-space basis (columns) of the reduced M(mu): the left
+    singular vectors of the null vectors the reduction gives."""
+    return np.linalg.svd(reduction.solve()[1], full_matrices=False)[0]
+
+
 def _modal_null_space(ops: NodeOperators, mu: complex) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of M(mu): the left singular vectors
-    of the null vectors the QR reduction gives."""
-    return np.linalg.svd(_reduce(ops, mu).solve()[1], full_matrices=False)[0]
+    """Orthonormal null-space basis of M(mu): the one compute_coefficients kept
+    at a mu within 1e-12, else that of a new reduction."""
+    for seen, null in ops._null_spaces.items():
+        if abs(mu - seen) <= 1e-12:
+            return null
+    return _orthonormal_null_space(_reduce(ops, mu))
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -688,15 +739,23 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
 
 def node_distribution(solution: NodeSolution, v_samples: np.ndarray) -> np.ndarray:
     """Distribution of every edge at the node, f(v) = H_0(v/sqrt2) sum_k g_k H_k(v/sqrt2),
-    as an (n_edges, len(v_samples)) array; the Hermite table is evaluated once."""
+    as an (n_edges, len(v_samples)) array. The Hermite table of a block of
+    samples, at most _TABLE_BYTES, is evaluated once for all edges."""
     v = np.asarray(v_samples, dtype=float)
     if v.ndim > 1:
         raise ValueError(f"v_samples must be a scalar or a 1-d array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("v_samples must be finite")
-    u = v / np.sqrt(2.0)
-    h = hermite_functions(u, solution.g_at_0.shape[1])
-    return np.array([h[0] * (g @ h) for g in solution.g_at_0])
+    u = np.atleast_1d(v / np.sqrt(2.0))
+    edges, moments = solution.g_at_0.shape
+    f = np.empty((edges, u.size))
+    block = max(1, _TABLE_BYTES // (8 * moments))
+    for start in range(0, u.size, block):
+        h = hermite_functions(u[start:start + block], moments)
+        for g, row in zip(solution.g_at_0, f):
+            row[start:start + block] = h[0] * (g @ h)
+        del h  # before the next block's table is made
+    return f
 
 
 def coupling_residual(solution: NodeSolution, topology: NodeTopology,

@@ -13,8 +13,11 @@ weights underflow.
 The Jacobi matrix of the rule has a zero diagonal, so it is the Golub-Kahan
 form of a bidiagonal matrix and its positive eigenvalues, the positive nodes,
 are singular values. This module holds the one checked call of LAPACK's
-bidiagonal SVD, dbdsdc, that the rule and the layer spectrum share; the routine
-itself is bound in ``_lapack``, from the LAPACK numpy links.
+bidiagonal SVD, dbdsdc, values only, that the rule and the layer spectrum
+share; the routine itself is bound in ``_lapack``, from the LAPACK numpy
+links. The layer spectrum also takes its Newton step
+(:func:`_christoffel_step`) and its eigenvectors (:func:`_recurrence`) from
+here, with the recursion coefficients shifted by four.
 """
 
 from __future__ import annotations
@@ -64,18 +67,18 @@ def readonly(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, compq: str = "I"):
-    """SVD B = U diag(sigma) V^T of the lower-bidiagonal B with diagonal ``d``
-    and subdiagonal ``e``, by LAPACK dbdsdc: divide and conquer with vectors,
-    dqds (Fernando and Parlett) for the values alone.
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, compq: str = "N") -> None:
+    """Singular values of the lower-bidiagonal B with diagonal ``d`` and
+    subdiagonal ``e``, by LAPACK dbdsdc without vectors: dqds (Fernando and
+    Parlett), every value to high relative accuracy.
 
     Works in place: ``d`` comes back holding sigma, descending, and ``e`` is
-    overwritten. With ``compq="I"`` returns the Fortran-ordered (U, V^T); with
-    ``compq="N"`` only sigma is computed and None is returned. LAPACK reads and
-    writes the raw buffers, so every argument is checked before the call.
+    overwritten. ``compq`` is LAPACK's job argument; only "N", values alone,
+    is bound. LAPACK reads and writes the raw buffers, so every argument is
+    checked before the call.
     """
-    if compq not in ("N", "I"):
-        raise ValueError(f"compq must be 'N' or 'I', got {compq!r}")
+    if compq != "N":
+        raise ValueError(f"compq must be 'N', got {compq!r}")
     for name, array in (("d", d), ("e", e)):
         if not isinstance(array, np.ndarray) or array.dtype != np.float64 or array.ndim != 1:
             raise ValueError(f"{name} must be a 1-d float64 array")
@@ -88,21 +91,13 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, compq: str = "I"):
         raise ValueError("d must hold at least one entry")
     if e.size != m - 1:
         raise ValueError(f"e must hold len(d) - 1 = {m - 1} entries, got {e.size}")
-    if compq == "I":
-        u, vt = np.empty((m, m), order="F"), np.empty((m, m), order="F")
-        work = np.empty(3 * m * m + 4 * m)
-        u_data, vt_data = u.ctypes.data, vt.ctypes.data
-    else:
-        # u and vt are not referenced for compq = "N"
-        work, u_data, vt_data = np.empty(4 * m), None, None
-    iwork = _lapack.integer_array(8 * m)
+    work, iwork = np.empty(4 * m), _lapack.integer_array(8 * m)
     n, info = ctypes.byref(_lapack.integer(m)), _lapack.integer(0)
-    # q and iq are referenced only for compq = "P"
-    _dbdsdc(b"L", compq.encode(), n, d.ctypes.data, e.ctypes.data, u_data, n, vt_data, n,
+    # u and vt are not referenced for compq = "N", q and iq only for "P"
+    _dbdsdc(b"L", b"N", n, d.ctypes.data, e.ctypes.data, None, n, None, n,
             None, None, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
     if info.value != 0:
         raise NumericalError(f"bidiagonal SVD (dbdsdc) of order {m} failed, info = {info.value}")
-    return (u, vt) if compq == "I" else None
 
 
 def recursion_coefficients(count: int) -> np.ndarray:
@@ -127,7 +122,7 @@ def hermite_functions(points, count: int) -> np.ndarray:
     return _recurrence(np.clip(x, -_CLIP, _CLIP), [(int(count), x.size)])
 
 
-def _recurrence(x: np.ndarray, groups) -> np.ndarray:
+def _recurrence(x: np.ndarray, groups, offset: int = 0) -> np.ndarray:
     """The Hermite functions of several column groups of ``x`` in one recursion.
 
     ``groups`` lists (count, stop) pairs with non-increasing counts: group g is
@@ -136,6 +131,14 @@ def _recurrence(x: np.ndarray, groups) -> np.ndarray:
     from count on are left unwritten. The columns still stepped at k are then
     a prefix, and every step is four numpy calls on it.
 
+    ``offset`` shifts the recursion coefficients: row k + 1 is
+    (x u_k - alpha_{k+offset} u_{k-1}) / alpha_{k+1+offset}, from u_0 = pi^{-1/4}
+    e^{-x^2/2} and u_1 = x u_0 / alpha_{1+offset}. Offset 0 gives the Hermite
+    functions; at an eigenvalue x of the zero-diagonal Jacobi matrix with
+    off-diagonal alpha_{1+offset}, ..., alpha_{count-1+offset}, the column is
+    an eigenvector, unnormalized (Golub and Welsch). The layer matrix is that
+    matrix for offset 4.
+
     The recursion writes unnormalized values straight into the rows of the
     table and carries the weight e^{-x^2/2} as a log scale. Every R steps of a
     group, its last two rows are divided by the larger of their magnitudes and
@@ -143,16 +146,17 @@ def _recurrence(x: np.ndarray, groups) -> np.ndarray:
     multiplied twice by the exponential of half its scale, since e^scale alone
     can underflow where the block's rows are large. R follows from the group's
     max |x|: one step changes the pair's magnitude by at most
-    sqrt(2)(1 + |x|), so no intermediate value of a block leaves the normal
-    range and no finite point overflows. Each entry is made by the same
-    operations as in a recursion over its group alone.
+    sqrt(2)(1 + |x|) at any offset, so no intermediate value of a block leaves
+    the normal range and no finite point overflows. Each entry is made by the
+    same operations as in a recursion over its group alone.
     """
     count = groups[0][0]
     out = np.empty((count, x.size))
     out[0] = np.pi ** -0.25
     if count > 1:
-        np.multiply(x, math.sqrt(2.0) * np.pi ** -0.25, out=out[1])
-    alpha = recursion_coefficients(count)
+        # 1 / alpha_{1+offset} = sqrt(2 / (1 + offset))
+        np.multiply(x, math.sqrt(2.0 / (1 + offset)) * np.pi ** -0.25, out=out[1])
+    alpha = recursion_coefficients(count + offset)[offset:]
     work = np.empty_like(x)
     columns, starts, scales, rescales, begin = [], [], [], {}, 0
     for g, (rows, stop) in enumerate(groups):
@@ -259,6 +263,42 @@ def _newton_step(x: np.ndarray, order: np.ndarray) -> np.ndarray:
     return x - s / order
 
 
+def _christoffel_step(x: np.ndarray, order: np.ndarray, offset: int) -> np.ndarray:
+    """One Newton step on q_order at the points ``x``, ``order`` holding each
+    point's order, non-increasing; q_k are the orthonormal polynomials of the
+    recursion x q_k = alpha_{k+1+offset} q_{k+1} + alpha_{k+offset} q_{k-1}.
+
+    The Christoffel-Darboux identity gives q_n' at a zero of q_n as
+    sum_{k<n} q_k^2 / (alpha_{n+offset} q_{n-1}), so the step is
+    x - alpha_{n+offset} q_n q_{n-1} / sum_{k<n} q_k^2: the Rayleigh quotient
+    of (q_0, ..., q_{n-1}) for the Jacobi matrix of order n, which needs no
+    Appell identity (:func:`_newton_step`). It runs on the ratios
+    s_k = alpha_{k+1+offset} q_{k+1} / q_k, s_0 = x and
+    s_k = x - a_k / s_{k-1} with a_k = alpha_{k+offset}^2, and
+    t_k = sum_{j<=k} q_j^2 / q_k^2 = 1 + t_{k-1} a_k / s_{k-1}^2, t_0 = 1: the
+    step is x - s_{n-1} / t_{n-1}. A point whose ratios leave the range of a
+    double, as at an exact zero of some q_k, keeps its value. The points still
+    stepped at k are a prefix, and each point's ratios are made by the same
+    operations as in a step over its order alone.
+    """
+    orders = order.tolist()
+    s, t, ratio = x.copy(), np.ones_like(x), np.empty_like(x)
+    stepped, xs, ss, ts, rs = x.size, x, s, t, ratio
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(1, orders[0]):
+            if orders[stepped - 1] <= k:
+                while orders[stepped - 1] <= k:
+                    stepped -= 1
+                xs, ss, ts, rs = x[:stepped], s[:stepped], t[:stepped], ratio[:stepped]
+            np.divide(0.5 * (k + offset), ss, out=rs)
+            ts *= rs
+            ts /= ss
+            ts += 1.0
+            np.subtract(xs, rs, out=ss)
+        step = s / t
+    return x - np.where(np.isfinite(step), step, 0.0)
+
+
 def build_rule(N: int) -> QuadratureRule:
     """Build the 2N-point Gauss-Hermite rule (Golub and Welsch, Math. Comp. 23, 1969).
 
@@ -290,14 +330,22 @@ def _rules(halves):
     for N in halves:
         check_half_order(N)
     positive = _positive_nodes(sorted(set(halves), reverse=True))
-    batch = []
-    for N in halves:
-        if batch and 16 * max(*batch, N) * (sum(batch) + N) > _BATCH_BYTES:
-            yield from _batch(batch, positive)
-            batch = []
-        batch.append(N)
-    if batch:
-        yield from _batch(batch, positive)
+    for run in _runs(halves, _BATCH_BYTES):
+        yield from _batch(run, positive)
+
+
+def _runs(sizes, budget: int):
+    """Split the sequence ``sizes`` into runs of consecutive entries whose
+    recursion table, 2 max(size) rows by sum(size) columns of doubles, fits in
+    ``budget`` bytes; a larger size is a run of its own."""
+    run = []
+    for size in sizes:
+        if run and 16 * max(*run, size) * (sum(run) + size) > budget:
+            yield run
+            run = []
+        run.append(size)
+    if run:
+        yield run
 
 
 def _positive_nodes(down) -> dict:
@@ -322,8 +370,20 @@ def _batch(halves, positive: dict):
     stops = np.cumsum(down).tolist()
     table = _recurrence(x, [(2 * N, stop) for N, stop in zip(down, stops)])
     columns = {N: slice(stop - N, stop) for N, stop in zip(down, stops)}
-    for N in halves:
-        yield _rule(N, positive[N], table[:2 * N, columns[N]])
+    # one rule's arguments per request, popped as its rule is made: a
+    # suspended batch holds no rule, and none of the table after its last
+    pending = [(N, positive[N], table[:2 * N, columns[N]]) for N in halves]
+    del table
+    while pending:
+        yield _rule(*pending.pop(0))
+
+
+def _flush(table: np.ndarray, floor: float) -> None:
+    """Zero the entries of ``table`` below ``floor`` in magnitude, in place and
+    a block of rows at a time, so that no temporary is larger than a block."""
+    for start in range(0, table.shape[0], _FLUSH_ROWS):
+        block = table[start:start + _FLUSH_ROWS]
+        np.copyto(block, 0.0, where=np.abs(block) < floor)
 
 
 def _rule(N: int, positive: np.ndarray, half: np.ndarray) -> QuadratureRule:
@@ -332,13 +392,9 @@ def _rule(N: int, positive: np.ndarray, half: np.ndarray) -> QuadratureRule:
     order = 2 * N
     nodes = np.concatenate((-positive[::-1], positive))
     scaled_half = 1.0 / np.einsum("ki,ki->i", half, half)
-    # flushed in place a block of rows at a time, so that no temporary is
-    # larger than a block; a rule asked for again in the batch reads the
-    # flushed half, and its weights are the same, since the square of an
-    # entry below _FLOOR is zero
-    for start in range(0, order, _FLUSH_ROWS):
-        block = half[start:start + _FLUSH_ROWS]
-        np.copyto(block, 0.0, where=np.abs(block) < _FLOOR)
+    # a rule asked for again in the batch reads the flushed half, and its
+    # weights are the same, since the square of an entry below _FLOOR is zero
+    _flush(half, _FLOOR)
     table = np.empty((order, order))
     table[:, N:] = half
     np.negative(half[1::2, ::-1], out=table[1::2, :N])

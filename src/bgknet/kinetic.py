@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import ACOUSTIC_SPEED, NodeTopology
+from .coupling import ACOUSTIC_SPEED, NodeTopology, _real_array
 from .hermite import QuadratureRule, build_rule, check_half_order
 
 __all__ = [
@@ -154,8 +154,7 @@ class InitialData:
 
     def __post_init__(self):
         names = ("rho0", "q0", "S0")
-        arrays = tuple(np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-                       for name in names)
+        arrays = tuple(np.atleast_1d(_real_array(name, getattr(self, name))) for name in names)
         for name, arr in zip(names, arrays):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-d, one value per edge, got shape {arr.shape}")

@@ -7,15 +7,20 @@ coefficients alpha_5..alpha_{2N-1} and zero diagonal. Bounded solutions on
 lift matrix maps the reduced unknowns (D, C, B, gamma) of a layer solution to
 the full moment vector at x = 0.
 
-The zero diagonal makes A the Golub-Kahan form of a bidiagonal matrix: the
-even rows and odd columns of A are the lower-bidiagonal B of order m = N - 2,
-with diagonal alpha_5, alpha_7, ... and subdiagonal alpha_6, alpha_8, ....
-From B = U diag(sigma) V^T, A has the eigenvalues +-sigma_j, and the
-eigenvector of +-sigma_j interleaves u_j (even entries) and +-v_j (odd
-entries), divided by sqrt(2). One SVD of B by LAPACK's dbdsdc, which gets
-every sigma to high relative accuracy, gives the whole spectrum; the stable
-manifold needs only the m positive modes. The checked dbdsdc call lives in
-``hermite``, whose rule takes its nodes from the same routine.
+A is the Jacobi matrix of the Hermite recursion shifted by four, so its modes
+are built as the Gauss-Hermite rule is (Golub and Welsch, Math. Comp. 23,
+1969). The zero diagonal makes A the Golub-Kahan form of the lower-bidiagonal
+B of order m = N - 2, with diagonal alpha_5, alpha_7, ... and subdiagonal
+alpha_6, alpha_8, ...: A has the eigenvalues +-sigma_j, B's singular values,
+which LAPACK's dbdsdc gets without vectors (dqds) to high relative accuracy.
+One Newton step in Christoffel-Darboux form polishes them
+(``hermite._christoffel_step``); the eigenvector of sigma_j is then the
+offset-4 recursion at sigma_j (``hermite._recurrence``), normalized by its
+Christoffel sum, and its entries below 2^-122 are zero. The recursion starts
+at q_0 > 0, so the first nonzero entry of every positive mode is positive.
+The eigenvector of -sigma_j is that of sigma_j with its odd entries negated.
+The values and the recursion run elementwise or in one LAPACK thread, so the
+modes have the same bits at every BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .hermite import _bidiagonal_svd, check_half_order, readonly, recursion_coefficients
+from .hermite import (_bidiagonal_svd, _christoffel_step, _flush, _recurrence, _runs,
+                      check_half_order, readonly, recursion_coefficients)
+
+# The layer matrix is the Jacobi matrix of the Hermite recursion from alpha_5 on.
+_OFFSET = 4
+# A layer mode holds no nonzero entry below 2^-122 ~ 1.9e-37, and so neither
+# does the lift: the rule's table floor (hermite._FLOOR = 2^-900) keeps every
+# product of a table entry with a lift entry of 2^-122 or more a normal double.
+# Without the flush the modes at N = 1000 hold about 900 subnormal entries.
+_FLOOR = 2.0 ** -122
+# The recursion table of one batch of layer orders holds at most this many
+# bytes. A batch lives until the lift of its last N is built, beside the rule
+# batch (hermite._BATCH_BYTES) of those N and one N's operators; at 2^20 the
+# traced peak of the N = 4..160 sweep passed that of single builds at
+# N = 150..160 (3.99 against 3.29 MiB), at 2^19 it stays below (3.11 MiB).
+_BATCH_BYTES = 2 ** 19
 
 __all__ = [
     "LayerMatrix",
@@ -58,7 +78,7 @@ class LayerSpectrum:
 
     Eigenvalues are ascending; ``R2plus`` is the view of the eigenvectors of
     the N-2 positive eigenvalues (ascending, so the last N-2 columns), each
-    flipped so its first nonzero component is positive.
+    with its first nonzero component positive.
     """
 
     eigenvalues: np.ndarray
@@ -73,9 +93,7 @@ class LayerSpectrum:
 
 def build_layer_matrix(N: int) -> LayerMatrix:
     """Layer matrix for 2N velocities, N an integer in [4, MAX_HALF_ORDER]."""
-    check_half_order(N)
-    if N < 4:
-        raise ValueError(f"layer system needs N >= 4, got {N}")
+    _orders([N])
     offdiag = recursion_coefficients(2 * N - 1)[4:]  # alpha_5 .. alpha_{2N-1}
     readonly(offdiag)
     return LayerMatrix(2 * (N - 2), offdiag)
@@ -91,44 +109,98 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _positive_modes(matrix: LayerMatrix, out: np.ndarray) -> np.ndarray:
-    """Write the m eigenvectors of positive eigenvalue into the (2m, m) ``out``
-    and return those eigenvalues sigma, ascending: column j interleaves u_j and
-    v_j of sigma_j, divided by sqrt(2), its first nonzero component positive."""
-    d, e = matrix.offdiag[0::2].copy(), matrix.offdiag[1::2].copy()
-    u, vt = _bidiagonal_svd(d, e)
-    np.divide(u[:, ::-1], np.sqrt(2.0), out=out[0::2])
-    np.divide(vt[::-1].T, np.sqrt(2.0), out=out[1::2])
-    _fix_signs(out)
-    sigma = d[::-1].copy()
+def _orders(halves) -> list:
+    """m = N - 2 for each N of ``halves``, every N checked as by build_layer_matrix."""
+    for N in halves:
+        check_half_order(N)
+        if N < 4:
+            raise ValueError(f"layer system needs N >= 4, got {N}")
+    return [N - 2 for N in halves]
+
+
+def _modes(halves):
+    """Yield stable_modes(build_layer_matrix(N)) for each N of the sequence
+    ``halves``, in order.
+
+    The singular values of every N are polished by one Newton step
+    (``hermite._christoffel_step``) on all of them at once. Runs of
+    consecutive N whose recursion table fits in _BATCH_BYTES
+    (``hermite._runs``) share one recursion; a batch's table is made when its
+    first N is asked for, and the modes of an N are read-only views of it, so
+    it lives until the caller drops the modes of the batch's last N.
+    """
+    orders = _orders(halves)
+    down = sorted(set(orders), reverse=True)
+    singular = []
+    for m in down:
+        offdiag = recursion_coefficients(2 * m + 3)[_OFFSET:]
+        d, e = offdiag[0::2].copy(), offdiag[1::2].copy()
+        _bidiagonal_svd(d, e, "N")
+        singular.append(d[::-1])
+    polished = _christoffel_step(np.concatenate(singular), np.repeat([2 * m for m in down], down),
+                                 _OFFSET)
+    values = dict(zip(down, np.split(polished, np.cumsum(down)[:-1])))
+    del singular, polished
+    for run in _runs(orders, _BATCH_BYTES):
+        yield from _batch(run, values)
+
+
+def _batch(orders, values: dict):
+    """The stable modes of the layer orders m of ``orders`` from one recursion
+    at their polished values, taken by m descending: each column group is the
+    group's eigenvectors, normalized by their Christoffel sums and flushed
+    below _FLOOR once however often its m is asked for."""
+    down = sorted(set(orders), reverse=True)
+    stops = np.cumsum(down).tolist()
+    x = np.concatenate([values[m] for m in down])
+    table = _recurrence(x, [(2 * m, stop) for m, stop in zip(down, stops)], _OFFSET)
+    columns = {m: slice(stop - m, stop) for m, stop in zip(down, stops)}
+    for m, cols in columns.items():
+        _normalize(x[cols], table[:2 * m, cols])
+    readonly(x, table)
+    # one pair of views per request, popped as it is yielded: the table is
+    # freed once the caller drops the last
+    pending = [(x[columns[m]], table[:2 * m, columns[m]]) for m in orders]
+    del x, table
+    while pending:
+        yield pending.pop(0)
+
+
+def _normalize(sigma: np.ndarray, vectors: np.ndarray) -> None:
+    """Scale each recursion column to unit length, its Christoffel sum, and
+    flush its entries below _FLOOR, in place."""
     if not sigma[0] > 0.0:
         raise NumericalError(f"expected {sigma.size} positive layer eigenvalues, "
                              f"the smallest is {sigma[0]}")
-    return sigma
+    vectors /= np.sqrt(np.einsum("ki,ki->i", vectors, vectors))
+    _flush(vectors, _FLOOR)
 
 
 def stable_modes(matrix: LayerMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The N-2 positive layer eigenvalues, ascending, and the 2(N-2) x (N-2)
     stable-manifold basis of their eigenvectors, ``LayerSpectrum.R2plus``
-    without the rest of the spectrum."""
-    r2plus = np.empty((matrix.dim, matrix.dim // 2))
-    sigma = _positive_modes(matrix, r2plus)
-    readonly(sigma, r2plus)
-    return sigma, r2plus
+    without the rest of the spectrum; ``matrix`` is that of
+    :func:`build_layer_matrix`."""
+    N = matrix.dim // 2 + 2
+    if not np.array_equal(matrix.offdiag, build_layer_matrix(N).offdiag):
+        raise ValueError("matrix must be the layer matrix of build_layer_matrix")
+    return next(_modes([N]))
 
 
 def stable_manifold(matrix: LayerMatrix) -> LayerSpectrum:
     """Full spectrum of the layer matrix and the positive-eigenvalue basis."""
-    m = matrix.dim // 2
-    vec = np.empty((matrix.dim, matrix.dim))
+    sigma, modes = stable_modes(matrix)
+    m = sigma.size
+    vec = np.empty((2 * m, 2 * m))
     negative, r2plus = vec[:, :m], vec[:, m:]
-    sigma = _positive_modes(matrix, r2plus)
-    # -sigma_j pairs with (u_j, -v_j); reversed, the eigenvalues ascend
+    r2plus[...] = modes
+    # -sigma_j pairs with the mode's odd entries negated; reversed, the
+    # eigenvalues ascend
     negative[0::2] = r2plus[0::2, ::-1]
     np.negative(r2plus[1::2, ::-1], out=negative[1::2])
     _fix_signs(negative)
     lam = np.concatenate((-sigma[::-1], sigma))
-    positive = np.arange(m, matrix.dim)
+    positive = np.arange(m, 2 * m)
     readonly(lam, vec, positive, r2plus)
     return LayerSpectrum(lam, vec, positive, r2plus)
 

@@ -91,14 +91,15 @@ class TestDeltasCommand:
 
     def test_failure_names_its_resolution(self, tmp_path, monkeypatch, capsys):
         # an error inside the batched operator sweep still names the N it hit
-        stable_modes = coupling.stable_modes
+        modes = coupling._modes
 
-        def failing(matrix):
-            if matrix.dim == 2 * (37 - 2):
-                raise bgknet.NumericalError("injected")
-            return stable_modes(matrix)
+        def failing(halves):
+            for N, pair in zip(halves, modes(halves)):
+                if N == 37:
+                    raise bgknet.NumericalError("injected")
+                yield pair
 
-        monkeypatch.setattr(coupling, "stable_modes", failing)
+        monkeypatch.setattr(coupling, "_modes", failing)
         assert main(["deltas", "--N", "30:40", "--out", str(tmp_path)]) == 1
         assert "coefficient computation failed at N=37: injected" in capsys.readouterr().err
         assert not (tmp_path / "deltas.csv").exists()

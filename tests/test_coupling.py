@@ -33,6 +33,7 @@ from bgknet import (
     solve_node_general,
     stable_manifold,
 )
+from bgknet import coupling
 from bgknet.coupling import SV_CUTOFF, _modal_null_space, _reflected, _sum_modal, _sweep
 from bgknet.hermite import _FLOOR, hermite_functions
 from bgknet.layer import _fix_signs
@@ -873,6 +874,25 @@ class TestNodeDistribution:
         for i in range(3):
             np.testing.assert_array_equal(f[i], h[0] * (sol.g_at_0[i] @ h))
 
+    def test_blocks_of_samples(self, ops_factory, coeff_factory, monkeypatch):
+        # only one block's table is alive at a time, and the blocks give the
+        # values of one table to rounding (a block rescales where its own
+        # largest |v| asks)
+        data, topo, coeff, problem = preset_problem(1, 100, ops_factory, coeff_factory)
+        sol = solve_node(problem, ops_factory(100))
+        v = np.linspace(-6.0, 6.0, 1201)
+        whole = node_distribution(sol, v)
+        block = 8 * 200 * 300  # the table of 300 samples, a quarter of all
+        monkeypatch.setattr(coupling, "_TABLE_BYTES", block)
+        tracemalloc.start()
+        try:
+            blocks = node_distribution(sol, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block + blocks.nbytes + v.nbytes
+        np.testing.assert_allclose(blocks, whole, rtol=0.0, atol=1e-14 * np.max(np.abs(whole)))
+
     def test_high_resolution_jump_at_zero(self, ops_factory, coeff_factory):
         # the node distribution of test case 2 is discontinuous at v = 0; at
         # N = 1000 the reconstruction resolves the jump and is smooth elsewhere
@@ -1012,15 +1032,15 @@ class TestOperatorMemory:
         assert peak <= sum(held_buffers(ops).values()) + 0.5 * self.unit
 
     def test_build_peak_is_pinned(self):
-        # the layer stage (U, V^T and dbdsdc's 3m^2 + 4m work, 5m^2 doubles)
-        # stays below the Hermite-table stage, which sets the peak: 5.64 MiB
+        # the layer stage (the 2m x m recursion table, 1.54 MiB) stays below
+        # the Hermite-table stage, which sets the peak: 5.65 MiB
         tracemalloc.start()
         try:
             NodeOperators.build(self.N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5.9 * 2**20
+        assert peak <= 5.8 * 2**20
 
     def test_coefficients_hold_no_matrix_beside_the_qr(self, ops_factory):
         # M(mu) is summed block by block into the one buffer the QR works in,
@@ -1162,6 +1182,16 @@ NON_FINITE_DATA = [
 ]
 
 
+# complex node data, each with the parameter its error must name
+COMPLEX_DATA = [
+    pytest.param([1.0 + 2.0j, 0.0, 0.0], 0.0, "incoming", id="incoming-complex-entry"),
+    pytest.param(np.zeros(3, complex), 0.0, "incoming", id="incoming-complex-dtype"),
+    pytest.param([0.0, 0.0, 0.0], 0.5 + 1.0j, "zero_balance", id="zero_balance-complex"),
+    pytest.param([0.0, 0.0, 0.0], np.complex128(0.5), "zero_balance",
+                 id="zero_balance-complex-real-valued"),
+]
+
+
 class TestNodeDataValidation:
     """A NaN or infinity in the node data raises instead of solving to NaN."""
 
@@ -1199,6 +1229,30 @@ class TestNodeDataValidation:
         ones = np.ones(3)
         with pytest.raises(ValueError, match="^topology"):
             NodeProblem.from_macro_data(NodeTopology.symmetric(INFINITE), None, ones, ones, ones)
+
+    @pytest.mark.parametrize("incoming, zero_balance, name", COMPLEX_DATA)
+    def test_complex_data_is_named(self, incoming, zero_balance, name):
+        # a cast to float would drop the imaginary part with only a warning
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            NodeProblem(NodeTopology.symmetric(3), incoming, zero_balance)
+
+    @pytest.mark.parametrize("incoming, zero_balance, name", COMPLEX_DATA)
+    def test_complex_data_is_named_by_the_general_solve(self, ops_factory, incoming,
+                                                         zero_balance, name):
+        topology = NodeTopology(3, NodeTopology.symmetric(3).beta_matrix())
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            solve_node_general(topology, incoming, zero_balance, ops_factory(20))
+
+    @pytest.mark.parametrize("name", ["rho0", "q0", "S0"])
+    def test_complex_macro_data_is_named(self, name):
+        fields = dict(rho0=np.ones(3), q0=np.zeros(3), S0=np.ones(3))
+        fields[name] = fields[name] + 0.5j
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            NodeProblem.from_macro_data(NodeTopology.symmetric(3), None, **fields)
+
+    def test_zero_balance_must_be_a_scalar(self):
+        with pytest.raises(ValueError, match="^zero_balance must be a scalar"):
+            NodeProblem(NodeTopology.symmetric(3), [0.1, 0.2, 0.3], [0.5])
 
     def test_problem_holds_floats(self):
         problem = NodeProblem(NodeTopology.symmetric(3), [1, 0, -1], np.float32(0.5))

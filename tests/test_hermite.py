@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from bgknet import build_rule, hermite, hermite_functions, recursion_coefficients
-from bgknet.hermite import _newton_step, _rules
+from bgknet.hermite import _christoffel_step, _newton_step, _rules
 from bgknet.kinetic import _maxwellian_rows
 
 SQRT_PI = math.sqrt(math.pi)
@@ -529,6 +529,18 @@ class TestBatchedRules:
         alone = np.concatenate([_newton_step(p, np.full(p.size, order))
                                 for p, order in zip(points, orders)])
         assert mixed.tobytes() == alone.tobytes()
+
+    def test_christoffel_step_with_mixed_orders(self):
+        # as the Newton step above, at the layer's offset; x = 0 makes q_1
+        # zero, and such a point keeps its value
+        rng = np.random.default_rng(1)
+        orders = [316, 201, 64, 8, 4]
+        points = [np.concatenate(([0.0], rng.uniform(0.1, 12.0, 6))) for _ in orders]
+        mixed = _christoffel_step(np.concatenate(points), np.repeat(orders, 7), 4)
+        alone = np.concatenate([_christoffel_step(p, np.full(p.size, order), 4)
+                                for p, order in zip(points, orders)])
+        assert mixed.tobytes() == alone.tobytes()
+        assert np.all(mixed[::7] == 0.0)
 
     def test_batch_table_is_built_on_the_first_request(self, monkeypatch):
         # the rule generator does no recursion before a rule is asked for

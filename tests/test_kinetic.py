@@ -70,6 +70,15 @@ class TestPresets:
         with pytest.raises(ValueError):
             InitialData(rho0=[1.0, 1.0], q0=[0.0], S0=[1.0, 1.0])
 
+    @pytest.mark.parametrize("value", [[1.0, 1.0 + 2.0j, 1.0], np.ones(3, complex), 1.0 + 0.0j])
+    @pytest.mark.parametrize("name", ["rho0", "q0", "S0"])
+    def test_complex_data_is_named(self, name, value):
+        # a cast to float would drop the imaginary part with only a warning
+        fields = dict(rho0=[1.0, 1.0, 1.0], q0=[0.0, 0.0, 0.0], S0=[1.0, 1.0, 1.0])
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            InitialData(**fields)
+
     @pytest.mark.parametrize("name", ["rho0", "q0", "S0"])
     def test_two_dimensional_data_is_named(self, name):
         # a (2, 2) array would otherwise run as four edges

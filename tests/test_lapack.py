@@ -13,6 +13,7 @@ from bgknet import (
     solve_node_general,
 )
 from bgknet import _lapack, coupling
+from bgknet.cli import main
 from bgknet.errors import NumericalError
 
 
@@ -179,6 +180,23 @@ class TestConjugatePair:
         topology = NodeTopology(3, near_cyclic_beta())
         solve_node(NodeProblem(topology, np.array([0.3, -0.2, 0.5]), 0.1), ops_factory(60))
         assert len(factorizations) == 2
+
+    def test_node_command_factors_each_mu_once(self, tmp_path, factorizations, capsys):
+        # the coefficients' QR of M(-1/2) also gives solve_node its null basis
+        assert main(["node", "--case", "1", "--N", "60", "--out", str(tmp_path)]) == 0
+        assert len(factorizations) == 2  # mu = -1/2 and mu = 1, not three
+
+    def test_kept_null_basis_solves_like_a_new_factorization(self, capsys):
+        # the coefficients keep the basis at mu = -1/2; the solve's own
+        # eigenvalue of beta is -0.5000000000000001
+        problem = NodeProblem(NodeTopology.symmetric(3), np.array([0.3, -0.2, 0.5]), 0.1)
+        kept = NodeOperators.build(60)
+        compute_coefficients(kept, NodeTopology.symmetric(3))
+        assert list(kept._null_spaces) == [-0.5]
+        reused, fresh = solve_node(problem, kept), solve_node(problem, NodeOperators.build(60))
+        for name in ("D", "C", "B", "gamma", "rho_at_0", "g_at_0"):
+            np.testing.assert_allclose(getattr(reused, name), getattr(fresh, name),
+                                       rtol=0.0, atol=1e-13)
 
 
 def test_bindings_come_from_numpys_lapack():

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from bgknet import (NumericalError, build_layer_matrix, build_lift, build_rule,
                     recursion_coefficients, stable_manifold, stable_modes)
-from bgknet import hermite
-from bgknet.layer import _bidiagonal_svd, _fix_signs
+from bgknet import hermite, layer
+from bgknet.layer import LayerMatrix, _bidiagonal_svd, _fix_signs
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def quartic_eigenvalues(a, b, c):
@@ -173,15 +180,15 @@ class TestBidiagonalSVD:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 28, 298])
     def test_factorization(self, m):
+        # values only, the one mode bound: against numpy's dense SVD
         rng = np.random.default_rng(m)
         d, e = rng.uniform(0.5, 2.0, m), rng.uniform(-1.0, 1.0, m - 1)
         b = np.diag(d) + np.diag(e, -1)
         sigma = d.copy()
-        u, vt = _bidiagonal_svd(sigma, e.copy())
+        assert _bidiagonal_svd(sigma, e.copy()) is None
         assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] > 0.0  # in place, descending
-        assert np.max(np.abs(b @ vt.T - u * sigma)) <= 1e-13 * sigma[0]
-        assert np.max(np.abs(u.T @ u - np.eye(m))) <= 1e-13
-        assert np.max(np.abs(vt @ vt.T - np.eye(m))) <= 1e-13
+        np.testing.assert_allclose(sigma, np.linalg.svd(b, compute_uv=False),
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name, d, e", BAD_ARGUMENTS)
     def test_bad_argument_is_named(self, name, d, e):
@@ -241,6 +248,79 @@ class TestBidiagonalSVD:
         assert sigma.tobytes() == spectrum.positive_eigenvalues.tobytes()
         assert r2plus.tobytes() == spectrum.R2plus.tobytes()
         assert not sigma.flags.writeable and not r2plus.flags.writeable
+
+
+def mp_layer_mode(sigma, N, digits=60):
+    """Eigenpair of the layer matrix at N near ``sigma`` to ``digits`` digits:
+    the offset-4 Hermite recursion q_0 = 1, sigma q_k = alpha_{k+5} q_{k+1} +
+    alpha_{k+4} q_{k-1}, at a value moved by Rayleigh steps until q_{2m} = 0."""
+    mp = pytest.importorskip("mpmath")
+    n = 2 * (N - 2)
+    with mp.workdps(digits):
+        alpha = [mp.sqrt(mp.mpf(k + 4) / 2) for k in range(n + 1)]  # alpha[k] = alpha_{k+4}
+        x = mp.mpf(sigma)
+        for _ in range(3):
+            q = [mp.mpf(1), x / alpha[1]]
+            for k in range(1, n):
+                q.append((x * q[k] - alpha[k] * q[k - 1]) / alpha[k + 1])
+            x -= alpha[n] * q[n] * q[n - 1] / mp.fsum(v * v for v in q[:n])
+        norm = mp.sqrt(mp.fsum(v * v for v in q[:n]))
+        return float(x), np.array([float(v / norm) for v in q[:n]])
+
+
+class TestGolubWelschModes:
+    """The stable modes from singular values, one Newton step and the offset-4
+    Hermite recursion."""
+
+    @pytest.mark.parametrize("N, columns", [(40, [0, 1, 9, 20, 37]),
+                                            (300, [0, 1, 60, 150, 240, 297])])
+    def test_against_mpmath(self, N, columns):
+        sigma, modes = stable_modes(build_layer_matrix(N))
+        for j in columns:
+            value, vector = mp_layer_mode(sigma[j], N)
+            assert abs(sigma[j] - value) <= 2e-15 * value
+            assert np.max(np.abs(modes[:, j] - vector)) <= 4e-15  # same sign: q_0 > 0
+
+    def test_independent_of_blas_threads(self):
+        # dbdsdc's divide and conquer gave other vector bits at two threads
+        script = ("import hashlib; from bgknet import build_layer_matrix, stable_modes; "
+                  "s, r = stable_modes(build_layer_matrix(300)); "
+                  "print(hashlib.sha256(s.tobytes() + r.tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            digests.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(digests) == 1
+
+    def test_floor(self, ops_factory):
+        # no nonzero lift entry below 2^-122, which the rule's 2^-900 floor
+        # assumes, and so no subnormal product in E or O
+        ops = ops_factory(1000)
+        lift = np.abs(ops.lift)
+        assert np.all((lift == 0.0) | (lift >= layer._FLOOR))
+        for halves in (ops.even, ops.odd):
+            assert not np.any((halves != 0.0) & (np.abs(halves) < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("budget", [0, 2**19, 2**30])
+    def test_batches_bit_identical_to_single_orders(self, monkeypatch, budget):
+        # N = 4..12, the rescale onset at 80..100 and 150..160, in one sequence;
+        # budget 0 makes every N a batch of its own and 2^30 one batch of all
+        halves = [*range(4, 13), *range(80, 101), *range(150, 161)]
+        monkeypatch.setattr(layer, "_BATCH_BYTES", budget)
+        swept = list(layer._modes(halves))
+        monkeypatch.undo()
+        for N, (sigma, modes) in zip(halves, swept, strict=True):
+            alone = stable_modes(build_layer_matrix(N))
+            assert sigma.tobytes() == alone[0].tobytes()
+            assert modes.shape == alone[1].shape and modes.tobytes() == alone[1].tobytes()
+            assert not sigma.flags.writeable and not modes.flags.writeable
+
+    def test_a_foreign_matrix_is_rejected(self):
+        m = build_layer_matrix(6)
+        with pytest.raises(ValueError, match="^matrix must be the layer matrix"):
+            stable_modes(LayerMatrix(m.dim, 2.0 * m.offdiag))
 
 
 class TestLift:
