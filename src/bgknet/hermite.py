@@ -12,12 +12,11 @@ weights underflow.
 
 The Jacobi matrix of the rule has a zero diagonal, so it is the Golub-Kahan
 form of a bidiagonal matrix and its positive eigenvalues, the positive nodes,
-are singular values. This module holds the one checked call of LAPACK's
-bidiagonal SVD, dbdsdc, values only, that the rule and the layer spectrum
-share; the routine itself is bound in ``_lapack``, from the LAPACK numpy
-links. The layer spectrum also takes its Newton step
-(:func:`_christoffel_step`) and its eigenvectors (:func:`_recurrence`) from
-here, with the recursion coefficients shifted by four.
+are singular values. One Golub-Welsch engine (:func:`_golub_welsch`) builds
+the rule and the layer spectrum, whose Jacobi matrix is the rule's with the
+recursion coefficients shifted by four: LAPACK's bidiagonal SVD dbdsdc,
+values only (bound in ``_lapack``, from the LAPACK numpy links), one Newton
+step in Christoffel-Darboux form and the eigenvectors from one recursion.
 """
 
 from __future__ import annotations
@@ -67,18 +66,15 @@ def readonly(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, compq: str = "N") -> None:
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> None:
     """Singular values of the lower-bidiagonal B with diagonal ``d`` and
     subdiagonal ``e``, by LAPACK dbdsdc without vectors: dqds (Fernando and
     Parlett), every value to high relative accuracy.
 
     Works in place: ``d`` comes back holding sigma, descending, and ``e`` is
-    overwritten. ``compq`` is LAPACK's job argument; only "N", values alone,
-    is bound. LAPACK reads and writes the raw buffers, so every argument is
+    overwritten. LAPACK reads and writes the raw buffers, so every argument is
     checked before the call.
     """
-    if compq != "N":
-        raise ValueError(f"compq must be 'N', got {compq!r}")
     for name, array in (("d", d), ("e", e)):
         if not isinstance(array, np.ndarray) or array.dtype != np.float64 or array.ndim != 1:
             raise ValueError(f"{name} must be a 1-d float64 array")
@@ -93,7 +89,7 @@ def _bidiagonal_svd(d: np.ndarray, e: np.ndarray, compq: str = "N") -> None:
         raise ValueError(f"e must hold len(d) - 1 = {m - 1} entries, got {e.size}")
     work, iwork = np.empty(4 * m), _lapack.integer_array(8 * m)
     n, info = ctypes.byref(_lapack.integer(m)), _lapack.integer(0)
-    # u and vt are not referenced for compq = "N", q and iq only for "P"
+    # values only (compq = "N"): u, vt, q and iq are not referenced
     _dbdsdc(b"L", b"N", n, d.ctypes.data, e.ctypes.data, None, n, None, n,
             None, None, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
     if info.value != 0:
@@ -136,8 +132,7 @@ def _recurrence(x: np.ndarray, groups, offset: int = 0) -> np.ndarray:
     e^{-x^2/2} and u_1 = x u_0 / alpha_{1+offset}. Offset 0 gives the Hermite
     functions; at an eigenvalue x of the zero-diagonal Jacobi matrix with
     off-diagonal alpha_{1+offset}, ..., alpha_{count-1+offset}, the column is
-    an eigenvector, unnormalized (Golub and Welsch). The layer matrix is that
-    matrix for offset 4.
+    an eigenvector, unnormalized (Golub and Welsch).
 
     The recursion writes unnormalized values straight into the rows of the
     table and carries the weight e^{-x^2/2} as a log scale. Every R steps of a
@@ -238,31 +233,6 @@ def check_half_order(N) -> None:
         raise ValueError(f"N must be an integer in [1, {MAX_HALF_ORDER}], got {N!r}")
 
 
-def _newton_step(x: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """One Newton step on the monic Hermite polynomial p_order at the points ``x``,
-    ``order`` holding each point's order, non-increasing.
-
-    The ratios s_k = p_{k+1}/p_k obey s_0 = x, s_k = x - (k/2)/s_{k-1}, and
-    p_order' = order p_{order-1}, so the step is x - s_{order-1}/order. A zero
-    ratio gives an infinite next one and a ratio x after it, as the recursion
-    of the p_k does. The points still stepped at k, those with k < order, are a
-    prefix, and each point's ratios are made by the same operations as in a
-    step over its order alone.
-    """
-    orders = order.tolist()
-    s = x.copy()
-    stepped, xs, ss = x.size, x, s
-    with np.errstate(divide="ignore"):
-        for k in range(1, orders[0]):
-            if orders[stepped - 1] <= k:
-                while orders[stepped - 1] <= k:
-                    stepped -= 1
-                xs, ss = x[:stepped], s[:stepped]
-            np.divide(0.5 * k, ss, out=ss)
-            np.subtract(xs, ss, out=ss)
-    return x - s / order
-
-
 def _christoffel_step(x: np.ndarray, order: np.ndarray, offset: int) -> np.ndarray:
     """One Newton step on q_order at the points ``x``, ``order`` holding each
     point's order, non-increasing; q_k are the orthonormal polynomials of the
@@ -271,8 +241,8 @@ def _christoffel_step(x: np.ndarray, order: np.ndarray, offset: int) -> np.ndarr
     The Christoffel-Darboux identity gives q_n' at a zero of q_n as
     sum_{k<n} q_k^2 / (alpha_{n+offset} q_{n-1}), so the step is
     x - alpha_{n+offset} q_n q_{n-1} / sum_{k<n} q_k^2: the Rayleigh quotient
-    of (q_0, ..., q_{n-1}) for the Jacobi matrix of order n, which needs no
-    Appell identity (:func:`_newton_step`). It runs on the ratios
+    of (q_0, ..., q_{n-1}) for the Jacobi matrix of order n. It runs on the
+    ratios
     s_k = alpha_{k+1+offset} q_{k+1} / q_k, s_0 = x and
     s_k = x - a_k / s_{k-1} with a_k = alpha_{k+offset}^2, and
     t_k = sum_{j<=k} q_j^2 / q_k^2 = 1 + t_{k-1} a_k / s_{k-1}^2, t_0 = 1: the
@@ -303,35 +273,73 @@ def build_rule(N: int) -> QuadratureRule:
     """Build the 2N-point Gauss-Hermite rule (Golub and Welsch, Math. Comp. 23, 1969).
 
     The nodes are the eigenvalues of the zero-diagonal Jacobi matrix with
-    off-diagonal alpha_k = sqrt(k/2). Its even rows and odd columns form the
-    N x N lower bidiagonal with diagonal alpha_1, alpha_3, ..., alpha_{2N-1}
-    and subdiagonal alpha_2, ..., alpha_{2N-2}, whose singular values are the
-    N positive nodes (dbdsdc, values only). One Newton step on P_{2N} polishes
-    them, and they are mirrored to -v exactly. The weights take the
-    Christoffel form w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2. The table is
-    evaluated at the N positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v),
-    which the recursion satisfies bit for bit on the exactly symmetric nodes;
-    its entries below 2^-900 are flushed to zero after the weights are taken,
-    so that products with it never meet a subnormal number.
-    The rule is the one-rule batch of :func:`_rules`, which checks N.
+    off-diagonal alpha_k = sqrt(k/2): the N positive ones are the singular
+    values of its N x N bidiagonal, polished by one Newton step in
+    Christoffel-Darboux form on P_{2N} (:func:`_golub_welsch` at offset 0),
+    and they are mirrored to -v exactly. The weights take the Christoffel form
+    w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2. The table is evaluated at the N
+    positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v), which the
+    recursion satisfies bit for bit on the exactly symmetric nodes; its
+    entries below 2^-900 are flushed to zero after the weights are taken, so
+    that products with it never meet a subnormal number. The rule is the
+    one-rule batch of :func:`_rules`, which checks N.
     """
     return next(_rules([N]))
 
 
 def _rules(halves):
-    """Yield build_rule(N) for each N of the sequence ``halves``, in order.
-
-    The positive nodes of every N are polished by one Newton step. Runs of
-    consecutive N whose recursion table, 2 max(N) rows by sum(N) columns of
-    doubles, fits in _BATCH_BYTES share one recursion; a larger N is a batch
-    of its own. A batch's table is made when its first rule is asked for, and
-    each rule when it is asked for.
-    """
+    """Yield build_rule(N) for each N of the sequence ``halves``, in order: the
+    offset-0 case of :func:`_golub_welsch`, whose recursion tables hold at most
+    _BATCH_BYTES each."""
     for N in halves:
         check_half_order(N)
-    positive = _positive_nodes(sorted(set(halves), reverse=True))
-    for run in _runs(halves, _BATCH_BYTES):
-        yield from _batch(run, positive)
+    yield from _golub_welsch(halves, 0, _BATCH_BYTES, _rule)
+
+
+def _golub_welsch(orders, offset: int, budget: int, finish):
+    """Yield finish(m, x, vectors) for each order m of the sequence ``orders``,
+    in order, from the eigenpairs of the zero-diagonal Jacobi matrix of order
+    2m with off-diagonal alpha_{1+offset}, ..., alpha_{2m-1+offset} (Golub and
+    Welsch, Math. Comp. 23, 1969; Gautschi 2004).
+
+    Its positive eigenvalues are the singular values (dbdsdc, values only) of
+    the m x m lower bidiagonal with diagonal alpha_{1+offset},
+    alpha_{3+offset}, ... and subdiagonal alpha_{2+offset}, alpha_{4+offset},
+    .... Those of every m, ascending, are polished by one
+    :func:`_christoffel_step` on all of them at once, taken by m descending
+    so that the points still stepped at k are a prefix. Runs of consecutive
+    orders whose recursion table fits in ``budget`` bytes (:func:`_runs`)
+    share one :func:`_recurrence`, made when the run's first order is asked
+    for; ``x`` is m's polished values and column j of the 2m x m view
+    ``vectors`` of the table the unnormalized eigenvector of x_j. ``finish``
+    runs once per distinct m of a run, at m's first request, and a suspended
+    run holds nothing of an m after its last request.
+    """
+    down = sorted(set(orders), reverse=True)
+    singular = []
+    for m in down:
+        alpha = recursion_coefficients(2 * m - 1 + offset)[offset:]
+        d, e = alpha[0::2].copy(), alpha[1::2].copy()
+        _bidiagonal_svd(d, e)
+        singular.append(d[::-1])
+    polished = _christoffel_step(np.concatenate(singular), np.repeat([2 * m for m in down], down),
+                                 offset)
+    values = dict(zip(down, np.split(polished, np.cumsum(down)[:-1])))
+    del singular, polished
+    for run in _runs(orders, budget):
+        down = sorted(set(run), reverse=True)
+        stops = np.cumsum(down).tolist()
+        x = np.concatenate([values[m] for m in down])
+        table = _recurrence(x, [(2 * m, stop) for m, stop in zip(down, stops)], offset)
+        # each m's views until its first request, its result until its last
+        views = {m: (x[stop - m:stop], table[:2 * m, stop - m:stop])
+                 for m, stop in zip(down, stops)}
+        del x, table
+        made = {}
+        for i, m in enumerate(run):
+            if m in views:
+                made[m] = finish(m, *views.pop(m))
+            yield made[m] if m in run[i + 1:] else made.pop(m)
 
 
 def _runs(sizes, budget: int):
@@ -348,36 +356,6 @@ def _runs(sizes, budget: int):
         yield run
 
 
-def _positive_nodes(down) -> dict:
-    """N -> the N positive nodes, ascending, for each N of the descending ``down``:
-    singular values polished by one Newton step on all of them at once, whose
-    points still stepped at k are then a prefix."""
-    singular = []
-    for N in down:
-        alpha = recursion_coefficients(2 * N - 1)
-        d, e = alpha[0::2].copy(), alpha[1::2].copy()
-        _bidiagonal_svd(d, e, "N")
-        singular.append(d[::-1])
-    polished = _newton_step(np.concatenate(singular), np.repeat([2 * N for N in down], down))
-    return dict(zip(down, np.split(polished, np.cumsum(down)[:-1])))
-
-
-def _batch(halves, positive: dict):
-    """The rules of ``halves`` from one recursion over their positive nodes,
-    taken by N descending so that the columns stepped at k are a prefix."""
-    down = sorted(set(halves), reverse=True)
-    x = np.concatenate([positive[N] for N in down])
-    stops = np.cumsum(down).tolist()
-    table = _recurrence(x, [(2 * N, stop) for N, stop in zip(down, stops)])
-    columns = {N: slice(stop - N, stop) for N, stop in zip(down, stops)}
-    # one rule's arguments per request, popped as its rule is made: a
-    # suspended batch holds no rule, and none of the table after its last
-    pending = [(N, positive[N], table[:2 * N, columns[N]]) for N in halves]
-    del table
-    while pending:
-        yield _rule(*pending.pop(0))
-
-
 def _flush(table: np.ndarray, floor: float) -> None:
     """Zero the entries of ``table`` below ``floor`` in magnitude, in place and
     a block of rows at a time, so that no temporary is larger than a block."""
@@ -392,8 +370,6 @@ def _rule(N: int, positive: np.ndarray, half: np.ndarray) -> QuadratureRule:
     order = 2 * N
     nodes = np.concatenate((-positive[::-1], positive))
     scaled_half = 1.0 / np.einsum("ki,ki->i", half, half)
-    # a rule asked for again in the batch reads the flushed half, and its
-    # weights are the same, since the square of an entry below _FLOOR is zero
     _flush(half, _FLOOR)
     table = np.empty((order, order))
     table[:, N:] = half

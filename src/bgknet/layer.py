@@ -8,14 +8,14 @@ lift matrix maps the reduced unknowns (D, C, B, gamma) of a layer solution to
 the full moment vector at x = 0.
 
 A is the Jacobi matrix of the Hermite recursion shifted by four, so its modes
-are built as the Gauss-Hermite rule is (Golub and Welsch, Math. Comp. 23,
+come from the engine that builds the Gauss-Hermite rule
+(``hermite._golub_welsch`` at offset 4; Golub and Welsch, Math. Comp. 23,
 1969). The zero diagonal makes A the Golub-Kahan form of the lower-bidiagonal
 B of order m = N - 2, with diagonal alpha_5, alpha_7, ... and subdiagonal
 alpha_6, alpha_8, ...: A has the eigenvalues +-sigma_j, B's singular values,
 which LAPACK's dbdsdc gets without vectors (dqds) to high relative accuracy.
-One Newton step in Christoffel-Darboux form polishes them
-(``hermite._christoffel_step``); the eigenvector of sigma_j is then the
-offset-4 recursion at sigma_j (``hermite._recurrence``), normalized by its
+One Newton step in Christoffel-Darboux form polishes them; the eigenvector of
+sigma_j is then the offset-4 recursion at sigma_j, normalized by its
 Christoffel sum, and its entries below 2^-122 are zero. The recursion starts
 at q_0 > 0, so the first nonzero entry of every positive mode is positive.
 The eigenvector of -sigma_j is that of sigma_j with its odd entries negated.
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .hermite import (_bidiagonal_svd, _christoffel_step, _flush, _recurrence, _runs,
-                      check_half_order, readonly, recursion_coefficients)
+from .hermite import (_flush, _golub_welsch, check_half_order, readonly,
+                      recursion_coefficients)
 
 # The layer matrix is the Jacobi matrix of the Hermite recursion from alpha_5 on.
 _OFFSET = 4
@@ -120,60 +120,24 @@ def _orders(halves) -> list:
 
 def _modes(halves):
     """Yield stable_modes(build_layer_matrix(N)) for each N of the sequence
-    ``halves``, in order.
-
-    The singular values of every N are polished by one Newton step
-    (``hermite._christoffel_step``) on all of them at once. Runs of
-    consecutive N whose recursion table fits in _BATCH_BYTES
-    (``hermite._runs``) share one recursion; a batch's table is made when its
-    first N is asked for, and the modes of an N are read-only views of it, so
-    it lives until the caller drops the modes of the batch's last N.
-    """
-    orders = _orders(halves)
-    down = sorted(set(orders), reverse=True)
-    singular = []
-    for m in down:
-        offdiag = recursion_coefficients(2 * m + 3)[_OFFSET:]
-        d, e = offdiag[0::2].copy(), offdiag[1::2].copy()
-        _bidiagonal_svd(d, e, "N")
-        singular.append(d[::-1])
-    polished = _christoffel_step(np.concatenate(singular), np.repeat([2 * m for m in down], down),
-                                 _OFFSET)
-    values = dict(zip(down, np.split(polished, np.cumsum(down)[:-1])))
-    del singular, polished
-    for run in _runs(orders, _BATCH_BYTES):
-        yield from _batch(run, values)
+    ``halves``, in order: the offset-4 case of ``hermite._golub_welsch``,
+    whose recursion tables hold at most _BATCH_BYTES each. The modes of an N
+    are read-only views of its run's table, so the table lives until the
+    caller drops the modes of the run's last N."""
+    yield from _golub_welsch(_orders(halves), _OFFSET, _BATCH_BYTES, _normalize)
 
 
-def _batch(orders, values: dict):
-    """The stable modes of the layer orders m of ``orders`` from one recursion
-    at their polished values, taken by m descending: each column group is the
-    group's eigenvectors, normalized by their Christoffel sums and flushed
-    below _FLOOR once however often its m is asked for."""
-    down = sorted(set(orders), reverse=True)
-    stops = np.cumsum(down).tolist()
-    x = np.concatenate([values[m] for m in down])
-    table = _recurrence(x, [(2 * m, stop) for m, stop in zip(down, stops)], _OFFSET)
-    columns = {m: slice(stop - m, stop) for m, stop in zip(down, stops)}
-    for m, cols in columns.items():
-        _normalize(x[cols], table[:2 * m, cols])
-    readonly(x, table)
-    # one pair of views per request, popped as it is yielded: the table is
-    # freed once the caller drops the last
-    pending = [(x[columns[m]], table[:2 * m, columns[m]]) for m in orders]
-    del x, table
-    while pending:
-        yield pending.pop(0)
-
-
-def _normalize(sigma: np.ndarray, vectors: np.ndarray) -> None:
-    """Scale each recursion column to unit length, its Christoffel sum, and
-    flush its entries below _FLOOR, in place."""
+def _normalize(m: int, sigma: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (sigma, modes) of layer order m: each recursion column of
+    ``vectors`` scaled to unit length, its Christoffel sum, and its entries
+    below _FLOOR flushed, in place."""
     if not sigma[0] > 0.0:
-        raise NumericalError(f"expected {sigma.size} positive layer eigenvalues, "
+        raise NumericalError(f"expected {m} positive layer eigenvalues, "
                              f"the smallest is {sigma[0]}")
     vectors /= np.sqrt(np.einsum("ki,ki->i", vectors, vectors))
     _flush(vectors, _FLOOR)
+    readonly(sigma, vectors)
+    return sigma, vectors
 
 
 def stable_modes(matrix: LayerMatrix) -> tuple[np.ndarray, np.ndarray]:

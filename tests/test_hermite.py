@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bgknet import build_rule, hermite, hermite_functions, recursion_coefficients
-from bgknet.hermite import _christoffel_step, _newton_step, _rules
+from bgknet import (build_layer_matrix, build_rule, hermite, hermite_functions, layer,
+                    recursion_coefficients, stable_modes)
+from bgknet.hermite import _christoffel_step, _rules
 from bgknet.kinetic import _maxwellian_rows
 
 SQRT_PI = math.sqrt(math.pi)
@@ -518,26 +519,16 @@ class TestBatchedRules:
         for N, rule in zip(halves, _rules(halves)):
             assert rule.basis.tobytes() == build_rule(N).basis.tobytes()
 
-    def test_newton_step_with_mixed_orders(self):
-        # every point is stepped as in a call with its own order alone; x = 0
-        # gives a zero ratio and an infinite next one
-        rng = np.random.default_rng(0)
-        orders = [320, 201, 64, 7, 1]
-        points = [np.concatenate(([0.0], rng.uniform(-12.0, 12.0, 6))) for _ in orders]
-        mixed = _newton_step(np.concatenate(points),
-                             np.repeat(orders, [p.size for p in points]))
-        alone = np.concatenate([_newton_step(p, np.full(p.size, order))
-                                for p, order in zip(points, orders)])
-        assert mixed.tobytes() == alone.tobytes()
-
-    def test_christoffel_step_with_mixed_orders(self):
-        # as the Newton step above, at the layer's offset; x = 0 makes q_1
-        # zero, and such a point keeps its value
+    @pytest.mark.parametrize("offset", [0, 4])
+    def test_christoffel_step_with_mixed_orders(self, offset):
+        # every point is stepped as in a call with its own order alone, at the
+        # rule's and the layer's offset; x = 0 makes q_1 zero, and such a
+        # point keeps its value
         rng = np.random.default_rng(1)
         orders = [316, 201, 64, 8, 4]
         points = [np.concatenate(([0.0], rng.uniform(0.1, 12.0, 6))) for _ in orders]
-        mixed = _christoffel_step(np.concatenate(points), np.repeat(orders, 7), 4)
-        alone = np.concatenate([_christoffel_step(p, np.full(p.size, order), 4)
+        mixed = _christoffel_step(np.concatenate(points), np.repeat(orders, 7), offset)
+        alone = np.concatenate([_christoffel_step(p, np.full(p.size, order), offset)
                                 for p, order in zip(points, orders)])
         assert mixed.tobytes() == alone.tobytes()
         assert np.all(mixed[::7] == 0.0)
@@ -547,8 +538,50 @@ class TestBatchedRules:
         calls = []
         recurrence = hermite._recurrence
         monkeypatch.setattr(hermite, "_recurrence",
-                            lambda x, groups: calls.append(groups) or recurrence(x, groups))
+                            lambda x, groups, offset: calls.append(groups)
+                            or recurrence(x, groups, offset))
         rules = _rules([5, 6])
         assert calls == []
         next(rules)
         assert calls == [[(12, 6), (10, 11)]]
+
+
+def rule_bytes(rule):
+    return b"".join(getattr(rule, field).tobytes()
+                    for field in ("nodes", "weights", "scaled_weights", "basis"))
+
+
+def modes_bytes(modes):
+    return b"".join(array.tobytes() for array in modes)
+
+
+class TestGolubWelschEngine:
+    # the engine's two callers, each with the module of its budget, its
+    # single-N build and the bytes of one result
+    CALLERS = {"rules": (hermite, _rules, build_rule, rule_bytes),
+               "modes": (layer, layer._modes, lambda N: stable_modes(build_layer_matrix(N)),
+                         modes_bytes)}
+
+    @pytest.mark.parametrize("budget", [0, 2**30])
+    @pytest.mark.parametrize("caller", ["rules", "modes"])
+    def test_any_order_of_orders(self, monkeypatch, caller, budget):
+        # repeated and unordered orders come back bit-identical to single
+        # builds, so a repeated order is finished once; budget 0 makes every
+        # order a run of its own and 2^30 one run of all, and no recursion
+        # runs before the first request
+        module, sweep, single, as_bytes = self.CALLERS[caller]
+        calls = []
+        recurrence = hermite._recurrence
+        monkeypatch.setattr(hermite, "_recurrence",
+                            lambda x, groups, offset: calls.append(groups)
+                            or recurrence(x, groups, offset))
+        monkeypatch.setattr(module, "_BATCH_BYTES", budget)
+        halves = [30, 7, 30, 12, 5]
+        results = sweep(halves)
+        assert calls == []
+        swept = [as_bytes(next(results))]
+        assert len(calls) == 1
+        swept += [as_bytes(result) for result in results]
+        monkeypatch.undo()
+        assert len(calls) == (len(halves) if budget == 0 else 1)
+        assert swept == [as_bytes(single(N)) for N in halves]

@@ -10,7 +10,8 @@ from scipy.linalg import eigh_tridiagonal
 from bgknet import (NumericalError, build_layer_matrix, build_lift, build_rule,
                     recursion_coefficients, stable_manifold, stable_modes)
 from bgknet import hermite, layer
-from bgknet.layer import LayerMatrix, _bidiagonal_svd, _fix_signs
+from bgknet.hermite import _bidiagonal_svd
+from bgknet.layer import LayerMatrix, _fix_signs
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -226,19 +227,14 @@ class TestBidiagonalSVD:
         offdiag[0::2], offdiag[1::2] = d, e
         lam = eigh_tridiagonal(np.zeros(2 * m), offdiag, eigvals_only=True)
         sigma = d.copy()
-        assert _bidiagonal_svd(sigma, e.copy(), "N") is None
+        assert _bidiagonal_svd(sigma, e.copy()) is None
         assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] > 0.0  # in place, descending
         np.testing.assert_allclose(sigma[::-1], lam[m:], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name, d, e", BAD_ARGUMENTS)
     def test_values_only_bad_argument_is_named(self, name, d, e):
         with pytest.raises(ValueError, match=f"^{name} must"):
-            _bidiagonal_svd(d, e, "N")
-
-    @pytest.mark.parametrize("compq", ["P", "n", "", None])
-    def test_bad_mode_is_named(self, compq):
-        with pytest.raises(ValueError, match="^compq must"):
-            _bidiagonal_svd(np.ones(3), np.ones(2), compq)
+            _bidiagonal_svd(d, e)
 
     @pytest.mark.parametrize("N", [4, 5, 100])
     def test_stable_modes_are_the_positive_half(self, N):
