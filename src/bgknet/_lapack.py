@@ -155,6 +155,35 @@ def _ref(value: int):
     return ctypes.byref(integer(value))
 
 
+def bdsdc(d: np.ndarray, e: np.ndarray) -> None:
+    """Singular values of the lower-bidiagonal B with diagonal ``d`` and
+    subdiagonal ``e``, by LAPACK dbdsdc without vectors: dqds (Fernando and
+    Parlett), every value to high relative accuracy.
+
+    Works in place: ``d`` comes back holding sigma, descending, and ``e`` is
+    overwritten.
+    """
+    for name, array in (("d", d), ("e", e)):
+        if not isinstance(array, np.ndarray) or array.dtype != np.float64 or array.ndim != 1:
+            raise ValueError(f"{name} must be a 1-d float64 array")
+        if not (array.flags.c_contiguous and array.flags.writeable):
+            raise ValueError(f"{name} must be contiguous and writeable")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} must be finite")
+    m = d.size
+    if m < 1:
+        raise ValueError("d must hold at least one entry")
+    if e.size != m - 1:
+        raise ValueError(f"e must hold len(d) - 1 = {m - 1} entries, got {e.size}")
+    work, iwork = np.empty(4 * m), integer_array(8 * m)
+    n, info = _ref(m), integer()
+    # values only (compq = "N"): u, vt, q and iq are not referenced
+    dbdsdc(b"L", b"N", n, d.ctypes.data, e.ctypes.data, None, n, None, n,
+           None, None, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalError(f"bidiagonal SVD (dbdsdc) of order {m} failed, info = {info.value}")
+
+
 def geqrf(a: np.ndarray) -> np.ndarray:
     """QR factorization of ``a`` in place (LAPACK geqrf).
 

@@ -4,9 +4,12 @@ At a node of degree n the half-space layer problems on all edges are coupled
 through velocity reflection, f^i(0, v) = sum_j beta_ij f^j(0, -v) for v > 0,
 which decouples in the eigenbasis of beta into one N x (N+1) map
 M(mu) = (1 - mu) E + (1 + mu) O per eigenvalue, E and O the even and odd
-parts of the layer distributions in v. The staircase structure of the
-symmetric-node map M(-1/(n-1)) yields the macroscopic coupling coefficients delta_1 (for
-S + delta_1 q) and delta_2 (for rho + delta_2 q). The full node solve returns
+parts of the layer distributions in v. The null vectors of M(mu) are the one
+modal kernel of the module: the null vector (D, C, B, gamma) of the
+symmetric-node map M(-1/(n-1)) gives the macroscopic coupling coefficients by
+D + delta_1 C = 0 (for S + delta_1 q) and B + delta_2 C = 0 (for
+rho + delta_2 q), and the node solves fix the coefficients of the null vectors
+by the outgoing characteristics and the balance. The full node solve returns
 the asymptotic states and layer amplitudes of every edge and the reconstructed
 moments at x = 0.
 """
@@ -133,8 +136,8 @@ class NodeOperators:
     lift: np.ndarray
     even: np.ndarray
     odd: np.ndarray
-    # mu -> orthonormal null basis of M(mu), kept by compute_coefficients from
-    # the QR it makes, so that a solve_node at the same mu makes no second one
+    # mu -> orthonormal null basis of M(mu), kept by compute_coefficients, which
+    # reads delta off it, so that a solve_node at the same mu makes no second QR
     _null_spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -224,13 +227,9 @@ class _Reduction:
     geqrf. Above its diagonal it holds R, the (N-2) x (N-2) triangular factor of
     the gamma block, T = Q_1^H A for the (D, C, B) columns A, and b = Q^H rhs;
     below it, the Householder vectors of Q, with their scalars in ``tau``.
-    K = Q_2^H A is the upper triangle of the 2 x 3 block under T (its entry
-    below the diagonal holds a reflector), where Q_2 spans the two-dimensional
-    left null space of the gamma block; K comes out triangularized by a 2 x 2
-    unitary factor, which no use of it sees. The null vectors of M(mu) are
-    (x, -R^{-1} T x) with K x = 0. ``scale`` holds the row equilibration and
-    ``norm`` the Frobenius norm of the equilibrated M(mu), the scale for rank
-    decisions; row equilibration leaves every null space unchanged.
+    ``scale`` holds the row equilibration and ``norm`` the Frobenius norm of
+    the equilibrated M(mu), the scale for rank decisions; row equilibration
+    leaves every null space unchanged.
     """
 
     qr: np.ndarray
@@ -238,31 +237,31 @@ class _Reduction:
     scale: np.ndarray
     norm: float
 
-    @property
-    def K(self) -> np.ndarray:
-        split = self.qr.shape[0] - 2
-        K = self.qr[split:, split:split + 3].copy()
-        K[1, 0] = 0.0  # a reflector entry, below R's diagonal
-        return K
-
     def solve(self, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solutions of M(mu) y = rhs, the kernel of both node solves.
 
         ``b`` is Q^H rhs, by default the columns carried in ``qr``. Returns
         (particular, null, s): one solution y per column of rhs, the null
         vectors of M(mu) as columns (not orthonormal), and the singular values
-        s of K, whose rank is cut at SV_CUTOFF times ``norm``. A particular
-        solution takes the minimum-norm x of K x = Q_2^H rhs, exact when K has
-        full row rank, and gamma by back substitution.
+        s of K = Q_2^H A, where Q_2 spans the two-dimensional left null space
+        of the gamma block; K's rank is cut at SV_CUTOFF times ``norm``. The
+        null vectors are (x, -R^{-1} T x) with K x = 0. A particular solution
+        takes the minimum-norm x of K x = Q_2^H rhs, exact when K has full row
+        rank, and gamma by back substitution; with no rhs there is none.
         """
         qr = self.qr
         split, cols = qr.shape[0] - 2, qr.shape[0] + 1
         b = qr[:, cols:] if b is None else b
         T = qr[:split, split:cols]
-        u, s, vh = np.linalg.svd(self.K)
+        # the 2 x 3 block under T, K triangularized by a unitary factor
+        K = qr[split:, split:cols].copy()
+        K[1, 0] = 0.0  # a reflector entry, below R's diagonal
+        u, s, vh = np.linalg.svd(K)
         rank = int(np.count_nonzero(s > SV_CUTOFF * self.norm))
         X = vh[rank:].conj().T
         null = np.vstack([X, -_lapack.trtrs(qr, np.asfortranarray(T @ X))])
+        if not b.shape[1]:
+            return null[:, :0], null, s
         x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b[split:]) / s[:rank, None])
         gamma = _lapack.trtrs(qr, np.asfortranarray(b[:split] - T @ x))
         return np.vstack([x, gamma]), null, s
@@ -311,22 +310,26 @@ def _reduce(ops: NodeOperators, mu: complex, rhs: np.ndarray | None = None) -> _
 
 
 def compute_coefficients(ops: NodeOperators, topology: NodeTopology) -> CouplingCoefficients:
-    """delta_1 and delta_2 of a symmetric node, read off the QR of M(mu) at
-    mu = -1/(n-1), or mu = 0 for INFINITE.
+    """delta_1 = -D/C and delta_2 = -B/C of a symmetric node, read off the unit
+    null vector (D, C, B, gamma) of M(mu) at mu = -1/(n-1), or mu = 0 for
+    INFINITE, which :func:`_modal_null_space` gives.
 
-    One QR of the gamma columns leaves the 2 x 3 matrix K = Q_2^T (D, C, B)
-    on the two-dimensional left null space Q_2 of those columns. delta_1
-    comes from the unique row combination of K vanishing on the B column
-    (normalized to unit D coefficient), delta_2 from the one vanishing on the
-    D column. The null basis of M(mu) from the same QR, one back substitution,
-    is kept on ``ops`` for a :func:`solve_node` at this mu; the QR is not.
+    The vector is kept on ``ops`` at this mu for a :func:`solve_node` there.
+    A null space of other than one vector, or a null vector with
+    |C| <= SV_CUTOFF, raises DegeneracyError.
     """
     mu = _symmetric_mu(topology)
-    reduction = _reduce(ops, mu)
-    coefficients = _coefficients(reduction)
-    null = ops._null_spaces[mu] = _orthonormal_null_space(reduction)
+    null = _modal_null_space(ops, mu)
+    if null.shape[1] != 1 or not abs(null[1, 0]) > SV_CUTOFF:
+        # only a new null vector fails (a kept one passed), so the QR is redone only here
+        raise DegeneracyError(f"invariant matrix has {null.shape[1]} null vectors, C "
+                              f"components {np.abs(null[1])}, expected one with C != 0; "
+                              "singular_values holds those of its 2 x 3 reduction",
+                              singular_values=_reduce(ops, mu).solve()[2])
     readonly(null)
-    return coefficients
+    ops._null_spaces[mu] = null
+    D, C, B = null[:3, 0]
+    return CouplingCoefficients(float(-D / C), float(-B / C))
 
 
 def _symmetric_mu(topology: NodeTopology) -> float:
@@ -335,34 +338,6 @@ def _symmetric_mu(topology: NodeTopology) -> float:
         raise ValueError("compute_coefficients supports only symmetric topologies; "
                          "use solve_node for an arbitrary coupling matrix")
     return 0.0 if topology.n == INFINITE else -1.0 / (topology.n - 1.0)
-
-
-def _swept_coefficients(halves, topology: NodeTopology):
-    """Yield compute_coefficients(NodeOperators.build(N), topology) for each N
-    of ``halves`` through :func:`_sweep`, keeping no null basis, which no
-    caller would read."""
-    mu = _symmetric_mu(topology)
-    operators = _sweep(halves)
-    for _ in halves:
-        # unbound, the operators at N are freed before those at N + 1 are built
-        yield _coefficients(_reduce(next(operators), mu))
-
-
-def _coefficients(reduction: _Reduction) -> CouplingCoefficients:
-    """delta_1 and delta_2 from the K block of a symmetric node's reduction."""
-    K, norm = reduction.K, reduction.norm
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[-1] <= SV_CUTOFF * norm:
-        raise DegeneracyError("invariant matrix is numerically row-rank deficient; "
-                              "singular_values holds those of its 2 x 3 reduction",
-                              singular_values=s)
-    for column, label in ((2, "delta1"), (0, "delta2")):
-        if np.linalg.norm(K[:, column]) <= SV_CUTOFF * norm:
-            raise DegeneracyError(f"left null space of the {label} subproblem is not "
-                                  "one-dimensional", singular_values=s)
-    z1 = K[1, 2] * K[0] - K[0, 2] * K[1]
-    z2 = K[1, 0] * K[0] - K[0, 0] * K[1]
-    return CouplingCoefficients(float(z1[1] / z1[0]), float(z2[1] / z2[2]))
 
 
 def maxwell_delta(n: int | float) -> tuple[float, float]:
@@ -410,6 +385,13 @@ def _check_edge_count(n) -> None:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
 
 
+def _check_finite(**values) -> None:
+    """Reject a NaN or infinite value with a ValueError that names it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MacroCouplingSystem:
     """The 3n x 3n block system for the asymptotic states (D, C, B) of all edges."""
@@ -422,6 +404,7 @@ def build_macro_system(delta1: float, delta2: float, n: int,
                        incoming: np.ndarray, zero_balance: float) -> MacroCouplingSystem:
     """Assemble the macroscopic block system for unknowns m = (D^i, C^i, B^i)."""
     _check_edge_count(n)
+    _check_finite(delta1=delta1, delta2=delta2)
     incoming, zero_balance = _node_data(n, incoming, zero_balance)
     diff = np.zeros((n, n))
     idx = np.arange(1, n)
@@ -449,6 +432,7 @@ def macro_determinant(n: int, delta1: float) -> float:
     delta_1 = -a and invertible for every nonnegative delta_1.
     """
     _check_edge_count(n)
+    _check_finite(delta1=delta1)
     return (-1.0) ** (n + 1) * 3.0 * n ** 2 * (ACOUSTIC_SPEED + delta1) ** (n - 1)
 
 
@@ -456,10 +440,6 @@ def macro_coupling_solve(coefficients: CouplingCoefficients, incoming: np.ndarra
                          zero_balance: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the macroscopic coupling system; returns per-edge (S_inf, q_inf, rho_inf)."""
     _check_edge_count(n)
-    for name in ("delta1", "delta2"):
-        value = getattr(coefficients, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     if abs(ACOUSTIC_SPEED + coefficients.delta1) <= 1e-12:
         raise SingularSystemError(
             f"delta1 = {coefficients.delta1} makes the coupling system singular "
@@ -500,7 +480,15 @@ class NodeProblem:
         """
         rho0, q0, S0 = (_real_array(name, v) for name, v in (("rho0", rho0), ("q0", q0),
                                                               ("S0", S0)))
-        return cls(topology, S0 - ACOUSTIC_SPEED * q0, float(np.sum(S0 - 3.0 * rho0)))
+        incoming, zero_balance = _closing(S0, q0, rho0)
+        return cls(topology, incoming, float(zero_balance))
+
+
+def _closing(D: np.ndarray, C: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closing map of the node system: the outgoing characteristics
+    D - a C of every edge and the zero-characteristic balance sum (D - 3B),
+    summed over the edges, the first axis."""
+    return D - ACOUSTIC_SPEED * C, np.sum(D - 3.0 * B, axis=0)
 
 
 @dataclass(frozen=True)
@@ -508,8 +496,9 @@ class NodeSolution:
     """Per-edge asymptotic states, layer amplitudes and reconstructed node moments.
 
     ``layer_eigenvalues`` and ``rho_layer_amplitudes`` carry the modal density
-    contributions (4/sqrt3) gamma_j (e_1^T r_j) so the composite solution can be
-    evaluated without the spectrum object.
+    contributions sqrt2 T[0, 3+j] gamma_j, the share of gamma_j in rho = sqrt2 g_0
+    through the lift T, so the composite solution can be evaluated without the
+    spectrum object.
     """
 
     D: np.ndarray
@@ -538,27 +527,21 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     # m has shape (n_edges, N+1) with per-edge ordering (D, C, B, gamma)
     D, C, B = m[:, 0].copy(), m[:, 1].copy(), m[:, 2].copy()
     gamma = m[:, 3:].copy()
-    e1r = ops.lift[4, 3:]
-    modal = (4.0 / np.sqrt(3.0)) * gamma * e1r[None, :]
-    rho_at_0 = B + modal.sum(axis=1)
     g_at_0 = m @ ops.lift.T
+    rho_at_0 = np.sqrt(2.0) * g_at_0[:, 0]
+    modal = np.sqrt(2.0) * ops.lift[0, 3:] * gamma
     readonly(D, C, B, gamma, rho_at_0, g_at_0, modal)
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, ops.layer_eigenvalues, modal)
 
 
-def _orthonormal_null_space(reduction: _Reduction) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of the reduced M(mu): the left
-    singular vectors of the null vectors the reduction gives."""
-    return np.linalg.svd(reduction.solve()[1], full_matrices=False)[0]
-
-
 def _modal_null_space(ops: NodeOperators, mu: complex) -> np.ndarray:
-    """Orthonormal null-space basis of M(mu): the one compute_coefficients kept
-    at a mu within 1e-12, else that of a new reduction."""
+    """Orthonormal null-space basis (columns) of M(mu): the one
+    compute_coefficients kept at a mu within 1e-12, else the left singular
+    vectors of the null vectors of a new reduction."""
     for seen, null in ops._null_spaces.items():
         if abs(mu - seen) <= 1e-12:
             return null
-    return _orthonormal_null_space(_reduce(ops, mu))
+    return np.linalg.svd(_reduce(ops, mu).solve()[1], full_matrices=False)[0]
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -593,7 +576,9 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     characteristics D - a C = r_- on every edge and the zero-characteristic
     balance sum (D - 3B) = sum (S0 - 3 rho0) fix the n+1 null-space
     coefficients. Flux balance and the odd-moment sums follow from
-    conservation.
+    conservation. A solution that is not real or misses the raw reflection
+    equations, the characteristics or the balance raises NumericalError
+    (:func:`_check_solution`).
 
     Any diagonalizable conservative beta works; a defective one raises
     DegeneracyError and is left to :func:`solve_node_general`.
@@ -619,21 +604,9 @@ def solve_node(problem: NodeProblem, ops: NodeOperators) -> NodeSolution:
     if Z.shape[1] != n + 1:
         raise DegeneracyError(f"modal null spaces give {Z.shape[1]} unknowns, "
                               f"expected {n + 1}")
-    A = np.vstack([W * (Z[0] - ACOUSTIC_SPEED * Z[1]),
-                   W.sum(axis=0) * (Z[0] - 3.0 * Z[2])])
-    rhs = np.append(problem.incoming, problem.zero_balance)
-    try:
-        c = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("modal node system is singular") from exc
-    m = (W * c) @ Z.T
-    solution = _package_solution(m.real, ops)
-    residual = max(coupling_residual(solution, topo, ops.rule),
-                   np.max(np.abs(A @ c - rhs)), np.max(np.abs(m.imag)))
-    if not residual <= 1e-8 * max(1.0, np.max(np.abs(rhs))):
-        raise NumericalError(f"modal node solution misses the coupling equations or "
-                             f"a real value by {residual:.3e}")
-    return solution
+    # edge i's unknowns for free coefficient k: W_ik times null vector Z_k
+    return _closed_solution(W[:, None, :] * Z, beta, problem.incoming, problem.zero_balance,
+                            ops)
 
 
 def _reflected(ops: NodeOperators, y: np.ndarray) -> np.ndarray:
@@ -665,14 +638,12 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     It checks the modal kernel of :func:`solve_node`, with which it coincides
     for every diagonalizable beta, and it is the only solver for a defective
     beta. A rank-deficient system (a disconnected node, beta = I) raises
-    DegeneracyError carrying the singular values of the offending reduction;
-    a solution that misses the raw equilibrated equations raises
-    NumericalError.
+    DegeneracyError carrying the singular values of the offending reduction.
+    The closing and the check are those of :func:`solve_node`.
     """
     beta = topology.beta_matrix()
     n = int(topology.n)
     incoming, zero_balance = _node_data(n, incoming, zero_balance)
-    N, E, O = ops.N, ops.even, ops.odd
     from scipy.linalg import rsf2csf, schur  # the only scipy call of the solver
 
     # eigenvalues farther than 1e-8 from 1 go to the top left, so the block of
@@ -683,7 +654,7 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     if pairs:
         U, Q = rsf2csf(U, Q)
     # y_i = Y[i] c in the free coefficients c, introduced block by block
-    Y = np.zeros((n, N + 1, n + 1), U.dtype)
+    Y = np.zeros((n, ops.N + 1, n + 1), U.dtype)
     free = 0
     kept = None  # the QR of block i + 1 while block i is its conjugate partner
     for i in range(n - 1, -1, -1):
@@ -706,35 +677,60 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
         Y[i, :, :free] = particular
         Y[i, :, free:free + expected] = null
         free += expected
-    X = np.tensordot(Q, Y, axes=1)
-    closing = np.vstack([X[:, 0] - ACOUSTIC_SPEED * X[:, 1],      # D - a C = r_-
-                         (X[:, 0] - 3.0 * X[:, 2]).sum(axis=0)])  # sum (D - 3B)
+    return _closed_solution(np.tensordot(Q, Y, axes=1), beta, incoming, zero_balance, ops)
+
+
+def _closed_solution(X: np.ndarray, beta: np.ndarray, incoming: np.ndarray,
+                     zero_balance: float, ops: NodeOperators) -> NodeSolution:
+    """The node solution m = X c, X the n x (N+1) x (n+1) edge unknowns
+    (D, C, B, gamma) of each free coefficient, whose n+1 coefficients c meet
+    the characteristics D - a C = r_- and the balance; checked by
+    :func:`_check_solution`.
+
+    Characteristics and balance that do not fix c raise DegeneracyError
+    carrying the singular values of their system.
+    """
+    closing = np.vstack(_closing(X[:, 0], X[:, 1], X[:, 2]))
     s = np.linalg.svd(closing, compute_uv=False)
     if not s[-1] > SV_CUTOFF * s[0]:
         raise DegeneracyError("characteristics and balance do not fix the free coefficients; "
                               "singular_values holds those of their system",
                               singular_values=s)
-    b = np.append(incoming, zero_balance)
-    m = (X @ np.linalg.solve(closing, b)).real
+    m = X @ np.linalg.solve(closing, np.append(incoming, zero_balance))
+    _check_solution(m, beta, incoming, zero_balance, ops)
+    return _package_solution(m.real, ops)
 
-    # residual of each raw equation, divided by the largest entry of its row:
-    # |f(v_k) - beta_ii f(-v_k)| on the diagonal block, beta_ij |f(-v_k)| off it
+
+def _check_solution(m: np.ndarray, beta: np.ndarray, incoming: np.ndarray,
+                    zero_balance: float, ops: NodeOperators) -> None:
+    """Raise NumericalError unless the edge unknowns m, n x (N+1), are real
+    and meet the characteristics, the balance and the n N raw reflection
+    equations f^i(v_k) = sum_j beta_ij f^j(-v_k), each divided by the largest
+    entry of its row: |f(v_k) - beta_ii f(-v_k)| on the diagonal block,
+    beta_ij |f(-v_k)| off it. The row scales take one M(beta_ii) per distinct
+    beta_ii, summed into one N x (N+1) buffer."""
+    n, E, O = len(beta), ops.even, ops.odd
+    imaginary = np.max(np.abs(m.imag))
+    m = m.real
     block = np.empty(E.shape)
     peak = np.max(np.abs(np.subtract(E, O, out=block), out=block), axis=1)
-    scale = np.empty((n, N))
+    diagonal = {}
+    scale = np.empty((n, ops.N))
     for i in range(n):
-        _sum_modal(ops, beta[i, i], block)  # M(beta_ii), the order of its columns aside
-        np.maximum(np.max(np.abs(block, out=block), axis=1),
-                   np.max(np.delete(beta[i], i)) * peak, out=scale[i])
+        if beta[i, i] not in diagonal:
+            _sum_modal(ops, beta[i, i], block)  # M(beta_ii), the order of its columns aside
+            diagonal[beta[i, i]] = np.max(np.abs(block, out=block), axis=1)
+        np.maximum(diagonal[beta[i, i]], np.max(np.delete(beta[i], i)) * peak, out=scale[i])
     even, odd = m @ E.T, m @ O.T
     reflection = (even + odd - beta @ (even - odd)) / scale
-    characteristic = (m[:, 0] - ACOUSTIC_SPEED * m[:, 1] - incoming) / ACOUSTIC_SPEED
-    balance = (np.sum(m[:, 0] - 3.0 * m[:, 2]) - zero_balance) / 3.0
-    residual = max(np.max(np.abs(reflection)), np.max(np.abs(characteristic)), abs(balance))
+    characteristics, balance = _closing(m[:, 0], m[:, 1], m[:, 2])
+    residual = max(imaginary, np.max(np.abs(reflection)),
+                   np.max(np.abs(characteristics - incoming)) / ACOUSTIC_SPEED,
+                   abs(balance - zero_balance) / 3.0)
     bound = 1e-8 * max(1.0, np.max(np.abs(incoming)) / ACOUSTIC_SPEED, abs(zero_balance) / 3.0)
     if not residual <= bound:
-        raise NumericalError(f"coupling equations are inconsistent (residual {residual:.3e})")
-    return _package_solution(m, ops)
+        raise NumericalError(f"node solution misses the coupling equations or a real value "
+                             f"by {residual:.3e}")
 
 
 def node_distribution(solution: NodeSolution, v_samples: np.ndarray) -> np.ndarray:

@@ -15,21 +15,18 @@ form of a bidiagonal matrix and its positive eigenvalues, the positive nodes,
 are singular values. One Golub-Welsch engine (:func:`_golub_welsch`) builds
 the rule and the layer spectrum, whose Jacobi matrix is the rule's with the
 recursion coefficients shifted by four: LAPACK's bidiagonal SVD dbdsdc,
-values only (bound in ``_lapack``, from the LAPACK numpy links), one Newton
+values only (``_lapack.bdsdc``, from the LAPACK numpy links), one Newton
 step in Christoffel-Darboux form and the eigenvectors from one recursion.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _lapack
-from ._lapack import dbdsdc as _dbdsdc
-from .errors import NumericalError
 
 __all__ = [
     "MAX_HALF_ORDER",
@@ -64,36 +61,6 @@ def readonly(*arrays: np.ndarray) -> None:
     """Mark constructed arrays immutable; shared objects must not be written."""
     for array in arrays:
         array.flags.writeable = False
-
-
-def _bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> None:
-    """Singular values of the lower-bidiagonal B with diagonal ``d`` and
-    subdiagonal ``e``, by LAPACK dbdsdc without vectors: dqds (Fernando and
-    Parlett), every value to high relative accuracy.
-
-    Works in place: ``d`` comes back holding sigma, descending, and ``e`` is
-    overwritten. LAPACK reads and writes the raw buffers, so every argument is
-    checked before the call.
-    """
-    for name, array in (("d", d), ("e", e)):
-        if not isinstance(array, np.ndarray) or array.dtype != np.float64 or array.ndim != 1:
-            raise ValueError(f"{name} must be a 1-d float64 array")
-        if not (array.flags.c_contiguous and array.flags.writeable):
-            raise ValueError(f"{name} must be contiguous and writeable")
-        if not np.all(np.isfinite(array)):
-            raise ValueError(f"{name} must be finite")
-    m = d.size
-    if m < 1:
-        raise ValueError("d must hold at least one entry")
-    if e.size != m - 1:
-        raise ValueError(f"e must hold len(d) - 1 = {m - 1} entries, got {e.size}")
-    work, iwork = np.empty(4 * m), _lapack.integer_array(8 * m)
-    n, info = ctypes.byref(_lapack.integer(m)), _lapack.integer(0)
-    # values only (compq = "N"): u, vt, q and iq are not referenced
-    _dbdsdc(b"L", b"N", n, d.ctypes.data, e.ctypes.data, None, n, None, n,
-            None, None, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
-    if info.value != 0:
-        raise NumericalError(f"bidiagonal SVD (dbdsdc) of order {m} failed, info = {info.value}")
 
 
 def recursion_coefficients(count: int) -> np.ndarray:
@@ -320,7 +287,7 @@ def _golub_welsch(orders, offset: int, budget: int, finish):
     for m in down:
         alpha = recursion_coefficients(2 * m - 1 + offset)[offset:]
         d, e = alpha[0::2].copy(), alpha[1::2].copy()
-        _bidiagonal_svd(d, e)
+        _lapack.bdsdc(d, e)
         singular.append(d[::-1])
     polished = _christoffel_step(np.concatenate(singular), np.repeat([2 * m for m in down], down),
                                  offset)

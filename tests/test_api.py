@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -40,6 +42,15 @@ def test_readme_matches_the_package(capsys):
     assert called, "README calls no function in backticks"
     missing = sorted(name for name in called if not hasattr(bgknet, name))
     assert not missing, f"README calls {missing}, which bgknet does not have"
+    # and every backticked module-qualified name, `coupling._sweep` or
+    # `bgknet.hermite._FLOOR`, is in its module
+    modules = "|".join(module.name for module in pkgutil.iter_modules(bgknet.__path__)
+                       if not module.name.startswith("__"))
+    qualified = set(re.findall(rf"`(?:bgknet\.)?({modules})\.([A-Za-z_]\w*)", text))
+    assert qualified, "README names no module-qualified name in backticks"
+    stale = sorted(f"{module}.{name}" for module, name in qualified
+                   if not hasattr(importlib.import_module(f"bgknet.{module}"), name))
+    assert not stale, f"README names {stale}, which the package does not have"
 
 
 def test_cli_import_is_lean(tmp_path):

@@ -15,6 +15,7 @@ from bgknet import (
     DegeneracyError,
     InitialData,
     NodeOperators,
+    NumericalError,
     NodeProblem,
     NodeTopology,
     SingularSystemError,
@@ -835,6 +836,37 @@ class TestModalKernel:
             solve_node_general(topology, [0.3, -0.2, 0.5], 0.1, ops)
 
 
+class TestSolutionCheck:
+    """Both node solvers end in one check: the solution is real and meets the
+    raw reflection equations, the characteristics and the balance."""
+
+    N = 20
+    PUSHES = {
+        # scaled: the homogeneous reflection equations still hold, the
+        # characteristics and the balance do not
+        "closing": lambda m: m * (1.0 + 1e-6),
+        # the gamma amplitudes moved: only the reflection equations fail
+        "reflection": lambda m: m + 1e-6 * (np.arange(m.shape[1]) >= 3),
+        "imaginary": lambda m: m + 1e-6j,
+    }
+
+    @pytest.mark.parametrize("push", sorted(PUSHES))
+    @pytest.mark.parametrize("kind", ["symmetric", "near-cyclic"])
+    @pytest.mark.parametrize("solve", [modal_solve, solve_node_general],
+                             ids=["solve_node", "solve_node_general"])
+    def test_solution_off_the_equations_raises(self, ops_factory, monkeypatch, solve, kind,
+                                               push):
+        beta = (NodeTopology.symmetric(3).beta_matrix() if kind == "symmetric"
+                else seeded_beta(kind, 3, seed=3))
+        args = (NodeTopology(3, beta), [0.3, -0.2, 0.5], 0.1, ops_factory(self.N))
+        solve(*args)  # the unpushed solution passes
+        check = coupling._check_solution
+        monkeypatch.setattr(coupling, "_check_solution",
+                            lambda m, *rest: check(self.PUSHES[push](m), *rest))
+        with pytest.raises(NumericalError, match="misses the coupling equations"):
+            solve(*args)
+
+
 class TestNodeDistribution:
     def test_moments_by_quadrature(self, ops_factory, coeff_factory):
         # oracle: continuous velocity integrals of the reconstruction
@@ -1048,9 +1080,10 @@ class TestOperatorMemory:
         ops = ops_factory(self.N)
         topology = NodeTopology.symmetric(3)
         compute_coefficients(ops, topology)
+        fresh = replace(ops)  # keeps no null vector, so the traced call makes its QR
         tracemalloc.start()
         try:
-            compute_coefficients(ops, topology)
+            compute_coefficients(fresh, topology)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1218,6 +1251,16 @@ class TestNodeDataValidation:
         coeff = replace(coeff_factory(20, 3), **{name: bad})
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             macro_coupling_solve(coeff, np.array([0.1, 0.2, 0.3]), 0.0, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["delta1", "delta2"])
+    def test_macro_system_coefficients(self, name, bad):
+        deltas = {"delta1": 0.5, "delta2": 0.3, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build_macro_system(deltas["delta1"], deltas["delta2"], 3, np.zeros(3), 0.0)
+        if name == "delta1":
+            with pytest.raises(ValueError, match="^delta1 must be finite"):
+                macro_determinant(3, bad)
 
     def test_from_macro_data_rejects_a_wrong_edge_count(self):
         two_edges = np.array([1.0, 0.5])

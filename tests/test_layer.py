@@ -9,8 +9,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from bgknet import (NumericalError, build_layer_matrix, build_lift, build_rule,
                     recursion_coefficients, stable_manifold, stable_modes)
-from bgknet import hermite, layer
-from bgknet.hermite import _bidiagonal_svd
+from bgknet import _lapack, layer
+from bgknet._lapack import bdsdc
 from bgknet.layer import LayerMatrix, _fix_signs
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -186,7 +186,7 @@ class TestBidiagonalSVD:
         d, e = rng.uniform(0.5, 2.0, m), rng.uniform(-1.0, 1.0, m - 1)
         b = np.diag(d) + np.diag(e, -1)
         sigma = d.copy()
-        assert _bidiagonal_svd(sigma, e.copy()) is None
+        assert bdsdc(sigma, e.copy()) is None
         assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] > 0.0  # in place, descending
         np.testing.assert_allclose(sigma, np.linalg.svd(b, compute_uv=False),
                                    rtol=1e-13, atol=0.0)
@@ -194,26 +194,26 @@ class TestBidiagonalSVD:
     @pytest.mark.parametrize("name, d, e", BAD_ARGUMENTS)
     def test_bad_argument_is_named(self, name, d, e):
         with pytest.raises(ValueError, match=f"^{name} must"):
-            _bidiagonal_svd(d, e)
+            bdsdc(d, e)
 
     def test_readonly_argument_is_named(self):
         d = np.ones(3)
         readonly_d = d.copy()
         readonly_d.flags.writeable = False
         with pytest.raises(ValueError, match="^d must be contiguous and writeable"):
-            _bidiagonal_svd(readonly_d, np.ones(2))
+            bdsdc(readonly_d, np.ones(2))
 
     def test_failure_raises(self, monkeypatch):
         def failing(*args):
             args[-1]._obj.value = 2  # info, passed by reference
-        monkeypatch.setattr(hermite, "_dbdsdc", failing)
+        monkeypatch.setattr(_lapack, "dbdsdc", failing)
         with pytest.raises(NumericalError, match="info = 2"):
             stable_modes(build_layer_matrix(6))
 
     def test_values_only_failure_raises(self, monkeypatch):
         def failing(*args):
             args[-1]._obj.value = 1
-        monkeypatch.setattr(hermite, "_dbdsdc", failing)
+        monkeypatch.setattr(_lapack, "dbdsdc", failing)
         with pytest.raises(NumericalError, match="info = 1"):
             build_rule(6)
 
@@ -227,14 +227,14 @@ class TestBidiagonalSVD:
         offdiag[0::2], offdiag[1::2] = d, e
         lam = eigh_tridiagonal(np.zeros(2 * m), offdiag, eigvals_only=True)
         sigma = d.copy()
-        assert _bidiagonal_svd(sigma, e.copy()) is None
+        assert bdsdc(sigma, e.copy()) is None
         assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] > 0.0  # in place, descending
         np.testing.assert_allclose(sigma[::-1], lam[m:], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name, d, e", BAD_ARGUMENTS)
     def test_values_only_bad_argument_is_named(self, name, d, e):
         with pytest.raises(ValueError, match=f"^{name} must"):
-            _bidiagonal_svd(d, e)
+            bdsdc(d, e)
 
     @pytest.mark.parametrize("N", [4, 5, 100])
     def test_stable_modes_are_the_positive_half(self, N):
