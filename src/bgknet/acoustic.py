@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .coupling import ACOUSTIC_SPEED, NodeSolution
+from .coupling import ACOUSTIC_SPEED, NodeSolution, _finite
 from .kinetic import InitialData
 
 __all__ = ["rho_left", "exact_macro", "composite_rho", "viscous_amplitudes"]
@@ -35,9 +35,11 @@ def rho_left(data: InitialData, solution: NodeSolution) -> np.ndarray:
 
 
 def _positions(x, t: float) -> np.ndarray:
-    if not (np.isfinite(t) and t > 0):
+    if not (_finite("time", t) and t > 0):
         raise ValueError(f"time must be finite and positive, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 1:
+        raise ValueError(f"x must be a scalar or a 1-d array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     return x
@@ -67,7 +69,7 @@ def composite_rho(data: InitialData, solution: NodeSolution, epsilon: float,
     x = _positions(x, t)
     if np.any(x < 0):
         raise ValueError("positions must be nonnegative")
-    if not (np.isfinite(epsilon) and epsilon > 0):
+    if not (_finite("epsilon", epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     left = rho_left(data, solution)
     viscous = (solution.rho_inf - left)[:, None] \

@@ -68,7 +68,7 @@ _TABLE_BYTES = 2 ** 23
 
 
 def _check_degree(n: int | float) -> None:
-    if n != INFINITE and (not float(n).is_integer() or n < 2):
+    if n != INFINITE and (not _finite("n", n) or not float(n).is_integer() or n < 2):
         raise ValueError(f"node degree must be an integer >= 2 or INFINITE, got {n}")
 
 
@@ -352,6 +352,15 @@ def maxwell_delta(n: int | float) -> tuple[float, float]:
     return 4.0 * factor / root, factor * 2.0 * (math.pi - 2.0) / root
 
 
+def _finite(name: str, value) -> bool:
+    """math.isfinite(value); a value that is not a real number, such as a
+    string or None, raises a ValueError that starts with ``name``."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
 def _real_array(name: str, value) -> np.ndarray:
     """``value`` as a float array; a complex value raises a ValueError that
     names ``name``, where a cast would drop its imaginary part."""
@@ -388,7 +397,7 @@ def _check_edge_count(n) -> None:
 def _check_finite(**values) -> None:
     """Reject a NaN or infinite value with a ValueError that names it."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not _finite(name, value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 

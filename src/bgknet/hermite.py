@@ -13,10 +13,13 @@ weights underflow.
 The Jacobi matrix of the rule has a zero diagonal, so it is the Golub-Kahan
 form of a bidiagonal matrix and its positive eigenvalues, the positive nodes,
 are singular values. One Golub-Welsch engine (:func:`_golub_welsch`) builds
-the rule and the layer spectrum, whose Jacobi matrix is the rule's with the
-recursion coefficients shifted by four: LAPACK's bidiagonal SVD dbdsdc,
-values only (``_lapack.bdsdc``, from the LAPACK numpy links), one Newton
-step in Christoffel-Darboux form and the eigenvectors from one recursion.
+the rule and the layer spectrum from the squared off-diagonal of their
+Jacobi matrices, alpha_k^2 = k/2 from k = 1 and from k = 5 on
+(:func:`_squares`): LAPACK's bidiagonal SVD dbdsdc, values only
+(``_lapack.bdsdc``, from the LAPACK numpy links), one Newton step in
+Christoffel-Darboux form, the eigenvectors from one recursion and their
+Christoffel sums. The eigenvectors of the negative eigenvalues are the
+parity mirror of those of the positive ones (:func:`_mirrored`).
 """
 
 from __future__ import annotations
@@ -63,9 +66,14 @@ def readonly(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
+def _squares(first: int, count: int) -> np.ndarray:
+    """Return alpha_k^2 = k/2 for k = first, ..., first + count - 1."""
+    return np.arange(first, first + count) / 2.0
+
+
 def recursion_coefficients(count: int) -> np.ndarray:
     """Return alpha_k = sqrt(k/2) for k = 1..count."""
-    return np.sqrt(np.arange(1, count + 1) / 2.0)
+    return np.sqrt(_squares(1, count))
 
 
 def hermite_functions(points, count: int) -> np.ndarray:
@@ -75,30 +83,30 @@ def hermite_functions(points, count: int) -> np.ndarray:
     the one-group case of :func:`_recurrence`. Entries whose true size is
     below the double-precision range come out as an honest zero.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     x = np.atleast_1d(np.asarray(points, dtype=float))
     if x.ndim != 1:
         raise ValueError(f"points must be a scalar or a 1-d array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("points must be finite")
-    return _recurrence(np.clip(x, -_CLIP, _CLIP), [(int(count), x.size)])
+    return _recurrence(np.clip(x, -_CLIP, _CLIP), [(int(count), x.size)], _squares(1, count - 1))
 
 
-def _recurrence(x: np.ndarray, groups, offset: int = 0) -> np.ndarray:
-    """The Hermite functions of several column groups of ``x`` in one recursion.
+def _recurrence(x: np.ndarray, groups, squared: np.ndarray) -> np.ndarray:
+    """The recursion u_k of several column groups of ``x`` in one pass.
 
     ``groups`` lists (count, stop) pairs with non-increasing counts: group g is
     the columns from the previous stop up to ``stop``, and its entries of the
-    returned (groups[0][0], x.size) table are H_k(x_i) for k < count; its rows
+    returned (groups[0][0], x.size) table are u_k(x_i) for k < count; its rows
     from count on are left unwritten. The columns still stepped at k are then
     a prefix, and every step is four numpy calls on it.
 
-    ``offset`` shifts the recursion coefficients: row k + 1 is
-    (x u_k - alpha_{k+offset} u_{k-1}) / alpha_{k+1+offset}, from u_0 = pi^{-1/4}
-    e^{-x^2/2} and u_1 = x u_0 / alpha_{1+offset}. Offset 0 gives the Hermite
-    functions; at an eigenvalue x of the zero-diagonal Jacobi matrix with
-    off-diagonal alpha_{1+offset}, ..., alpha_{count-1+offset}, the column is
+    ``squared`` holds the squared off-diagonal b_0^2, b_1^2, ... of a
+    zero-diagonal Jacobi matrix, at least count - 1 entries: row k + 1 is
+    (x u_k - b_{k-1} u_{k-1}) / b_k, from u_0 = pi^{-1/4} e^{-x^2/2} and
+    u_1 = x u_0 sqrt(1 / b_0^2). b_k = alpha_{k+1} gives the Hermite
+    functions; at an eigenvalue x of the matrix of order count, the column is
     an eigenvector, unnormalized (Golub and Welsch).
 
     The recursion writes unnormalized values straight into the rows of the
@@ -108,17 +116,18 @@ def _recurrence(x: np.ndarray, groups, offset: int = 0) -> np.ndarray:
     multiplied twice by the exponential of half its scale, since e^scale alone
     can underflow where the block's rows are large. R follows from the group's
     max |x|: one step changes the pair's magnitude by at most
-    sqrt(2)(1 + |x|) at any offset, so no intermediate value of a block leaves
-    the normal range and no finite point overflows. Each entry is made by the
-    same operations as in a recursion over its group alone.
+    sqrt(2)(1 + |x|), so no intermediate value of a block leaves the normal
+    range and no finite point overflows. That bound is the precondition on
+    ``squared``: b_k nondecreasing, b_0 >= 1/sqrt(2) and b_k <= sqrt(2)
+    b_{k-1}, as for every alpha_k = sqrt(k/2) from any k on. Each entry is
+    made by the same operations as in a recursion over its group alone.
     """
     count = groups[0][0]
     out = np.empty((count, x.size))
     out[0] = np.pi ** -0.25
     if count > 1:
-        # 1 / alpha_{1+offset} = sqrt(2 / (1 + offset))
-        np.multiply(x, math.sqrt(2.0 / (1 + offset)) * np.pi ** -0.25, out=out[1])
-    alpha = recursion_coefficients(count + offset)[offset:]
+        np.multiply(x, math.sqrt(1.0 / squared[0]) * np.pi ** -0.25, out=out[1])
+    b = np.sqrt(squared)
     work = np.empty_like(x)
     columns, starts, scales, rescales, begin = [], [], [], {}, 0
     for g, (rows, stop) in enumerate(groups):
@@ -145,12 +154,12 @@ def _recurrence(x: np.ndarray, groups, offset: int = 0) -> np.ndarray:
             pair /= mag
             starts[g].append(k - 1)
             scales[g].append(scales[g][-1] + np.log(mag))
-        # u_{k+1} = (x u_k - alpha_k u_{k-1}) / alpha_{k+1}
+        # u_{k+1} = (x u_k - b_{k-1} u_{k-1}) / b_k
         row = table[k + 1]
-        np.multiply(table[k - 1], alpha[k - 1], out=row)
+        np.multiply(table[k - 1], b[k - 1], out=row)
         np.multiply(xs, table[k], out=ws)
         np.subtract(ws, row, out=row)
-        np.divide(row, alpha[k], out=row)
+        np.divide(row, b[k], out=row)
     with np.errstate(under="ignore"):
         for (rows, _), cols, group_starts, group_scales in zip(groups, columns, starts, scales):
             for start, stop, scale in zip(group_starts, group_starts[1:] + [rows],
@@ -196,27 +205,26 @@ class QuadratureRule:
 
 def check_half_order(N) -> None:
     """Reject an N that is not an integer in [1, MAX_HALF_ORDER]."""
-    if not isinstance(N, (int, np.integer)) or not 1 <= N <= MAX_HALF_ORDER:
+    if isinstance(N, bool) or not (isinstance(N, (int, np.integer)) and 1 <= N <= MAX_HALF_ORDER):
         raise ValueError(f"N must be an integer in [1, {MAX_HALF_ORDER}], got {N!r}")
 
 
-def _christoffel_step(x: np.ndarray, order: np.ndarray, offset: int) -> np.ndarray:
+def _christoffel_step(x: np.ndarray, order: np.ndarray, squared: np.ndarray) -> np.ndarray:
     """One Newton step on q_order at the points ``x``, ``order`` holding each
     point's order, non-increasing; q_k are the orthonormal polynomials of the
-    recursion x q_k = alpha_{k+1+offset} q_{k+1} + alpha_{k+offset} q_{k-1}.
+    recursion x q_k = b_k q_{k+1} + b_{k-1} q_{k-1} of the zero-diagonal
+    Jacobi matrix whose squared off-diagonal b_0^2, b_1^2, ... is ``squared``.
 
     The Christoffel-Darboux identity gives q_n' at a zero of q_n as
-    sum_{k<n} q_k^2 / (alpha_{n+offset} q_{n-1}), so the step is
-    x - alpha_{n+offset} q_n q_{n-1} / sum_{k<n} q_k^2: the Rayleigh quotient
-    of (q_0, ..., q_{n-1}) for the Jacobi matrix of order n. It runs on the
-    ratios
-    s_k = alpha_{k+1+offset} q_{k+1} / q_k, s_0 = x and
-    s_k = x - a_k / s_{k-1} with a_k = alpha_{k+offset}^2, and
-    t_k = sum_{j<=k} q_j^2 / q_k^2 = 1 + t_{k-1} a_k / s_{k-1}^2, t_0 = 1: the
-    step is x - s_{n-1} / t_{n-1}. A point whose ratios leave the range of a
-    double, as at an exact zero of some q_k, keeps its value. The points still
-    stepped at k are a prefix, and each point's ratios are made by the same
-    operations as in a step over its order alone.
+    sum_{k<n} q_k^2 / (b_{n-1} q_{n-1}), so the step is
+    x - b_{n-1} q_n q_{n-1} / sum_{k<n} q_k^2: the Rayleigh quotient of
+    (q_0, ..., q_{n-1}) for the Jacobi matrix of order n. It runs on the
+    ratios s_k = b_k q_{k+1} / q_k, s_0 = x and s_k = x - b_{k-1}^2 / s_{k-1},
+    and t_k = sum_{j<=k} q_j^2 / q_k^2 = 1 + t_{k-1} b_{k-1}^2 / s_{k-1}^2,
+    t_0 = 1: the step is x - s_{n-1} / t_{n-1}. A point whose ratios leave the
+    range of a double, as at an exact zero of some q_k, keeps its value. The
+    points still stepped at k are a prefix, and each point's ratios are made
+    by the same operations as in a step over its order alone.
     """
     orders = order.tolist()
     s, t, ratio = x.copy(), np.ones_like(x), np.empty_like(x)
@@ -227,7 +235,7 @@ def _christoffel_step(x: np.ndarray, order: np.ndarray, offset: int) -> np.ndarr
                 while orders[stepped - 1] <= k:
                     stepped -= 1
                 xs, ss, ts, rs = x[:stepped], s[:stepped], t[:stepped], ratio[:stepped]
-            np.divide(0.5 * (k + offset), ss, out=rs)
+            np.divide(squared[k - 1], ss, out=rs)
             ts *= rs
             ts /= ss
             ts += 1.0
@@ -242,11 +250,11 @@ def build_rule(N: int) -> QuadratureRule:
     The nodes are the eigenvalues of the zero-diagonal Jacobi matrix with
     off-diagonal alpha_k = sqrt(k/2): the N positive ones are the singular
     values of its N x N bidiagonal, polished by one Newton step in
-    Christoffel-Darboux form on P_{2N} (:func:`_golub_welsch` at offset 0),
-    and they are mirrored to -v exactly. The weights take the Christoffel form
+    Christoffel-Darboux form on P_{2N} (:func:`_golub_welsch`), and they are
+    mirrored to -v exactly. The weights take the Christoffel form
     w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2. The table is evaluated at the N
-    positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v), which the
-    recursion satisfies bit for bit on the exactly symmetric nodes; its
+    positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v) (:func:`_mirrored`),
+    which the recursion satisfies bit for bit on the exactly symmetric nodes; its
     entries below 2^-900 are flushed to zero after the weights are taken, so
     that products with it never meet a subnormal number. The rule is the
     one-rule batch of :func:`_rules`, which checks N.
@@ -255,49 +263,50 @@ def build_rule(N: int) -> QuadratureRule:
 
 
 def _rules(halves):
-    """Yield build_rule(N) for each N of the sequence ``halves``, in order: the
-    offset-0 case of :func:`_golub_welsch`, whose recursion tables hold at most
-    _BATCH_BYTES each."""
+    """Yield build_rule(N) for each N of the sequence ``halves``, in order:
+    :func:`_golub_welsch` on the recursion alpha_1, alpha_2, ..., whose
+    recursion tables hold at most _BATCH_BYTES each."""
     for N in halves:
         check_half_order(N)
-    yield from _golub_welsch(halves, 0, _BATCH_BYTES, _rule)
+    yield from _golub_welsch(halves, _squares(1, 2 * max(halves) - 1), _BATCH_BYTES, _rule)
 
 
-def _golub_welsch(orders, offset: int, budget: int, finish):
-    """Yield finish(m, x, vectors) for each order m of the sequence ``orders``,
-    in order, from the eigenpairs of the zero-diagonal Jacobi matrix of order
-    2m with off-diagonal alpha_{1+offset}, ..., alpha_{2m-1+offset} (Golub and
-    Welsch, Math. Comp. 23, 1969; Gautschi 2004).
+def _golub_welsch(orders, squared: np.ndarray, budget: int, finish):
+    """Yield finish(m, x, vectors, sums) for each order m of the sequence
+    ``orders``, in order, from the eigenpairs of the zero-diagonal Jacobi
+    matrix of order 2m with off-diagonal b_0, ..., b_{2m-2}, whose squares
+    lead ``squared`` (Golub and Welsch, Math. Comp. 23, 1969; Gautschi 2004);
+    ``squared`` meets :func:`_recurrence`'s precondition.
 
     Its positive eigenvalues are the singular values (dbdsdc, values only) of
-    the m x m lower bidiagonal with diagonal alpha_{1+offset},
-    alpha_{3+offset}, ... and subdiagonal alpha_{2+offset}, alpha_{4+offset},
-    .... Those of every m, ascending, are polished by one
+    the m x m lower bidiagonal with diagonal b_0, b_2, ... and subdiagonal
+    b_1, b_3, .... Those of every m, ascending, are polished by one
     :func:`_christoffel_step` on all of them at once, taken by m descending
     so that the points still stepped at k are a prefix. Runs of consecutive
     orders whose recursion table fits in ``budget`` bytes (:func:`_runs`)
     share one :func:`_recurrence`, made when the run's first order is asked
-    for; ``x`` is m's polished values and column j of the 2m x m view
-    ``vectors`` of the table the unnormalized eigenvector of x_j. ``finish``
+    for; ``x`` is m's polished values, column j of the 2m x m view
+    ``vectors`` of the table the unnormalized eigenvector of x_j and ``sums``
+    its Christoffel sums sum_k q_k^2, taken from the table as made. ``finish``
     runs once per distinct m of a run, at m's first request, and a suspended
     run holds nothing of an m after its last request.
     """
     down = sorted(set(orders), reverse=True)
+    b = np.sqrt(squared)
     singular = []
     for m in down:
-        alpha = recursion_coefficients(2 * m - 1 + offset)[offset:]
-        d, e = alpha[0::2].copy(), alpha[1::2].copy()
+        d, e = b[0:2 * m - 1:2].copy(), b[1:2 * m - 1:2].copy()
         _lapack.bdsdc(d, e)
         singular.append(d[::-1])
     polished = _christoffel_step(np.concatenate(singular), np.repeat([2 * m for m in down], down),
-                                 offset)
+                                 squared)
     values = dict(zip(down, np.split(polished, np.cumsum(down)[:-1])))
     del singular, polished
     for run in _runs(orders, budget):
         down = sorted(set(run), reverse=True)
         stops = np.cumsum(down).tolist()
         x = np.concatenate([values[m] for m in down])
-        table = _recurrence(x, [(2 * m, stop) for m, stop in zip(down, stops)], offset)
+        table = _recurrence(x, [(2 * m, stop) for m, stop in zip(down, stops)], squared)
         # each m's views until its first request, its result until its last
         views = {m: (x[stop - m:stop], table[:2 * m, stop - m:stop])
                  for m, stop in zip(down, stops)}
@@ -305,7 +314,9 @@ def _golub_welsch(orders, offset: int, budget: int, finish):
         made = {}
         for i, m in enumerate(run):
             if m in views:
-                made[m] = finish(m, *views.pop(m))
+                points, vectors = views.pop(m)
+                made[m] = finish(m, points, vectors, np.einsum("ki,ki->i", vectors, vectors))
+                del points, vectors  # the suspended run holds only what finish made
             yield made[m] if m in run[i + 1:] else made.pop(m)
 
 
@@ -331,19 +342,24 @@ def _flush(table: np.ndarray, floor: float) -> None:
         np.copyto(block, 0.0, where=np.abs(block) < floor)
 
 
-def _rule(N: int, positive: np.ndarray, half: np.ndarray) -> QuadratureRule:
-    """The rule from its N positive nodes and their Hermite table ``half``,
-    which is flushed below _FLOOR in place after the weights are taken."""
-    order = 2 * N
+def _mirrored(half: np.ndarray) -> np.ndarray:
+    """The table [mirror | half] of the table ``half``, whose column j is a
+    recursion column at x_j > 0, x ascending: the column at -x_j is that at
+    x_j with its odd rows negated, so the mirror is ``half``'s even rows
+    reversed and its odd rows negated and reversed."""
+    table = np.concatenate((half[:, ::-1], half), axis=1)
+    table[1::2, :half.shape[1]] *= -1.0
+    return table
+
+
+def _rule(N: int, positive: np.ndarray, half: np.ndarray, sums: np.ndarray) -> QuadratureRule:
+    """The rule from its N positive nodes, their Hermite table ``half`` and its
+    Christoffel sums; ``half`` is flushed below _FLOOR in place."""
     nodes = np.concatenate((-positive[::-1], positive))
-    scaled_half = 1.0 / np.einsum("ki,ki->i", half, half)
+    scaled = 1.0 / np.concatenate((sums[::-1], sums))
     _flush(half, _FLOOR)
-    table = np.empty((order, order))
-    table[:, N:] = half
-    np.negative(half[1::2, ::-1], out=table[1::2, :N])
-    table[0::2, :N] = half[0::2, ::-1]
-    scaled = np.concatenate((scaled_half[::-1], scaled_half))
+    table = _mirrored(half)
     with np.errstate(under="ignore"):
         weights = scaled * np.exp(-nodes * nodes)
     readonly(nodes, weights, scaled, table)
-    return QuadratureRule(order, nodes, weights, scaled, table)
+    return QuadratureRule(2 * N, nodes, weights, scaled, table)

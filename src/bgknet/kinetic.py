@@ -32,12 +32,11 @@ of its cells, and assigning to ``state.f`` writes into those cells.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import ACOUSTIC_SPEED, NodeTopology, _real_array
+from .coupling import ACOUSTIC_SPEED, NodeTopology, _finite, _real_array
 from .hermite import QuadratureRule, build_rule, check_half_order
 
 __all__ = [
@@ -58,15 +57,16 @@ def graded_spacing(dx_min: float, dx_max: float, fine_width: float, length: floa
                    ratio: float = 1.1) -> np.ndarray:
     """Cell widths: dx_min out to fine_width, geometric growth to dx_max, then uniform.
 
-    A non-finite or out-of-range argument raises a ValueError that names it.
+    A non-number, non-finite or out-of-range argument raises a ValueError
+    that names it.
     """
-    rules = {"dx_min": (dx_min, dx_min > 0, "positive"),
-             "dx_max": (dx_max, dx_max > 0, "positive"),
-             "length": (length, length > 0, "positive"),
-             "fine_width": (fine_width, fine_width >= 0, ">= 0"),
-             "ratio": (ratio, ratio > 1, "> 1")}
+    rules = {"dx_min": (dx_min, lambda v: v > 0, "positive"),
+             "dx_max": (dx_max, lambda v: v > 0, "positive"),
+             "length": (length, lambda v: v > 0, "positive"),
+             "fine_width": (fine_width, lambda v: v >= 0, ">= 0"),
+             "ratio": (ratio, lambda v: v > 1, "> 1")}
     for name, (value, ok, rule) in rules.items():
-        if not (math.isfinite(value) and ok):
+        if not (_finite(name, value) and ok(value)):
             raise ValueError(f"{name} must be finite and {rule}, got {value}")
     if dx_min > dx_max:
         raise ValueError(f"dx_min must be <= dx_max, got {dx_min} > {dx_max}")
@@ -117,11 +117,11 @@ class NetworkConfig:
             raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
         for name in ("t_end", "edge_length", "epsilon"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (_finite(name, value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not isinstance(self.cells, (int, np.integer)) or self.cells < 10:
             raise ValueError(f"cells must be an integer >= 10, got {self.cells!r}")
-        if not 0 < self.cfl <= 1:
+        if not (_finite("cfl", self.cfl) and 0 < self.cfl <= 1):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not isinstance(self.n_edges, (int, np.integer)) or self.n_edges < 2:
             raise ValueError(f"n_edges must be an integer >= 2, got {self.n_edges!r}")
@@ -428,7 +428,7 @@ def _book_outflow(state: NetworkState, dt: float) -> None:
 
 def step(state: NetworkState, dt: float) -> NetworkState:
     """One upwind transport step plus the exact implicit relaxation update."""
-    if not (math.isfinite(dt) and dt > 0):
+    if not (_finite("dt", dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if dt > state.cfl_dt * (1.0 + 1e-12):
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {state.cfl_dt:.3e}")

@@ -7,18 +7,19 @@ coefficients alpha_5..alpha_{2N-1} and zero diagonal. Bounded solutions on
 lift matrix maps the reduced unknowns (D, C, B, gamma) of a layer solution to
 the full moment vector at x = 0.
 
-A is the Jacobi matrix of the Hermite recursion shifted by four, so its modes
-come from the engine that builds the Gauss-Hermite rule
-(``hermite._golub_welsch`` at offset 4; Golub and Welsch, Math. Comp. 23,
-1969). The zero diagonal makes A the Golub-Kahan form of the lower-bidiagonal
-B of order m = N - 2, with diagonal alpha_5, alpha_7, ... and subdiagonal
-alpha_6, alpha_8, ...: A has the eigenvalues +-sigma_j, B's singular values,
-which LAPACK's dbdsdc gets without vectors (dqds) to high relative accuracy.
-One Newton step in Christoffel-Darboux form polishes them; the eigenvector of
-sigma_j is then the offset-4 recursion at sigma_j, normalized by its
-Christoffel sum, and its entries below 2^-122 are zero. The recursion starts
-at q_0 > 0, so the first nonzero entry of every positive mode is positive.
-The eigenvector of -sigma_j is that of sigma_j with its odd entries negated.
+A is the Jacobi matrix of the Hermite recursion from alpha_5 on, so its modes
+come from the engine that builds the Gauss-Hermite rule, handed the squares
+alpha_5^2, alpha_6^2, ... (``hermite._golub_welsch``; Golub and Welsch, Math.
+Comp. 23, 1969). The zero diagonal makes A the Golub-Kahan form of the
+lower-bidiagonal B of order m = N - 2, with diagonal alpha_5, alpha_7, ... and
+subdiagonal alpha_6, alpha_8, ...: A has the eigenvalues +-sigma_j, B's
+singular values, which LAPACK's dbdsdc gets without vectors (dqds) to high
+relative accuracy. One Newton step in Christoffel-Darboux form polishes them;
+the eigenvector of sigma_j is then the recursion from alpha_5 on at sigma_j,
+normalized by its Christoffel sum, and its entries below 2^-122 are zero. The
+recursion starts at q_0 > 0, so the first nonzero entry of every positive mode
+is positive. The eigenvector of -sigma_j is that of sigma_j with its odd
+entries negated (``hermite._mirrored``).
 The values and the recursion run elementwise or in one LAPACK thread, so the
 modes have the same bits at every BLAS thread count.
 """
@@ -30,11 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .hermite import (_flush, _golub_welsch, check_half_order, readonly,
-                      recursion_coefficients)
+from .hermite import _flush, _golub_welsch, _mirrored, _squares, check_half_order, readonly
 
-# The layer matrix is the Jacobi matrix of the Hermite recursion from alpha_5 on.
-_OFFSET = 4
 # A layer mode holds no nonzero entry below 2^-122 ~ 1.9e-37, and so neither
 # does the lift: the rule's table floor (hermite._FLOOR = 2^-900) keeps every
 # product of a table entry with a lift entry of 2^-122 or more a normal double.
@@ -65,11 +63,7 @@ class LayerMatrix:
     offdiag: np.ndarray
 
     def dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        idx = np.arange(self.dim - 1)
-        a[idx, idx + 1] = self.offdiag
-        a[idx + 1, idx] = self.offdiag
-        return a
+        return np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class LayerSpectrum:
 def build_layer_matrix(N: int) -> LayerMatrix:
     """Layer matrix for 2N velocities, N an integer in [4, MAX_HALF_ORDER]."""
     _orders([N])
-    offdiag = recursion_coefficients(2 * N - 1)[4:]  # alpha_5 .. alpha_{2N-1}
+    offdiag = np.sqrt(_layer_squares(N))
     readonly(offdiag)
     return LayerMatrix(2 * (N - 2), offdiag)
 
@@ -118,23 +112,30 @@ def _orders(halves) -> list:
     return [N - 2 for N in halves]
 
 
+def _layer_squares(N: int) -> np.ndarray:
+    """alpha_5^2, ..., alpha_{2N-1}^2: the squared off-diagonal of the layer
+    matrix for 2N velocities, the Hermite recursion's from alpha_5 on."""
+    return _squares(5, 2 * N - 5)
+
+
 def _modes(halves):
     """Yield stable_modes(build_layer_matrix(N)) for each N of the sequence
-    ``halves``, in order: the offset-4 case of ``hermite._golub_welsch``,
-    whose recursion tables hold at most _BATCH_BYTES each. The modes of an N
-    are read-only views of its run's table, so the table lives until the
-    caller drops the modes of the run's last N."""
-    yield from _golub_welsch(_orders(halves), _OFFSET, _BATCH_BYTES, _normalize)
+    ``halves``, in order: ``hermite._golub_welsch`` on the layer's squared
+    off-diagonal, whose recursion tables hold at most _BATCH_BYTES each. The
+    modes of an N are read-only views of its run's table, so the table lives
+    until the caller drops the modes of the run's last N."""
+    yield from _golub_welsch(_orders(halves), _layer_squares(max(halves)), _BATCH_BYTES,
+                             _normalize)
 
 
-def _normalize(m: int, sigma: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(m: int, sigma: np.ndarray, vectors: np.ndarray, sums: np.ndarray) -> tuple:
     """The read-only (sigma, modes) of layer order m: each recursion column of
-    ``vectors`` scaled to unit length, its Christoffel sum, and its entries
-    below _FLOOR flushed, in place."""
+    ``vectors`` scaled to unit length by its Christoffel sum in ``sums``, and
+    its entries below _FLOOR flushed, in place."""
     if not sigma[0] > 0.0:
         raise NumericalError(f"expected {m} positive layer eigenvalues, "
                              f"the smallest is {sigma[0]}")
-    vectors /= np.sqrt(np.einsum("ki,ki->i", vectors, vectors))
+    vectors /= np.sqrt(sums)
     _flush(vectors, _FLOOR)
     readonly(sigma, vectors)
     return sigma, vectors
@@ -155,18 +156,15 @@ def stable_manifold(matrix: LayerMatrix) -> LayerSpectrum:
     """Full spectrum of the layer matrix and the positive-eigenvalue basis."""
     sigma, modes = stable_modes(matrix)
     m = sigma.size
-    vec = np.empty((2 * m, 2 * m))
-    negative, r2plus = vec[:, :m], vec[:, m:]
-    r2plus[...] = modes
     # -sigma_j pairs with the mode's odd entries negated; reversed, the
     # eigenvalues ascend
-    negative[0::2] = r2plus[0::2, ::-1]
-    np.negative(r2plus[1::2, ::-1], out=negative[1::2])
-    _fix_signs(negative)
+    vec = _mirrored(modes)
+    _fix_signs(vec[:, :m])
     lam = np.concatenate((-sigma[::-1], sigma))
     positive = np.arange(m, 2 * m)
-    readonly(lam, vec, positive, r2plus)
-    return LayerSpectrum(lam, vec, positive, r2plus)
+    readonly(lam, vec, positive)
+    # R2plus is a view taken after vec is read-only, so it is read-only too
+    return LayerSpectrum(lam, vec, positive, vec[:, m:])
 
 
 def build_lift(r2: np.ndarray) -> np.ndarray:

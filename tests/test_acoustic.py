@@ -105,6 +105,16 @@ class TestExactMacro:
         with pytest.raises(ValueError, match="^x must be finite"):
             exact_macro(data, sol, np.array([0.0, bad]), 0.1)
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 1)], ids=["1x2", "3x1"])
+    def test_rejects_a_2d_x(self, shape, ops_factory, coeff_factory):
+        # (1, 2) gave (1, 3, 2) profiles and (3, 1) an unnamed broadcast error
+        data, sol = solved_case(1, 30, ops_factory, coeff_factory)
+        x = np.full(shape, 0.1)
+        for evaluate in (lambda: exact_macro(data, sol, x, 0.1),
+                         lambda: composite_rho(data, sol, 5e-4, x, 0.1)):
+            with pytest.raises(ValueError, match="^x must be a scalar or a 1-d array, got shape"):
+                evaluate()
+
 
 class TestCompositeRho:
     def test_value_at_node(self, ops_factory, coeff_factory):

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import bgknet
+from bgknet import (InitialData, NetworkConfig, NodeProblem, NodeTopology, build_macro_system,
+                    composite_rho, exact_macro, graded_spacing, initialize, macro_determinant,
+                    maxwell_delta, solve_node, step)
 
 
 def package_imports(module: str) -> set:
@@ -65,8 +68,59 @@ def test_cli_import_is_lean(tmp_path):
     for argv in (["deltas", "--N", "5:8"], ["node", "--N", "20"]):
         out = str(tmp_path / argv[0])
         runs[argv[0]] = f"bgknet.cli.main({argv + ['--out', out]!r}); "
+    # the three run commands at tiny sizes share one process
+    tiny = ["--cells", "10", "--t-end", "0.001", "--coeff-N", "10"]
+    runs["kinetic, composite, compare"] = "".join(
+        f"assert bgknet.cli.main({[command, *tiny, '--out', str(tmp_path / command)]!r}) == 0; "
+        for command in ("kinetic", "composite", "compare"))
     for label, run in runs.items():
         out = subprocess.run([sys.executable, "-c", f"import bgknet.cli, sys; {run}{report}"],
                              capture_output=True, text=True, check=True, cwd=package_root)
         loaded = out.stdout.splitlines()[-1]
         assert loaded == "loaded:", f"{label} {loaded}"
+
+
+GRADED = {"dx_min": 1e-4, "dx_max": 1e-3, "fine_width": 5e-4, "length": 0.05, "ratio": 1.1}
+
+# (function, parameter, the first word of its message, a call passing the value
+# as that parameter with the data, node solution and kinetic state of ``network``)
+NON_NUMBERS = [
+    *[("NetworkConfig", name, name, lambda v, net, name=name: NetworkConfig(**{name: v}))
+      for name in ("epsilon", "t_end", "edge_length", "cfl")],
+    *[("graded_spacing", name, name,
+       lambda v, net, name=name: graded_spacing(**{**GRADED, name: v})) for name in GRADED],
+    ("step", "dt", "dt", lambda v, net: step(net[2], v)),
+    ("exact_macro", "t", "time", lambda v, net: exact_macro(net[0], net[1], [0.1], v)),
+    ("composite_rho", "t", "time", lambda v, net: composite_rho(net[0], net[1], 5e-4, [0.1], v)),
+    ("composite_rho", "epsilon", "epsilon",
+     lambda v, net: composite_rho(net[0], net[1], v, [0.1], 0.1)),
+    ("maxwell_delta", "n", "n", lambda v, net: maxwell_delta(v)),
+    ("NodeTopology", "n", "n", lambda v, net: NodeTopology(v)),
+    ("build_macro_system", "delta1", "delta1",
+     lambda v, net: build_macro_system(v, 0.3, 3, [0.1, 0.2, 0.3], 0.0)),
+    ("build_macro_system", "delta2", "delta2",
+     lambda v, net: build_macro_system(0.5, v, 3, [0.1, 0.2, 0.3], 0.0)),
+    ("macro_determinant", "delta1", "delta1", lambda v, net: macro_determinant(3, v)),
+]
+
+
+@pytest.fixture(scope="module")
+def network(ops_factory, coeff_factory):
+    """Case 1's data, its node solution at N = 30 and a 10-cell kinetic state."""
+    coeff = coeff_factory(30, 3)
+    data = InitialData.preset(1, coeff.delta1, coeff.delta2)
+    problem = NodeProblem.from_macro_data(NodeTopology.symmetric(3), coeff,
+                                          data.rho0, data.q0, data.S0)
+    state = initialize(NetworkConfig(cells=10, N=4), data)
+    return data, solve_node(problem, ops_factory(30)), state
+
+
+@pytest.mark.parametrize("value", ["1", None])
+@pytest.mark.parametrize("function, parameter, word, call", NON_NUMBERS,
+                         ids=[f"{function}-{parameter}" for function, parameter, *_ in NON_NUMBERS])
+def test_a_non_number_is_named(network, function, parameter, word, call, value):
+    # before, a string or None ended in a TypeError from a comparison that
+    # named nothing; the CLI maps a NetworkConfig message to its key by the
+    # first word
+    with pytest.raises(ValueError, match=f"^{word} must be a real number, got {value!r}"):
+        call(value, network)

@@ -140,9 +140,10 @@ class TestBuildRule:
                                    atol=1e-15)
         np.testing.assert_allclose(rule.weights, [SQRT_PI / 2, SQRT_PI / 2], rtol=1e-14)
 
-    @pytest.mark.parametrize("bad", [0, -3, 1501, 2.5])
+    @pytest.mark.parametrize("bad", [0, -3, 1501, 2.5, True])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        # True is an int equal to 1, but no order
+        with pytest.raises(ValueError, match="^N must"):
             build_rule(bad)
 
     def test_weight_sum_is_sqrt_pi(self):
@@ -427,7 +428,7 @@ class TestHermiteFunctions:
         assert abs(h[0, 0] - np.pi**-0.25) < 1e-15
         assert h[1, 0] == 0.0 and abs(h[3, 0]) < 1e-15 and abs(h[5, 0]) < 1e-15
 
-    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
     def test_bad_count_is_named(self, count):
         with pytest.raises(ValueError, match="^count must"):
             hermite_functions([0.0, 1.0], count)
@@ -519,16 +520,17 @@ class TestBatchedRules:
         for N, rule in zip(halves, _rules(halves)):
             assert rule.basis.tobytes() == build_rule(N).basis.tobytes()
 
-    @pytest.mark.parametrize("offset", [0, 4])
-    def test_christoffel_step_with_mixed_orders(self, offset):
-        # every point is stepped as in a call with its own order alone, at the
-        # rule's and the layer's offset; x = 0 makes q_1 zero, and such a
-        # point keeps its value
+    @pytest.mark.parametrize("first", [1, 5])
+    def test_christoffel_step_with_mixed_orders(self, first):
+        # every point is stepped as in a call with its own order alone, on the
+        # rule's recursion (from alpha_1) and the layer's (from alpha_5); x = 0
+        # makes q_1 zero, and such a point keeps its value
         rng = np.random.default_rng(1)
         orders = [316, 201, 64, 8, 4]
+        squared = hermite._squares(first, orders[0])
         points = [np.concatenate(([0.0], rng.uniform(0.1, 12.0, 6))) for _ in orders]
-        mixed = _christoffel_step(np.concatenate(points), np.repeat(orders, 7), offset)
-        alone = np.concatenate([_christoffel_step(p, np.full(p.size, order), offset)
+        mixed = _christoffel_step(np.concatenate(points), np.repeat(orders, 7), squared)
+        alone = np.concatenate([_christoffel_step(p, np.full(p.size, order), squared)
                                 for p, order in zip(points, orders)])
         assert mixed.tobytes() == alone.tobytes()
         assert np.all(mixed[::7] == 0.0)
@@ -538,8 +540,8 @@ class TestBatchedRules:
         calls = []
         recurrence = hermite._recurrence
         monkeypatch.setattr(hermite, "_recurrence",
-                            lambda x, groups, offset: calls.append(groups)
-                            or recurrence(x, groups, offset))
+                            lambda x, groups, squared: calls.append(groups)
+                            or recurrence(x, groups, squared))
         rules = _rules([5, 6])
         assert calls == []
         next(rules)
@@ -573,8 +575,8 @@ class TestGolubWelschEngine:
         calls = []
         recurrence = hermite._recurrence
         monkeypatch.setattr(hermite, "_recurrence",
-                            lambda x, groups, offset: calls.append(groups)
-                            or recurrence(x, groups, offset))
+                            lambda x, groups, squared: calls.append(groups)
+                            or recurrence(x, groups, squared))
         monkeypatch.setattr(module, "_BATCH_BYTES", budget)
         halves = [30, 7, 30, 12, 5]
         results = sweep(halves)

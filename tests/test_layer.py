@@ -245,11 +245,26 @@ class TestBidiagonalSVD:
         assert r2plus.tobytes() == spectrum.R2plus.tobytes()
         assert not sigma.flags.writeable and not r2plus.flags.writeable
 
+    @pytest.mark.parametrize("N", [4, 100, 300])
+    def test_negative_half_is_the_parity_mirror(self, N):
+        # the eigenvector of -sigma_j is that of sigma_j with its odd entries
+        # negated, bit for bit, up to the column sign _fix_signs sets
+        spectrum = stable_manifold(build_layer_matrix(N))
+        m = N - 2
+        sigma, r2plus = spectrum.positive_eigenvalues, spectrum.R2plus
+        assert spectrum.eigenvalues[:m].tobytes() == (-sigma[::-1]).tobytes()
+        mirror = (-1.0) ** np.arange(2 * m)[:, None] * r2plus[:, ::-1]
+        negative = spectrum.eigenvectors[:, :m]
+        for j in range(m):
+            assert negative[:, j].tobytes() in (mirror[:, j].tobytes(), (-mirror[:, j]).tobytes())
+            assert negative[np.flatnonzero(negative[:, j])[0], j] > 0.0
+
 
 def mp_layer_mode(sigma, N, digits=60):
     """Eigenpair of the layer matrix at N near ``sigma`` to ``digits`` digits:
-    the offset-4 Hermite recursion q_0 = 1, sigma q_k = alpha_{k+5} q_{k+1} +
-    alpha_{k+4} q_{k-1}, at a value moved by Rayleigh steps until q_{2m} = 0."""
+    the Hermite recursion from alpha_5 on, q_0 = 1, sigma q_k = alpha_{k+5}
+    q_{k+1} + alpha_{k+4} q_{k-1}, at a value moved by Rayleigh steps until
+    q_{2m} = 0."""
     mp = pytest.importorskip("mpmath")
     n = 2 * (N - 2)
     with mp.workdps(digits):
@@ -265,8 +280,8 @@ def mp_layer_mode(sigma, N, digits=60):
 
 
 class TestGolubWelschModes:
-    """The stable modes from singular values, one Newton step and the offset-4
-    Hermite recursion."""
+    """The stable modes from singular values, one Newton step and the Hermite
+    recursion from alpha_5 on."""
 
     @pytest.mark.parametrize("N, columns", [(40, [0, 1, 9, 20, 37]),
                                             (300, [0, 1, 60, 150, 240, 297])])
