@@ -154,7 +154,7 @@ class NodeOperators:
         lift = build_lift(r2plus)
         del r2plus
         rule = next_rule()
-        positive, weights = rule.basis[:, N:], rule.scaled_weights[N:, None]
+        positive, weights = rule.positive, rule.scaled_weights[N:, None]
         even = positive[0::2].T @ lift[0::2]
         odd = positive[1::2].T @ lift[1::2]
         even *= weights
@@ -178,8 +178,10 @@ def _sweep(halves):
     The layer modes and the rules of consecutive N come from one recursion
     each in batches (``layer._modes``, ``hermite._rules``); a batch's table
     is made at the stage of its first N and lives until the stage after its
-    last. The generator holds nothing of the operators it yields, so a caller
-    that drops them holds no N's operators while the next are built.
+    last, or, for the rules, which keep views of it, until no operators of
+    its N are held. The generator holds nothing of the operators it
+    yields, so a caller that drops them holds no N's operators while the next
+    are built.
     """
     modes, rules = _modes(halves), _rules(halves)
     for N in halves:
@@ -354,11 +356,13 @@ def maxwell_delta(n: int | float) -> tuple[float, float]:
 
 def _finite(name: str, value) -> bool:
     """math.isfinite(value); a value that is not a real number, such as a
-    string or None, raises a ValueError that starts with ``name``."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    string, None or a bool, raises a ValueError that starts with ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return math.isfinite(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -543,10 +547,24 @@ def _package_solution(m: np.ndarray, ops: NodeOperators) -> NodeSolution:
     return NodeSolution(D, C, B, gamma, rho_at_0, g_at_0, ops.layer_eigenvalues, modal)
 
 
+def _conservation_null_space(N: int) -> np.ndarray:
+    """The null basis [e_D, e_B] of M(1) = 2 O, (N+1) x 2 in the order (D, C,
+    B, gamma): O's D and B columns are exactly zero and its C and gamma
+    columns independent, so the even Maxwellians at rest span the null
+    space of the conservation mode mu = 1 of every column-stochastic beta."""
+    null = np.zeros((N + 1, 2))
+    null[0, 0] = null[2, 1] = 1.0
+    readonly(null)
+    return null
+
+
 def _modal_null_space(ops: NodeOperators, mu: complex) -> np.ndarray:
-    """Orthonormal null-space basis (columns) of M(mu): the one
+    """Orthonormal null-space basis (columns) of M(mu): that of
+    :func:`_conservation_null_space` for mu within 1e-12 of 1, the one
     compute_coefficients kept at a mu within 1e-12, else the left singular
     vectors of the null vectors of a new reduction."""
+    if abs(mu - 1.0) <= 1e-12:
+        return _conservation_null_space(ops.N)
     for seen, null in ops._null_spaces.items():
         if abs(mu - seen) <= 1e-12:
             return null
@@ -636,11 +654,12 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     v_k) form a generalized Sylvester equation. With beta = Q U Q^H, U upper
     triangular and sorted so that mu = 1 comes last, Y = Q^H X satisfies the
     block triangular system M(U_ii) y_i = Mr sum_{j>i} U_ij y_j, solved from the
-    last block to the first (Bartels and Stewart, Comm. ACM 15, 1972). Each
-    block takes one QR of M(U_ii) that carries its right-hand sides and adds
-    its null vectors to the free coefficients: two for mu = 1, whose block is
-    the only rank-deficient one and never sees a right-hand side, and one
-    for every other block. The two blocks of a complex pair share one QR, as
+    last block to the first (Bartels and Stewart, Comm. ACM 15, 1972). The
+    last block, mu = 1 to rounding, never sees a right-hand side and adds the
+    two null vectors of M(1), which :func:`_conservation_null_space` writes
+    down. Every other block takes one QR of M(U_ii) that carries its
+    right-hand sides and adds its one null vector to the free coefficients;
+    the two blocks of a complex pair share one QR, as
     M(conj(mu)) = conj(M(mu)). The n outgoing characteristics D - a C = r_-
     and the zero-characteristic balance fix those n+1 coefficients.
 
@@ -662,14 +681,15 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
     pairs = set(np.flatnonzero(np.diag(U, -1)).tolist())
     if pairs:
         U, Q = rsf2csf(U, Q)
-    # y_i = Y[i] c in the free coefficients c, introduced block by block
+    # y_i = Y[i] c in the free coefficients c, introduced block by block; the
+    # last block, mu = 1, takes the two known null vectors of M(1)
     Y = np.zeros((n, ops.N + 1, n + 1), U.dtype)
-    free = 0
+    Y[n - 1, :, :2] = _conservation_null_space(ops.N)
     kept = None  # the QR of block i + 1 while block i is its conjugate partner
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 2, -1, -1):
         mu = U[i, i].real if U[i, i].imag == 0 else U[i, i]
-        coupled = np.tensordot(U[i, i + 1:], Y[i + 1:, :, :free], axes=1)
-        rhs = _reflected(ops, coupled) if free else None
+        free = n - i  # the coefficients that blocks i + 1, ..., n - 1 introduced
+        rhs = _reflected(ops, np.tensordot(U[i, i + 1:], Y[i + 1:, :, :free], axes=1))
         if i in pairs:  # mu is conj(U[i+1, i+1]) to rounding
             particular, null, s = kept.conjugate_solve(rhs)
         else:
@@ -677,15 +697,13 @@ def solve_node_general(topology: NodeTopology, incoming: np.ndarray,
             particular, null, s = kept.solve()
         if i - 1 not in pairs:
             kept = None  # freed before the next block's QR is made
-        expected = 2 if i == n - 1 else 1
-        if null.shape[1] != expected:
+        if null.shape[1] != 1:
             raise DegeneracyError(f"coupling system is rank deficient: the block of eigenvalue "
-                                  f"{mu:.6g} has {null.shape[1]} null vectors, expected "
-                                  f"{expected}; singular_values holds those of its 2 x 3 "
-                                  "reduction", singular_values=s)
+                                  f"{mu:.6g} has {null.shape[1]} null vectors, expected 1; "
+                                  "singular_values holds those of its 2 x 3 reduction",
+                                  singular_values=s)
         Y[i, :, :free] = particular
-        Y[i, :, free:free + expected] = null
-        free += expected
+        Y[i, :, free] = null[:, 0]
     return _closed_solution(np.tensordot(Q, Y, axes=1), beta, incoming, zero_balance, ops)
 
 
@@ -766,18 +784,20 @@ def node_distribution(solution: NodeSolution, v_samples: np.ndarray) -> np.ndarr
 def coupling_residual(solution: NodeSolution, topology: NodeTopology,
                       transform: QuadratureRule) -> float:
     """Max violation of f^i(0, v) = sum_j beta_ij f^j(0, -v) over positive velocities;
-    ``transform`` is the rule of the solution's N, and a mismatch raises a ValueError."""
-    edges, moments = solution.g_at_0.shape
+    ``transform`` is the rule of the solution's N, and a mismatch raises a ValueError.
+    f = diag(w~) S^T g is taken at the positive nodes from the rule's half
+    table by parity, H_k(-v) = (-1)^k H_k(v): f(+-v) = w~ (even +- odd) with
+    the sums over the even and the odd moments."""
+    g = solution.g_at_0
+    edges, moments = g.shape
     if topology.n != edges:
         raise ValueError(f"topology has degree {topology.n}, the solution {edges} edges")
     if transform.order != moments:
         raise ValueError(f"transform has order {transform.order}, the solution {moments}")
     beta = topology.beta_matrix()
-    f = transform.solve(solution.g_at_0.T).T
-    N = f.shape[1] // 2
-    f_pos = f[:, N:]
-    f_mirror = f[:, :N][:, ::-1]
-    return float(np.max(np.abs(f_pos - beta @ f_mirror)))
+    table, weights = transform.positive, transform.scaled_weights[transform.half:]
+    even, odd = g[:, 0::2] @ table[0::2], g[:, 1::2] @ table[1::2]
+    return float(np.max(np.abs(weights * (even + odd) - beta @ (weights * (even - odd)))))
 
 
 def odd_moment_residual(solution: NodeSolution) -> float:

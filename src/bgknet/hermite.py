@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,23 +180,32 @@ class QuadratureRule:
 
     ``scaled_weights`` holds w_i e^{v_i^2}; this is the combination entering the
     discrete Maxwellian and the only form that stays representable at large N.
-    ``basis`` is the Hermite function table S = H_k(v_i), k < 2N, and the
-    moment transform g = S f; its entries below 2^-900 in magnitude are zero,
-    and the weights were computed before they were flushed. The rule is exact to
-    degree 4N - 1, so S diag(w~) S^T = I with w~ = ``scaled_weights`` and
-    :meth:`solve` applies S^{-1} = diag(w~) S^T.
+    ``positive`` is the 2N x N Hermite function table H_k(v_i), k < 2N, at the
+    N positive nodes, ascending; its entries below 2^-900 in magnitude are
+    zero, and the weights were computed before they were flushed. ``basis`` is
+    the full table S = H_k(v_i) at all 2N nodes and the moment transform
+    g = S f, mirrored from ``positive`` by parity on first read and kept. The
+    rule is exact to degree 4N - 1, so S diag(w~) S^T = I with
+    w~ = ``scaled_weights`` and :meth:`solve` applies S^{-1} = diag(w~) S^T.
     """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
     scaled_weights: np.ndarray
-    basis: np.ndarray
+    positive: np.ndarray
 
     @property
     def half(self) -> int:
         """N, the number of positive velocities."""
         return self.order // 2
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The read-only 2N x 2N table S, made on first read."""
+        table = _mirrored(self.positive)
+        readonly(table)
+        return table
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """Inverse transform f = diag(w~) S^T g; g is one moment vector or a (2N, k) batch."""
@@ -253,10 +263,11 @@ def build_rule(N: int) -> QuadratureRule:
     Christoffel-Darboux form on P_{2N} (:func:`_golub_welsch`), and they are
     mirrored to -v exactly. The weights take the Christoffel form
     w_i e^{v_i^2} = 1 / sum_k H_k(v_i)^2. The table is evaluated at the N
-    positive nodes and mirrored by H_k(-v) = (-1)^k H_k(v) (:func:`_mirrored`),
-    which the recursion satisfies bit for bit on the exactly symmetric nodes; its
-    entries below 2^-900 are flushed to zero after the weights are taken, so
-    that products with it never meet a subnormal number. The rule is the
+    positive nodes only, the rule's ``positive``; its entries below 2^-900 are
+    flushed to zero after the weights are taken, so that products with it
+    never meet a subnormal number. ``basis`` mirrors it by
+    H_k(-v) = (-1)^k H_k(v) (:func:`_mirrored`), which the recursion satisfies
+    bit for bit on the exactly symmetric nodes. The rule is the
     one-rule batch of :func:`_rules`, which checks N.
     """
     return next(_rules([N]))
@@ -265,7 +276,9 @@ def build_rule(N: int) -> QuadratureRule:
 def _rules(halves):
     """Yield build_rule(N) for each N of the sequence ``halves``, in order:
     :func:`_golub_welsch` on the recursion alpha_1, alpha_2, ..., whose
-    recursion tables hold at most _BATCH_BYTES each."""
+    recursion tables hold at most _BATCH_BYTES each. A rule's ``positive`` is
+    a view of its batch's table, which lives until the batch's last rule is
+    dropped."""
     for N in halves:
         check_half_order(N)
     yield from _golub_welsch(halves, _squares(1, 2 * max(halves) - 1), _BATCH_BYTES, _rule)
@@ -289,7 +302,8 @@ def _golub_welsch(orders, squared: np.ndarray, budget: int, finish):
     ``vectors`` of the table the unnormalized eigenvector of x_j and ``sums``
     its Christoffel sums sum_k q_k^2, taken from the table as made. ``finish``
     runs once per distinct m of a run, at m's first request, and a suspended
-    run holds nothing of an m after its last request.
+    run holds nothing of an m after its last request; m's polished values go
+    after the last run that asks for m.
     """
     down = sorted(set(orders), reverse=True)
     b = np.sqrt(squared)
@@ -300,12 +314,16 @@ def _golub_welsch(orders, squared: np.ndarray, budget: int, finish):
         singular.append(d[::-1])
     polished = _christoffel_step(np.concatenate(singular), np.repeat([2 * m for m in down], down),
                                  squared)
-    values = dict(zip(down, np.split(polished, np.cumsum(down)[:-1])))
+    # one array per m, not views of one, so that each m's can go on its own
+    values = {m: part.copy() for m, part in zip(down, np.split(polished, np.cumsum(down)[:-1]))}
+    last = {m: i for i, m in enumerate(orders)}
     del singular, polished
+    end = 0
     for run in _runs(orders, budget):
+        end += len(run)
         down = sorted(set(run), reverse=True)
         stops = np.cumsum(down).tolist()
-        x = np.concatenate([values[m] for m in down])
+        x = np.concatenate([values[m] if last[m] >= end else values.pop(m) for m in down])
         table = _recurrence(x, [(2 * m, stop) for m, stop in zip(down, stops)], squared)
         # each m's views until its first request, its result until its last
         views = {m: (x[stop - m:stop], table[:2 * m, stop - m:stop])
@@ -352,14 +370,14 @@ def _mirrored(half: np.ndarray) -> np.ndarray:
     return table
 
 
-def _rule(N: int, positive: np.ndarray, half: np.ndarray, sums: np.ndarray) -> QuadratureRule:
-    """The rule from its N positive nodes, their Hermite table ``half`` and its
-    Christoffel sums; ``half`` is flushed below _FLOOR in place."""
-    nodes = np.concatenate((-positive[::-1], positive))
+def _rule(N: int, points: np.ndarray, half: np.ndarray, sums: np.ndarray) -> QuadratureRule:
+    """The rule from its N positive nodes ``points``, their Hermite table
+    ``half`` and its Christoffel sums; ``half`` is flushed below _FLOOR in
+    place and kept as the rule's ``positive`` table."""
+    nodes = np.concatenate((-points[::-1], points))
     scaled = 1.0 / np.concatenate((sums[::-1], sums))
     _flush(half, _FLOOR)
-    table = _mirrored(half)
     with np.errstate(under="ignore"):
         weights = scaled * np.exp(-nodes * nodes)
-    readonly(nodes, weights, scaled, table)
-    return QuadratureRule(2 * N, nodes, weights, scaled, table)
+    readonly(nodes, weights, scaled, half)
+    return QuadratureRule(2 * N, nodes, weights, scaled, half)

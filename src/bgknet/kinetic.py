@@ -177,6 +177,8 @@ class InitialData:
         3. qb=1, Sb=2 delta1, rb chosen so the viscous layer vanishes
         4. qb=1, Sb=2 delta1, rb=delta2 q_inf    waves plus merged layers
         """
+        if isinstance(case, bool) or not (isinstance(case, (int, np.integer)) and 1 <= case <= 4):
+            raise ValueError(f"case must be an integer in 1..4, got {case!r}")
         a = ACOUSTIC_SPEED
         qb = 1.0
         if case == 1:
@@ -187,12 +189,10 @@ class InitialData:
             q_inf = (2.0 * delta1 + a) / (delta1 + a)
             sb = 2.0 * delta1
             rb = q_inf * (delta2 - delta1 / 3.0) + 2.0 * delta1 / 3.0
-        elif case == 4:
+        else:
             q_inf = (2.0 * delta1 + a) / (delta1 + a)
             sb = 2.0 * delta1
             rb = delta2 * q_inf
-        else:
-            raise ValueError(f"test case must be 1..4, got {case}")
         return cls(rho0=np.array([1.0, 1.0 - rb, 1.0 + rb]),
                    q0=np.array([0.0, qb, -qb]),
                    S0=np.array([1.0, 1.0 - sb, 1.0 + sb]))

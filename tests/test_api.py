@@ -115,12 +115,12 @@ def network(ops_factory, coeff_factory):
     return data, solve_node(problem, ops_factory(30)), state
 
 
-@pytest.mark.parametrize("value", ["1", None])
+@pytest.mark.parametrize("value", ["1", None, True])
 @pytest.mark.parametrize("function, parameter, word, call", NON_NUMBERS,
                          ids=[f"{function}-{parameter}" for function, parameter, *_ in NON_NUMBERS])
 def test_a_non_number_is_named(network, function, parameter, word, call, value):
     # before, a string or None ended in a TypeError from a comparison that
-    # named nothing; the CLI maps a NetworkConfig message to its key by the
-    # first word
+    # named nothing; a bool is no number, though math.isfinite(True) holds.
+    # The CLI maps a NetworkConfig message to its key by the first word
     with pytest.raises(ValueError, match=f"^{word} must be a real number, got {value!r}"):
         call(value, network)

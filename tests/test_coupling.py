@@ -36,7 +36,7 @@ from bgknet import (
 )
 from bgknet import coupling
 from bgknet.coupling import SV_CUTOFF, _modal_null_space, _reflected, _sum_modal, _sweep
-from bgknet.hermite import _FLOOR, hermite_functions
+from bgknet.hermite import _FLOOR, _mirrored, hermite_functions
 from bgknet.layer import _fix_signs
 
 A = ACOUSTIC_SPEED
@@ -636,6 +636,10 @@ class TestSolveNodeGeneral:
         expected = lstsq_general(topology, incoming, balance, ops)
         got = np.column_stack([sol.D, sol.C, sol.B, sol.gamma])
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        if kind != "defective":  # the modal solver meets the oracle on its own
+            modal = solve_node(NodeProblem(topology, incoming, balance), ops)
+            got = np.column_stack([modal.D, modal.C, modal.B, modal.gamma])
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("N", [20, 100])
     def test_identity_coupling_degenerate_like_oracle(self, ops_factory, N):
@@ -956,7 +960,8 @@ class TestImmutability:
     def test_constructed_arrays_are_readonly(self, ops_factory):
         ops = ops_factory(8)
         for arr in (ops.rule.nodes, ops.rule.weights, ops.rule.scaled_weights,
-                    ops.rule.basis, ops.layer_eigenvalues, ops.lift, ops.even, ops.odd):
+                    ops.rule.positive, ops.rule.basis, ops.layer_eigenvalues, ops.lift,
+                    ops.even, ops.odd):
             with pytest.raises(ValueError):
                 arr[..., 0] = 0.0
 
@@ -1036,20 +1041,57 @@ class TestParityHalves:
             assert np.all(np.abs(flushed - product) <= dropped)
 
 
+class TestConservationMode:
+    @pytest.mark.parametrize("N", [4, 10, 100, 300])
+    def test_null_space_of_m1_is_written_down(self, ops_factory, N):
+        # M(1) = 2 O: its D and B columns are exactly zero and [O_gamma | O_C]
+        # has full column rank, so [e_D, e_B] is a basis of its null space
+        ops = ops_factory(N)
+        M = np.empty((N, N + 1))
+        _sum_modal(ops, 1.0, M)  # columns (gamma, D, C, B)
+        assert np.all(M[:, N - 2] == 0.0) and np.all(M[:, N] == 0.0)
+        s = np.linalg.svd(ops.odd[:, [1, *range(3, N + 1)]], compute_uv=False)
+        assert s[-1] > SV_CUTOFF * s[0]
+        for mu in (1.0, 1.0 - 1e-12, 1.0 + 5e-13j):
+            null = _modal_null_space(ops, mu)
+            assert null.shape == (N + 1, 2)
+            np.testing.assert_array_equal(null[[0, 2]], np.eye(2))
+            assert np.count_nonzero(null) == 2
+
+
 class TestOperatorMemory:
     N = 300
     unit = N * (N + 1) * 8  # one N x (N+1) array of doubles
 
     def test_holds_only_what_the_solves_read(self):
-        # the Hermite table, the lift and its parity halves E and O, plus O(N):
-        # no layer eigenvectors, no copy of the stable-manifold basis and no
-        # 2N-row S^{-1} T
+        # the Hermite table at the positive nodes, the lift and its parity
+        # halves E and O, plus O(N): no full table, no layer eigenvectors, no
+        # copy of the stable-manifold basis and no 2N-row S^{-1} T
         N = self.N
         ops = NodeOperators.build(N)
         held = sum(held_buffers(ops).values())
-        budget = (ops.rule.basis.nbytes + ops.lift.nbytes + ops.even.nbytes + ops.odd.nbytes
-                  + 64 * N * 8)
+        budget = (ops.rule.positive.nbytes + ops.lift.nbytes + ops.even.nbytes
+                  + ops.odd.nbytes + 64 * N * 8)
         assert held <= budget
+
+    def test_no_node_path_makes_the_full_table(self):
+        # the build, both solves, the distribution and the residual read only
+        # the rule's table at the positive nodes; the full table is mirrored
+        # from it when first read, and kept
+        ops = NodeOperators.build(200)
+        topology = NodeTopology.symmetric(3)
+        coeff = compute_coefficients(ops, topology)
+        data = InitialData.preset(1, coeff.delta1, coeff.delta2)
+        problem = NodeProblem.from_macro_data(topology, coeff, data.rho0, data.q0, data.S0)
+        solution = solve_node(problem, ops)
+        solve_node_general(NodeTopology(3, topology.beta_matrix()), problem.incoming,
+                           problem.zero_balance, ops)
+        node_distribution(solution, np.linspace(-6.0, 6.0, 101))
+        coupling_residual(solution, topology, ops.transform)
+        assert "basis" not in vars(ops.rule)
+        basis = ops.rule.basis
+        assert basis.tobytes() == _mirrored(ops.rule.positive).tobytes()
+        assert ops.rule.basis is basis and not basis.flags.writeable
 
     def test_build_peak_is_what_it_holds(self):
         # the layer eigenvectors are freed before the Hermite table is made,
@@ -1065,14 +1107,14 @@ class TestOperatorMemory:
 
     def test_build_peak_is_pinned(self):
         # the layer stage (the 2m x m recursion table, 1.54 MiB) stays below
-        # the Hermite-table stage, which sets the peak: 5.65 MiB
+        # the Hermite-table stage, which sets the peak: 4.24 MiB
         tracemalloc.start()
         try:
             NodeOperators.build(self.N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5.8 * 2**20
+        assert peak <= 4.35 * 2**20
 
     def test_coefficients_hold_no_matrix_beside_the_qr(self, ops_factory):
         # M(mu) is summed block by block into the one buffer the QR works in,

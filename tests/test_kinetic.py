@@ -66,6 +66,16 @@ class TestPresets:
         with pytest.raises(ValueError):
             InitialData.preset(5, 0.5, 0.3)
 
+    @pytest.mark.parametrize("case", [True, 1.0, 0, 5, "1", None])
+    def test_a_case_that_is_no_integer_in_range_is_named(self, case):
+        # a bool or a float is no case number, though True == 1.0 == 1
+        with pytest.raises(ValueError, match=r"^case must be an integer in 1\.\.4, got "):
+            InitialData.preset(case, 0.5, 0.3)
+
+    def test_a_numpy_integer_case(self):
+        data = InitialData.preset(np.int64(2), 0.5, 0.3)
+        assert data.rho0.tobytes() == InitialData.preset(2, 0.5, 0.3).rho0.tobytes()
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             InitialData(rho0=[1.0, 1.0], q0=[0.0], S0=[1.0, 1.0])

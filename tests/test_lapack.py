@@ -174,17 +174,18 @@ class TestConjugatePair:
         assert np.sum(np.abs(np.linalg.eigvals(beta).imag) > 0.5) == 2
         solve_node_general(NodeTopology(3, beta), np.array([0.3, -0.2, 0.5]), 0.1,
                            ops_factory(60))
-        assert len(factorizations) == 2  # mu = 1 and one of the pair, not three
+        assert len(factorizations) == 1  # one of the pair; M(1)'s null space is known
 
     def test_modal_solve_factors_a_pair_once(self, ops_factory, factorizations):
         topology = NodeTopology(3, near_cyclic_beta())
         solve_node(NodeProblem(topology, np.array([0.3, -0.2, 0.5]), 0.1), ops_factory(60))
-        assert len(factorizations) == 2
+        assert len(factorizations) == 1  # one of the pair; M(1)'s null space is known
 
     def test_node_command_factors_each_mu_once(self, tmp_path, factorizations, capsys):
-        # the coefficients' QR of M(-1/2) also gives solve_node its null basis
+        # the coefficients' QR of M(-1/2) also gives solve_node its null basis,
+        # and M(1)'s is written down
         assert main(["node", "--case", "1", "--N", "60", "--out", str(tmp_path)]) == 0
-        assert len(factorizations) == 2  # mu = -1/2 and mu = 1, not three
+        assert len(factorizations) == 1  # mu = -1/2 only, not three
 
     def test_kept_null_basis_solves_like_a_new_factorization(self, capsys):
         # the coefficients keep the basis at mu = -1/2; the solve's own
