@@ -1,29 +1,20 @@
 """Default CLI outputs against the golden files in ``tests/golden``.
 
-The golden files are written by ``tests/golden/regenerate.py``. Outputs are
+The golden files are written by ``tests/golden/regenerate.py``, whose file
+layouts, kept rows and deviation measure these tests share. Outputs are
 compared at a relative tolerance of 1e-12, so ulp moves, such as those of
 another OpenBLAS kernel or thread count, pass and any real change fails. Each
 test prints the largest deviation it saw (shown with ``pytest -s``).
 """
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from bgknet.cli import main
+from golden.regenerate import (GOLDEN, NODE, NODE_STRIDE, RUNS, column_deviation,
+                               node_pin, parse_csv, profile_pin, read_csv)
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
-#: (case, N) of each golden node solve and the distribution rows kept, as in
-#: tests/golden/regenerate.py
-NODE = [(1, 100), (2, 100), (3, 100), (4, 100), (1, 1000)]
-NODE_STRIDE = 20
-
-
-def read_csv(path: Path) -> tuple[list, np.ndarray]:
-    header, *rows = path.read_text().splitlines()
-    return header.split(","), np.array([[float(v) for v in row.split(",")] for row in rows])
 
 
 @pytest.mark.parametrize("degree", ["3", "inf"])
@@ -43,13 +34,6 @@ def test_deltas_sweep(tmp_path, degree):
           f"{increment_dev:.2e} (increment, relative to max |delta|)")
     assert delta_dev <= RTOL
     assert increment_dev <= 2.0 * RTOL
-
-
-def column_deviation(rows: np.ndarray, golden: np.ndarray) -> float:
-    """Largest |rows - golden| relative to the largest |golden| of its column: a
-    value that is zero up to rounding, such as q_inf on edge 1, moves by ulps
-    of its column, not of itself."""
-    return float(np.max(np.abs(rows - golden) / np.max(np.abs(golden), axis=0)))
 
 
 @pytest.mark.parametrize("case,N", NODE)
@@ -72,3 +56,42 @@ def test_node_solve(tmp_path, case, N):
           f"{distribution_dev:.2e} (distributions), relative to the column's max")
     assert summary_dev <= RTOL
     assert distribution_dev <= RTOL
+
+
+#: pinned file of each produced output; compare's copies of the profiles are
+#: held to the pins of the kinetic and composite commands. The summary's errors
+#: are differences of O(1) profiles and carry their rounding (at one OpenBLAS
+#: thread case 4's sup errors move by 1.5e-11 of their own size against two),
+#: so they are held at RTOL of the largest kinetic profile entry
+RUN_PINS = {"kinetic profiles": "kinetic_case{}_profiles.csv",
+            "kinetic node": "kinetic_case{}_node.csv",
+            "composite profiles": "composite_case{}_profiles.csv",
+            "compare summary": "compare_case{}_summary.csv",
+            "compare's kinetic profiles": "kinetic_case{}_profiles.csv",
+            "compare's composite profiles": "composite_case{}_profiles.csv"}
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_kinetic_composite_compare(tmp_path, case):
+    outs = {command: tmp_path / command for command in ("kinetic", "composite", "compare")}
+    for command, out in outs.items():
+        assert main([command, "--case", str(case), "--out", str(out)]) == 0
+    produced = {"kinetic profiles": profile_pin(outs["kinetic"], "kinetic"),
+                "kinetic node": node_pin(outs["kinetic"]),
+                "composite profiles": profile_pin(outs["composite"], "composite"),
+                "compare summary": (outs["compare"] / "compare_summary.csv").read_text(),
+                "compare's kinetic profiles": profile_pin(outs["compare"], "kinetic"),
+                "compare's composite profiles": profile_pin(outs["compare"], "composite")}
+    profile_scale = np.max(np.abs(read_csv(GOLDEN / RUN_PINS["kinetic profiles"]
+                                           .format(case))[1][:, 2:]))
+    deviations = {}
+    for name, text in produced.items():
+        header, rows = parse_csv(text)
+        golden_header, golden = read_csv(GOLDEN / RUN_PINS[name].format(case))
+        assert header == golden_header and rows.shape == golden.shape, name
+        scale = profile_scale if name == "compare summary" else None
+        deviations[name] = column_deviation(rows, golden, scale)
+    print(f"case {case}: largest deviation, relative to the column's max (the summary: "
+          f"to the largest kinetic entry): "
+          + ", ".join(f"{name} {dev:.2e}" for name, dev in deviations.items()))
+    assert max(deviations.values()) <= RTOL
