@@ -12,7 +12,10 @@ every transport step.
 :func:`run` steps a graded mesh on two time levels (conservative local time
 stepping, Osher and Sanders, Math. Comp. 41, 1983): the cells next to the node
 take k substeps of the fine step while the wide cells take one step k times as
-long, so every cell moves at no more than its own CFL number.
+long, so every cell moves at no more than its own CFL number. On one level it
+applies the same idea across velocities: each step is set by a base speed
+below max|v|, the faster velocities take up to three transport substeps of it,
+and all velocities share one relaxation.
 
 The distribution is stored velocity-outer in one C-contiguous, ghost-padded
 (2N, edges, cells + 2) buffer. Column 0 of the positive-velocity rows holds the
@@ -222,7 +225,7 @@ class NetworkState:
     time: float = 0.0
     mass_inflow: float = 0.0    # time-integrated net mass flux through the outer ends
     mass_initial: float = 0.0
-    step_plans: dict = field(default_factory=dict)  # (dt, start, stop) -> _StepPlan
+    step_plans: dict = field(default_factory=dict)  # (dt, start, stop, classes) -> _StepPlan
 
     @property
     def buffer(self) -> np.ndarray:
@@ -344,6 +347,29 @@ class _StepPlan:
     relax_t: np.ndarray
     mirrored: np.ndarray        # f[:, 0, :N][:, ::-1], what the node reflects
     node_ghost: np.ndarray      # (edges, N) view of the buffer's node ghosts
+    book: tuple | None = None   # a multirate plan's last transport booking, see _book_outflow
+    substeps: tuple = ()        # a multirate plan's earlier transport substeps
+
+
+@dataclass(frozen=True)
+class _Substep:
+    """One of a multirate step's transport substeps before the last, over the
+    rows of the velocities that take more substeps than it has left: one
+    contiguous block of rows per sign, the fastest of each.
+
+    ``spans`` holds, per sign, (first, second, old, new, scale) 1-d slices of
+    the flattened buffer, scratch and scale as in :class:`_StepPlan`, over the
+    block's rows: new = old - scale (first - second). ``copies`` holds, per
+    sign, the block's cells in the buffer and in the scratch, copied back after
+    the transport. ``mirrored`` and ``node_ghost`` are the block's node
+    reflection and ghosts, and ``book`` its outer-flux booking.
+    """
+
+    book: tuple
+    mirrored: np.ndarray
+    node_ghost: np.ndarray
+    spans: tuple
+    copies: tuple
 
 
 def _relaxation(state: NetworkState, dt: float) -> np.ndarray:
@@ -357,11 +383,51 @@ def _relaxation(state: NetworkState, dt: float) -> np.ndarray:
     return relax.T.copy()
 
 
-def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPlan:
-    """The cached plan of a step dt on cells start:stop; the cache holds at most
-    two, one per time level."""
+def _outer_booking(state: NetworkState, fast: int, classes: np.ndarray) -> tuple:
+    """The outer-flux booking of a multirate substep over the `fast` fastest
+    velocities of each sign, each over its own substep: (their last cells,
+    outflow weights and ghost inflow per edge), each divided by the classes."""
+    N = state.rule.half
+    negative, positive = slice(0, fast), slice(2 * N - fast, 2 * N)
+    outer_ghost = np.ascontiguousarray(state.buffer[negative, :, -1].T)
+    weights = state.moment_rows[0, negative] * state.speeds[negative] / classes[negative]
+    return (state.buffer[positive, :, -2].T,
+            state.outflow_weights[N - fast:] / classes[positive], outer_ghost @ weights)
+
+
+def _substeps(state: NetworkState, buffer: np.ndarray, scratch: np.ndarray,
+              scale: np.ndarray, classes: np.ndarray) -> tuple:
+    """The transport substeps of a multirate step before its last, which moves
+    every velocity: substep m of K - 1 moves the velocities with more than
+    K - m substeps, K the most any takes, so velocity i moves classes[i] times.
+    The classes are symmetric in v and fall with |v|, so the rows that move
+    are the fastest block of each sign."""
+    N = state.rule.half
+    lanes = slice(1, buffer.shape[2] - 1)
+    flat, out, sc = buffer.reshape(-1), scratch.reshape(-1), scale.reshape(-1)
+    row = flat.size // (2 * N)
+    most = int(classes.max())
+    substeps = []
+    for m in range(1, most):
+        fast = int(np.count_nonzero(classes[:N] > most - m))
+        h, p = fast * row, (2 * N - fast) * row
+        substeps.append(_Substep(
+            book=_outer_booking(state, fast, classes),
+            mirrored=buffer[:fast, :, 1][::-1].T, node_ghost=buffer[2 * N - fast:, :, 0].T,
+            spans=((flat[2:h], flat[1:h - 1], flat[1:h - 1], out[1:h - 1], sc[1:h - 1]),
+                   (flat[p + 1:-1], flat[p:-2], flat[p + 1:-1], out[p + 1:-1], sc[p + 1:-1])),
+            copies=((buffer[:fast, :, lanes], scratch[:fast, :, lanes]),
+                    (buffer[2 * N - fast:, :, lanes], scratch[2 * N - fast:, :, lanes]))))
+    return tuple(substeps)
+
+
+def _step_plan(state: NetworkState, dt: float, start: int, stop: int,
+               classes: np.ndarray | None = None) -> _StepPlan:
+    """The cached plan of a step dt on cells start:stop, with velocity i taking
+    classes[i] substeps of dt / classes[i] (a multirate step on the whole edge)
+    or one (``classes`` None); the cache holds at most two, one per time level."""
     cache = state.step_plans
-    key = (dt, start, stop)
+    key = (dt, start, stop, None if classes is None else classes.tobytes())
     plan = cache.get(key)
     if plan is not None:
         return plan
@@ -375,7 +441,9 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
     lanes = slice(start + 1, stop + 1)
     scratch = np.zeros(buffer.shape)
     scale = np.zeros(buffer.shape)
-    scale[:, :, lanes] = (state.speeds[:, None] * (dt / state.dx[start:stop]))[:, None]
+    substep = np.full(2 * N, dt) if classes is None else dt / classes
+    scale[:, :, lanes] = (state.speeds[:, None]
+                          * (substep[:, None] / state.dx[start:stop]))[:, None]
     flat, out = buffer.reshape(-1), scratch.reshape(-1)
     h = flat.size // 2
     plan = cache[key] = _StepPlan(
@@ -385,7 +453,9 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int) -> _StepPl
         negative=(flat[1:h - 1], flat[2:h], out[1:h - 1]),
         both=(flat[1:-1], out[1:-1], scale.reshape(-1)[1:-1]),
         relax_t=_relaxation(state, dt),
-        mirrored=buffer[:N, :, 1][::-1].T, node_ghost=buffer[N:, :, 0].T)
+        mirrored=buffer[:N, :, 1][::-1].T, node_ghost=buffer[N:, :, 0].T,
+        book=None if classes is None else _outer_booking(state, N, classes),
+        substeps=() if classes is None else _substeps(state, buffer, scratch, scale, classes))
     return plan
 
 
@@ -413,16 +483,23 @@ def _advance(plan: _StepPlan) -> None:
     np.matmul(plan.relax_t, plan.moved, out=plan.cells)
 
 
-def _book_outflow(state: NetworkState, dt: float) -> None:
+def _book_outflow(state: NetworkState, dt: float, book: tuple | None = None) -> None:
     """Book the net mass flux out through the outer ends over dt.
+
+    ``book`` is a multirate transport's (last cells, outflow weights, ghost
+    inflow), whose weights are divided by each velocity's substep count; by
+    default every velocity moves over dt.
 
     The node books nothing: for a column-stochastic beta the reflected ghosts
     carry back exactly the mass the node cells send in, so a node that leaks
     shows up in :func:`conservation_residual`.
     """
-    N = state.rule.half
-    last_cell = state.buffer[N:, :, -2].T   # state.f[:, -1, N:], no full view per step
-    outflow = np.sqrt(2.0) * (last_cell @ state.outflow_weights + state.outer_ghost_flux)
+    if book is None:
+        N = state.rule.half
+        # state.f[:, -1, N:], no full view per step
+        book = (state.buffer[N:, :, -2].T, state.outflow_weights, state.outer_ghost_flux)
+    last_cell, weights, ghost_flux = book
+    outflow = np.sqrt(2.0) * (last_cell @ weights + ghost_flux)
     state.mass_inflow -= dt * float(outflow.sum())
 
 
@@ -438,6 +515,48 @@ def step(state: NetworkState, dt: float) -> NetworkState:
     _advance(plan)
     state.time += dt
     return state
+
+
+#: the most substeps the fastest velocity takes in one multirate step
+_MOST_SUBSTEPS = 3
+
+
+def _velocity_classes(speeds: np.ndarray) -> tuple[np.ndarray, float]:
+    """Substep count k_i of every velocity and the base speed s_b of a multirate step.
+
+    s_b is the slowest speed with _MOST_SUBSTEPS s_b >= max|s|, and velocity i
+    takes k_i = ceil(|s_i| / s_b) substeps, so a step of cfl dx / s_b keeps
+    every substep at a CFL number of at most cfl.
+    """
+    magnitude = np.abs(speeds)
+    base = float(magnitude[_MOST_SUBSTEPS * magnitude >= magnitude.max()].min())
+    return np.ceil(magnitude / base), base
+
+
+def _multirate_step(state: NetworkState, dt: float, classes: np.ndarray) -> None:
+    """One step dt in which velocity i takes classes[i] upwind substeps of
+    dt / classes[i], each with its own node ghosts and outer-flux booking, and
+    then every velocity one exact relaxation over dt.
+
+    Transport couples velocities only through the relaxation: the node maps
+    each speed onto itself. So the substeps before the last move only the
+    fastest rows of each sign and copy them back, and the last moves every row
+    into the scratch the relaxation reads. With every class 1 this is `step`.
+    """
+    plan = _step_plan(state, dt, 0, state.dx.size, classes)
+    for sub in plan.substeps:
+        _book_outflow(state, dt, sub.book)
+        _node_ghost(state.beta, sub)
+        for first, second, old, new, scale in sub.spans:
+            np.subtract(first, second, out=new)
+            np.multiply(new, scale, out=new)
+            np.subtract(old, new, out=new)
+        for cells, moved in sub.copies:
+            np.copyto(cells, moved)
+    _book_outflow(state, dt, plan.book)
+    _node_ghost(state.beta, plan)
+    _advance(plan)
+    state.time += dt
 
 
 def _time_levels(dx: np.ndarray) -> tuple[int, int]:
@@ -536,22 +655,29 @@ def run(config: NetworkConfig, data: InitialData,
         output_times: tuple[float, ...] | None = None) -> KineticResult:
     """Advance to t_end, recording profile snapshots at coarse-step boundaries.
 
-    A uniform mesh takes fixed global CFL steps. On a graded mesh the narrow
-    cells next to the node take k substeps for each step of the wide cells,
-    k the largest power of two with k dx_min <= dx_max, so every cell keeps
-    its own CFL number.
+    A uniform mesh takes fixed multirate steps (see _velocity_classes): the
+    fast velocities take up to three upwind substeps per step, so every
+    velocity keeps its CFL number. On a graded mesh the narrow cells next to
+    the node take k substeps for each step of the wide cells, k the largest
+    power of two with k dx_min <= dx_max, so every cell keeps its own CFL
+    number.
     """
     t_end = config.t_end
     targets = _snapshot_times(output_times, t_end)
     state = initialize(config, data)
     k, fine = _time_levels(state.dx)
-    steps = max(1, int(np.ceil(t_end / (k * state.cfl_dt) - 1e-12)))
+    if k == 1:
+        classes, base = _velocity_classes(state.speeds)
+        longest = config.cfl * float(state.dx.min()) / base
+    else:
+        longest = k * state.cfl_dt
+    steps = max(1, int(np.ceil(t_end / longest - 1e-12)))
     dt = t_end / (k * steps)
     snaps = {"t": [], "rho": [], "q": [], "S": []}
     next_target = 0
     for _ in range(steps):
         if k == 1:
-            step(state, dt)
+            _multirate_step(state, dt, classes)
         else:
             _two_level_step(state, k, fine, dt)
         while next_target < len(targets) and state.time >= targets[next_target] - k * dt / 2:

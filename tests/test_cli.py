@@ -307,3 +307,43 @@ def test_flags_ini_keys_and_readme_agree(tmp_path, capsys, command):
     unnamed = [flag for flag in sorted(flags)
                if not re.search(re.escape(flag) + r"(?![\w-])", section)]
     assert not unnamed, f"README's CLI section does not name {unnamed}"
+
+
+def reference_rows():
+    """(N, values, command) of every README reference row that states numbers."""
+    section = README.read_text().split("## Reference values", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not re.fullmatch(r"[\d., /]+", cells[2]):
+            continue
+        rows.append((cells[1], re.findall(r"\d+\.\d+", cells[2]), cells[3].strip("`")))
+    return rows
+
+
+def test_readme_reference_values_are_what_their_commands_print(ops_factory, coeff_factory):
+    rows = reference_rows()
+    assert len(rows) == 7
+    for N, shown, command in rows:
+        if command.startswith("bgknet deltas"):
+            n, span = re.fullmatch(r"bgknet deltas --n (\w+) --N (\d+):\d+", command).groups()
+            assert span == N
+            coeff = coeff_factory(int(N), coupling.INFINITE if n == "inf" else int(n))
+            values = [coeff.delta1, coeff.delta2]
+        elif command.startswith("bgknet.maxwell_delta"):
+            assert N == "—"
+            values = [*bgknet.maxwell_delta(3), *bgknet.maxwell_delta(coupling.INFINITE)]
+        else:
+            # what `bgknet node --case c --N N` prints for edge 2: its coefficients,
+            # operators and node solve all at N
+            case, span = re.fullmatch(r"bgknet node --case (\d) --N (\d+)", command).groups()
+            assert span == N
+            coeff = coeff_factory(int(N), 3)
+            data = bgknet.InitialData.preset(int(case), coeff.delta1, coeff.delta2)
+            problem = coupling.NodeProblem.from_macro_data(
+                coupling.NodeTopology.symmetric(3), None, data.rho0, data.q0, data.S0)
+            solution = coupling.solve_node(problem, ops_factory(int(N)))
+            values = [solution.rho_inf[1], solution.rho_at_0[1]]
+        assert len(values) == len(shown), command
+        printed = [f"{value:.{len(text.split('.')[1])}f}" for value, text in zip(values, shown)]
+        assert printed == shown, command

@@ -60,9 +60,9 @@ def test_node_solve(tmp_path, case, N):
 
 #: pinned file of each produced output; compare's copies of the profiles are
 #: held to the pins of the kinetic and composite commands. The summary's errors
-#: are differences of O(1) profiles and carry their rounding (at one OpenBLAS
-#: thread case 4's sup errors move by 1.5e-11 of their own size against two),
-#: so they are held at RTOL of the largest kinetic profile entry
+#: are differences of O(1) profiles and carry their rounding (case 2's move by
+#: 5.1e-12 of their columns' largest entries between one and two OpenBLAS
+#: threads), so they are held at RTOL of the largest kinetic profile entry
 RUN_PINS = {"kinetic profiles": "kinetic_case{}_profiles.csv",
             "kinetic node": "kinetic_case{}_node.csv",
             "composite profiles": "composite_case{}_profiles.csv",

@@ -23,7 +23,8 @@ from bgknet import (
     step,
     total_mass,
 )
-from bgknet.kinetic import _time_levels, _two_level_step
+from bgknet.kinetic import (_multirate_step, _time_levels, _two_level_step,
+                            _velocity_classes)
 
 A = ACOUSTIC_SPEED
 
@@ -483,6 +484,16 @@ def global_steps(config, data):
     return state
 
 
+def multirate_steps(config, data):
+    """The state after t_end in fixed multirate steps, one `_multirate_step` call each."""
+    state = initialize(config, data)
+    classes, base = _velocity_classes(state.speeds)
+    steps = int(np.ceil(config.t_end / (config.cfl * state.dx.min() / base) - 1e-12))
+    for _ in range(steps):
+        _multirate_step(state, config.t_end / steps, classes)
+    return state
+
+
 def check_coarse_step_against_loop_form(spacing):
     """Oracle: k fine substeps and one coarse step written cell by cell, on a
     graded mesh with a non-symmetric column-stochastic node."""
@@ -624,11 +635,12 @@ class TestTimeLevels:
         matches_a_fresh_state(two_level)
 
     def test_uniform_run_is_the_global_step_loop(self, coeff_factory):
+        # the global step of a uniform mesh is the multirate step
         c = coeff_factory(30, 3)
         data = InitialData.preset(3, c.delta1, c.delta2)
         config = small_config(t_end=0.004)
         result = run(config, data)
-        state = global_steps(config, data)
+        state = multirate_steps(config, data)
         np.testing.assert_array_equal(result.state.f, state.f)
         assert result.state.mass_inflow == state.mass_inflow
         assert result.state.time == state.time
@@ -644,6 +656,127 @@ class TestTimeLevels:
         rho_global = state.macro_moments()[0]
         assert np.max(np.abs(result.rho[-1] - rho_global)) < 1e-5
         assert result.mass_residual < 1e-10
+
+
+COMPARE_DEFAULTS = dict(n_edges=3, edge_length=0.3, cells=600, N=16, epsilon=5e-4,
+                        cfl=0.9, t_end=0.1)
+
+
+class TestMultirate:
+    def test_classes_at_the_compare_defaults(self):
+        state = initialize(NetworkConfig(**COMPARE_DEFAULTS),
+                           InitialData.preset(1, 0.5, 0.35))
+        classes, base = _velocity_classes(state.speeds)
+        assert base == pytest.approx(3.6448, abs=1e-4)
+        assert [int(np.sum(classes == k)) for k in (1, 2, 3)] == [14, 10, 8]
+        N = state.rule.half
+        np.testing.assert_array_equal(classes[:N], classes[N:][::-1])
+        assert np.all(np.diff(classes[:N]) <= 0)
+        # a step of cfl dx / base keeps every substep within the CFL number
+        dt = state.config.cfl * state.dx.min() / base
+        assert np.max(np.abs(state.speeds) * dt / classes / state.dx.min()) \
+            <= state.config.cfl * (1 + 1e-12)
+
+    def test_one_class_is_the_step(self):
+        # with every velocity in one class the multirate step is `step`, bit for bit
+        rng = np.random.default_rng(14)
+        beta = rng.uniform(0.1, 1.0, (3, 3))
+        beta /= beta.sum(axis=0)
+        data = InitialData(rho0=rng.uniform(0.5, 1.5, 3), q0=rng.uniform(-1, 1, 3),
+                           S0=rng.uniform(0.5, 1.5, 3))
+        config = small_config(N=4, beta=beta)
+        single, multirate = initialize(config, data), initialize(config, data)
+        bump = rng.normal(scale=1e-2, size=single.f.shape)
+        single.f += bump
+        multirate.f += bump
+        ones = np.ones(single.speeds.size)
+        for fraction in (0.9, 1.0, 0.5):
+            dt = fraction * single.cfl_dt
+            step(single, dt)
+            _multirate_step(multirate, dt, ones)
+            np.testing.assert_array_equal(multirate.f, single.f)
+            assert multirate.mass_inflow == single.mass_inflow
+            assert multirate.time == single.time
+
+    def test_matches_loop_form_scheme(self):
+        # oracle: each velocity pair +-s takes its k substeps of dt/k cell by
+        # cell, with its own node ghosts and outer-flux booking, then one
+        # implicit relaxation over dt; a non-symmetric column-stochastic node
+        rng = np.random.default_rng(13)
+        beta = rng.uniform(0.1, 1.0, (3, 3))
+        beta /= beta.sum(axis=0)
+        data = InitialData(rho0=rng.uniform(0.5, 1.5, 3), q0=rng.uniform(-1, 1, 3),
+                           S0=rng.uniform(0.5, 1.5, 3))
+        state = initialize(small_config(N=4, beta=beta), data)
+        state.f += rng.normal(scale=1e-2, size=state.f.shape)
+        state.mass_initial = total_mass(state)
+        classes, base = _velocity_classes(state.speeds)
+        assert sorted(set(classes.tolist())) == [1, 2, 3]
+        N, cells, eps = state.rule.half, state.dx.size, state.config.epsilon
+        c, dx, h0 = state.speeds, state.dx, state.moment_rows[0]
+        g_data = np.stack([data.rho0 / np.sqrt(2), data.q0 / np.sqrt(2),
+                           (data.S0 - data.rho0) / 2], axis=1)
+        outer = g_data @ state.maxwell_rows
+        f, booked = state.f.copy(), 0.0
+        for fraction in (0.9, 1.0, 0.6, 0.95):
+            dt = fraction * state.config.cfl * dx.min() / base
+            new = f.copy()
+            for positive in range(N, 2 * N):
+                mirror = 2 * N - 1 - positive
+                sub_dt = dt / classes[positive]
+                g = f.copy()
+                for _ in range(int(classes[positive])):
+                    h = g.copy()
+                    for i in range(3):
+                        # out through the last cell, in from the outer ghost
+                        booked -= sub_dt * np.sqrt(2) * (
+                            h0[positive] * c[positive] * g[i, -1, positive]
+                            + h0[mirror] * c[mirror] * outer[i, mirror])
+                        for j in range(cells):
+                            up = g[i, j - 1, positive] if j > 0 else sum(
+                                beta[i, m] * g[m, 0, mirror] for m in range(3))
+                            h[i, j, positive] = g[i, j, positive] - sub_dt / dx[j] * c[positive] \
+                                * (g[i, j, positive] - up)
+                            up = g[i, j + 1, mirror] if j < cells - 1 else outer[i, mirror]
+                            h[i, j, mirror] = g[i, j, mirror] - sub_dt / dx[j] * c[mirror] \
+                                * (up - g[i, j, mirror])
+                    g = h
+                new[:, :, [mirror, positive]] = g[:, :, [mirror, positive]]
+            r = dt / eps
+            maxwellian = (new @ state.moment_rows.T) @ state.maxwell_rows
+            f = (new + r * maxwellian) / (1 + r)
+            _multirate_step(state, dt, classes)
+            assert np.max(np.abs(state.f - f)) <= 1e-13
+            assert abs(state.mass_inflow - booked) <= 1e-13
+        assert conservation_residual(state) < 1e-14
+
+    def test_warm_step_allocates_no_iterator_buffers(self):
+        # the substeps run on 1-d spans and copy their rows back without
+        # numpy's iterator scratch, like `step` (see TestWholeEdgeKernel)
+        state = initialize(NetworkConfig(**COMPARE_DEFAULTS), InitialData.preset(1, 0.5, 0.35))
+        classes, base = _velocity_classes(state.speeds)
+        dt = state.config.cfl * state.dx.min() / base
+        _multirate_step(state, dt, classes)
+        tracemalloc.start()
+        try:
+            _multirate_step(state, dt, classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8000
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_profiles_stay_near_the_single_rate_run(self, coeff_factory, case):
+        # at the compare defaults the multirate run moves the profiles by
+        # 5.5e-5 (case 1) and 8.0e-4 (case 2, S at the front x = a t)
+        c = coeff_factory(100, 3)
+        data = InitialData.preset(case, c.delta1, c.delta2)
+        config = NetworkConfig(**COMPARE_DEFAULTS)
+        result = run(config, data)
+        single = global_steps(config, data).macro_moments()
+        for multirate, reference in zip((result.rho, result.q, result.S), single):
+            assert np.max(np.abs(multirate[-1] - reference)) <= 1e-3
+        assert result.mass_residual <= 1e-13
 
 
 class TestRun:
