@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import DegeneracyError, NumericalError, SingularSystemError
-from .hermite import QuadratureRule, _rules, hermite_functions, readonly
+from .hermite import QuadratureRule, _real_array, _rules, hermite_functions, readonly
 from .layer import _modes, build_lift
 
 __all__ = [
@@ -363,15 +363,6 @@ def _finite(name: str, value) -> bool:
         except TypeError:
             pass
     raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array; a complex value raises a ValueError that
-    names ``name``, where a cast would drop its imaginary part."""
-    array = np.asarray(value)
-    if np.iscomplexobj(array):
-        raise ValueError(f"{name} must be real, got a complex value")
-    return np.asarray(array, dtype=float)
 
 
 def _node_data(n: int | float, incoming, zero_balance) -> tuple[np.ndarray, float]:

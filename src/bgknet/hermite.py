@@ -219,6 +219,15 @@ def check_half_order(N) -> None:
         raise ValueError(f"N must be an integer in [1, {MAX_HALF_ORDER}], got {N!r}")
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; a complex value raises a ValueError that
+    names ``name``, where a cast would drop its imaginary part."""
+    array = np.asarray(value)
+    if np.iscomplexobj(array):
+        raise ValueError(f"{name} must be real, got a complex value")
+    return np.asarray(array, dtype=float)
+
+
 def _christoffel_step(x: np.ndarray, order: np.ndarray, squared: np.ndarray) -> np.ndarray:
     """One Newton step on q_order at the points ``x``, ``order`` holding each
     point's order, non-increasing; q_k are the orthonormal polynomials of the

@@ -15,13 +15,16 @@ take k substeps of the fine step while the wide cells take one step k times as
 long, so every cell moves at no more than its own CFL number. On one level it
 applies the same idea across velocities: each step is set by a base speed
 below max|v|, the faster velocities take up to three transport substeps of it,
-and all velocities share one relaxation.
+and all velocities share one relaxation. :func:`step` is that multirate step
+with every velocity in one class.
 
 The distribution is stored velocity-outer in one C-contiguous, ghost-padded
 (2N, edges, cells + 2) buffer. Column 0 of the positive-velocity rows holds the
 node ghosts and column cells + 1 of the negative-velocity rows the outer ghosts,
 so each velocity sign's upwind difference is one subtract of two shifted views.
-Every step takes those views as 1-d slices of a flattened padded buffer, one
+Every step is a plan of transports and one relaxation. A transport moves a
+block of the fastest rows of each sign, or every row, and books its own outer
+flux; it takes those views as 1-d slices of a flattened padded buffer, one
 element apart, which numpy runs without iterator buffers: the whole rows are
 stepped with the upwind scale zero outside the step's cells, and what the
 spans compute there and in the lanes between rows is never written back. The
@@ -39,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import ACOUSTIC_SPEED, NodeTopology, _finite, _real_array
-from .hermite import QuadratureRule, build_rule, check_half_order
+from .coupling import ACOUSTIC_SPEED, NodeTopology, _finite
+from .hermite import QuadratureRule, _real_array, build_rule, check_half_order
 
 __all__ = [
     "NetworkConfig",
@@ -109,9 +112,11 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.spacing is not None:
-            spacing = np.asarray(self.spacing, dtype=float)
-            if spacing.ndim != 1 or not np.all(np.isfinite(spacing) & (spacing > 0)):
-                raise ValueError("spacing must be a 1-d array of finite positive widths")
+            spacing = _real_array("spacing", self.spacing)
+            if (spacing.ndim != 1 or spacing.size < 10
+                    or not np.all(np.isfinite(spacing) & (spacing > 0))):
+                raise ValueError("spacing must be a 1-d array of at least 10 finite positive "
+                                 "widths")
             object.__setattr__(self, "spacing", spacing)
             object.__setattr__(self, "cells", spacing.size)
             object.__setattr__(self, "edge_length", float(spacing.sum()))
@@ -219,8 +224,6 @@ class NetworkState:
     moment_rows: np.ndarray     # H_0..H_2 at the nodes: f @ moment_rows.T = (g0, g1, g2)
     maxwell_rows: np.ndarray    # (g0, g1, g2) @ maxwell_rows is the discrete Maxwellian
     beta: np.ndarray            # node coupling matrix
-    outer_ghost_flux: np.ndarray  # outer ghosts @ (H_0 c) over v < 0, per edge
-    outflow_weights: np.ndarray   # H_0 c over v > 0: f at x = b @ weights is the outflux
     cfl_dt: float               # cfl * min(dx) / max|speed|: the largest stable step
     time: float = 0.0
     mass_inflow: float = 0.0    # time-integrated net mass flux through the outer ends
@@ -283,18 +286,15 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
     maxwell_rows = _maxwellian_rows(rule)
     maxw = _edge_maxwellians(data, maxwell_rows)
     speeds = np.sqrt(2.0) * rule.nodes
-    outer_ghost = maxw[:, :N]
     buffer = np.zeros((2 * N, config.n_edges, config.cells + 2))
     buffer[:, :, 1:-1] = maxw.T[:, :, None]
-    buffer[:N, :, -1] = outer_ghost.T
+    buffer[:N, :, -1] = maxw[:, :N].T
     state = NetworkState(
         config=config, rule=rule, _buffer=buffer, dx=dx,
         speeds=speeds,
         moment_rows=moment_rows,
         maxwell_rows=maxwell_rows,
         beta=config.topology().beta_matrix(),
-        outer_ghost_flux=outer_ghost @ (moment_rows[0, :N] * speeds[:N]),
-        outflow_weights=moment_rows[0, N:] * speeds[N:],
         cfl_dt=config.cfl * float(dx.min()) / float(np.abs(speeds).max()),
     )
     state.mass_initial = total_mass(state)
@@ -302,9 +302,34 @@ def initialize(config: NetworkConfig, data: InitialData) -> NetworkState:
 
 
 @dataclass(frozen=True)
+class _Transport:
+    """One upwind transport of a step over a block of rows: the fastest rows
+    of each velocity sign, or every row.
+
+    Every span is a 1-d slice of the flattened buffer, or of the plan's scratch
+    and scale, which numpy runs without iterator buffers. ``differences``
+    holds, per sign, (first, second, new): the sign's rows of the block and
+    the same rows shifted one element, with new = first - second in the
+    scratch. ``updates`` holds (old, new, scale) with new = old - scale new:
+    one span over both signs when the block is every row, else one per sign.
+    ``copies`` holds, per sign, the block's cells in the buffer and in the
+    scratch, copied back after the transport; the plan's last transport has
+    none, since the relaxation reads its scratch. ``book`` is the block's
+    outer-flux booking, see :func:`_book_outflow`.
+    """
+
+    differences: tuple
+    updates: tuple
+    copies: tuple
+    mirrored: np.ndarray        # f[:, 0, :fast][:, ::-1], what the node reflects
+    node_ghost: np.ndarray      # (edges, fast) view of the buffer's node ghosts
+    book: tuple
+
+
+@dataclass(frozen=True)
 class _StepPlan:
-    """Everything one kernel call with step dt on cells start:stop reads and
-    writes, built once per time level.
+    """Everything one step dt on cells start:stop reads and writes, built once
+    per time level.
 
     ``buffer`` is the padded buffer the plan steps: ``state.buffer`` for a
     range that ends at the outer end (a whole edge or the coarse level), and
@@ -312,21 +337,15 @@ class _StepPlan:
     stop + 2) buffer that :func:`_two_level_step` fills from the first stop + 2
     columns of ``state.buffer`` and copies back once per coarse step.
 
-    ``positive`` and ``negative`` hold, for each velocity sign, the views
-    (old, upwind, new): the sign's whole rows of the flattened buffer, the
-    same rows shifted one element upwind and the plan's scratch of that sign.
-    ``both`` holds (old, new, scale) over both signs, with the upwind scale
-    speed*dt/dx on the plan's cells and zero elsewhere. The positive
+    ``transports`` run in order, each with the upwind scale
+    speed*(dt/classes)/dx on the plan's cells and zero elsewhere. The positive
     velocities' upwind column of the first cell is the node ghost, or for the
     coarse level the last fine cell's, which holds the interface inflow; the
     negative velocities' one of the last cell is the outer ghost, or for the
-    fine level the first coarse cell, copied with the fine cells.
-
-    Every view is a 1-d slice of the flattened buffer and of a scratch and a
-    scale of its padded shape, which numpy runs without iterator buffers. The
-    spans also read the ghost lanes between rows and the cells outside the
-    plan's range; those results land only in scratch lanes that ``moved``
-    never reads, so only the plan's cells are written back.
+    fine level the first coarse cell, copied with the fine cells. The spans
+    also read the ghost lanes between rows and the cells outside the plan's
+    range; those results land only in scratch lanes that ``moved`` and the
+    copies never read, so only the plan's cells are written back.
 
     ``relax_t`` is the transposed relaxation operator
     K = (I + r relax) / (1 + r) with r = dt/epsilon and
@@ -341,35 +360,8 @@ class _StepPlan:
     buffer: np.ndarray          # the padded buffer the plan steps
     cells: np.ndarray           # (edges, 2N, stop - start) view of its cells
     moved: np.ndarray           # the same view of the plan's scratch
-    positive: tuple
-    negative: tuple
-    both: tuple
+    transports: tuple
     relax_t: np.ndarray
-    mirrored: np.ndarray        # f[:, 0, :N][:, ::-1], what the node reflects
-    node_ghost: np.ndarray      # (edges, N) view of the buffer's node ghosts
-    book: tuple | None = None   # a multirate plan's last transport booking, see _book_outflow
-    substeps: tuple = ()        # a multirate plan's earlier transport substeps
-
-
-@dataclass(frozen=True)
-class _Substep:
-    """One of a multirate step's transport substeps before the last, over the
-    rows of the velocities that take more substeps than it has left: one
-    contiguous block of rows per sign, the fastest of each.
-
-    ``spans`` holds, per sign, (first, second, old, new, scale) 1-d slices of
-    the flattened buffer, scratch and scale as in :class:`_StepPlan`, over the
-    block's rows: new = old - scale (first - second). ``copies`` holds, per
-    sign, the block's cells in the buffer and in the scratch, copied back after
-    the transport. ``mirrored`` and ``node_ghost`` are the block's node
-    reflection and ghosts, and ``book`` its outer-flux booking.
-    """
-
-    book: tuple
-    mirrored: np.ndarray
-    node_ghost: np.ndarray
-    spans: tuple
-    copies: tuple
 
 
 def _relaxation(state: NetworkState, dt: float) -> np.ndarray:
@@ -384,50 +376,30 @@ def _relaxation(state: NetworkState, dt: float) -> np.ndarray:
 
 
 def _outer_booking(state: NetworkState, fast: int, classes: np.ndarray) -> tuple:
-    """The outer-flux booking of a multirate substep over the `fast` fastest
-    velocities of each sign, each over its own substep: (their last cells,
-    outflow weights and ghost inflow per edge), each divided by the classes."""
+    """The outer-flux booking of a transport over the `fast` fastest velocities
+    of each sign, each over its own substep: (their last cells, outflow
+    weights and ghost inflow per edge), the weights H_0 c divided by the classes."""
     N = state.rule.half
-    negative, positive = slice(0, fast), slice(2 * N - fast, 2 * N)
-    outer_ghost = np.ascontiguousarray(state.buffer[negative, :, -1].T)
-    weights = state.moment_rows[0, negative] * state.speeds[negative] / classes[negative]
-    return (state.buffer[positive, :, -2].T,
-            state.outflow_weights[N - fast:] / classes[positive], outer_ghost @ weights)
-
-
-def _substeps(state: NetworkState, buffer: np.ndarray, scratch: np.ndarray,
-              scale: np.ndarray, classes: np.ndarray) -> tuple:
-    """The transport substeps of a multirate step before its last, which moves
-    every velocity: substep m of K - 1 moves the velocities with more than
-    K - m substeps, K the most any takes, so velocity i moves classes[i] times.
-    The classes are symmetric in v and fall with |v|, so the rows that move
-    are the fastest block of each sign."""
-    N = state.rule.half
-    lanes = slice(1, buffer.shape[2] - 1)
-    flat, out, sc = buffer.reshape(-1), scratch.reshape(-1), scale.reshape(-1)
-    row = flat.size // (2 * N)
-    most = int(classes.max())
-    substeps = []
-    for m in range(1, most):
-        fast = int(np.count_nonzero(classes[:N] > most - m))
-        h, p = fast * row, (2 * N - fast) * row
-        substeps.append(_Substep(
-            book=_outer_booking(state, fast, classes),
-            mirrored=buffer[:fast, :, 1][::-1].T, node_ghost=buffer[2 * N - fast:, :, 0].T,
-            spans=((flat[2:h], flat[1:h - 1], flat[1:h - 1], out[1:h - 1], sc[1:h - 1]),
-                   (flat[p + 1:-1], flat[p:-2], flat[p + 1:-1], out[p + 1:-1], sc[p + 1:-1])),
-            copies=((buffer[:fast, :, lanes], scratch[:fast, :, lanes]),
-                    (buffer[2 * N - fast:, :, lanes], scratch[2 * N - fast:, :, lanes]))))
-    return tuple(substeps)
+    weights = state.moment_rows[0] * state.speeds / classes
+    outer_ghost = np.ascontiguousarray(state.buffer[:fast, :, -1].T)
+    return (state.buffer[2 * N - fast:, :, -2].T, weights[2 * N - fast:],
+            outer_ghost @ weights[:fast])
 
 
 def _step_plan(state: NetworkState, dt: float, start: int, stop: int,
-               classes: np.ndarray | None = None) -> _StepPlan:
-    """The cached plan of a step dt on cells start:stop, with velocity i taking
-    classes[i] substeps of dt / classes[i] (a multirate step on the whole edge)
-    or one (``classes`` None); the cache holds at most two, one per time level."""
+               classes: np.ndarray) -> _StepPlan:
+    """The cached plan of a step dt on cells start:stop in which velocity i
+    takes classes[i] transports of dt / classes[i]; the cache holds at most
+    two, one per time level.
+
+    Transport m of K, K the most any velocity takes, moves the velocities
+    with more than K - m transports, so velocity i moves classes[i] times and
+    the last transport moves every row. The classes are symmetric in v and
+    grow with |v|, so the rows a transport moves are the fastest block of
+    each sign.
+    """
     cache = state.step_plans
-    key = (dt, start, stop, None if classes is None else classes.tobytes())
+    key = (dt, start, stop, classes.tobytes())
     plan = cache.get(key)
     if plan is not None:
         return plan
@@ -441,79 +413,80 @@ def _step_plan(state: NetworkState, dt: float, start: int, stop: int,
     lanes = slice(start + 1, stop + 1)
     scratch = np.zeros(buffer.shape)
     scale = np.zeros(buffer.shape)
-    substep = np.full(2 * N, dt) if classes is None else dt / classes
     scale[:, :, lanes] = (state.speeds[:, None]
-                          * (substep[:, None] / state.dx[start:stop]))[:, None]
-    flat, out = buffer.reshape(-1), scratch.reshape(-1)
-    h = flat.size // 2
+                          * ((dt / classes)[:, None] / state.dx[start:stop]))[:, None]
+    flat, out, sc = buffer.reshape(-1), scratch.reshape(-1), scale.reshape(-1)
+    row = flat.size // (2 * N)
+    most = int(classes.max())
+    transports = []
+    for m in range(1, most + 1):
+        fast = int(np.count_nonzero(classes[:N] > most - m))
+        h, p = fast * row, (2 * N - fast) * row
+        blocks = (slice(0, fast), slice(2 * N - fast, 2 * N))
+        transports.append(_Transport(
+            differences=((flat[2:h], flat[1:h - 1], out[1:h - 1]),
+                         (flat[p + 1:-1], flat[p:-2], out[p + 1:-1])),
+            updates=((flat[1:-1], out[1:-1], sc[1:-1]),) if fast == N else (
+                (flat[1:h - 1], out[1:h - 1], sc[1:h - 1]),
+                (flat[p + 1:-1], out[p + 1:-1], sc[p + 1:-1])),
+            copies=() if m == most else tuple(
+                (buffer[rows, :, lanes], scratch[rows, :, lanes]) for rows in blocks),
+            mirrored=buffer[:fast, :, 1][::-1].T, node_ghost=buffer[2 * N - fast:, :, 0].T,
+            book=_outer_booking(state, fast, classes)))
     plan = cache[key] = _StepPlan(
         buffer=buffer, cells=buffer[:, :, lanes].transpose(1, 0, 2),
         moved=scratch[:, :, lanes].transpose(1, 0, 2),
-        positive=(flat[h + 1:-1], flat[h:-2], out[h + 1:-1]),
-        negative=(flat[1:h - 1], flat[2:h], out[1:h - 1]),
-        both=(flat[1:-1], out[1:-1], scale.reshape(-1)[1:-1]),
-        relax_t=_relaxation(state, dt),
-        mirrored=buffer[:N, :, 1][::-1].T, node_ghost=buffer[N:, :, 0].T,
-        book=None if classes is None else _outer_booking(state, N, classes),
-        substeps=() if classes is None else _substeps(state, buffer, scratch, scale, classes))
+        transports=tuple(transports), relax_t=_relaxation(state, dt))
     return plan
 
 
-def _node_ghost(beta: np.ndarray, plan: _StepPlan) -> np.ndarray:
-    """Ghost values at x = 0 for the positive velocities, (n_edges, N), written
-    into the buffer's column 0: entry [i, k] feeds velocity v_{N+1+k} of edge i
-    with sum_j beta_ij f^j(0, -v_{N+1+k})."""
-    return np.matmul(beta, plan.mirrored, out=plan.node_ghost)
+def _node_ghost(beta: np.ndarray, transport: _Transport) -> np.ndarray:
+    """Ghost values at x = 0 for the transport's positive velocities,
+    (n_edges, fast), written into the buffer's column 0: entry [i, k] feeds
+    velocity v_{2N-fast+1+k} of edge i with sum_j beta_ij f^j(0, -v_{2N-fast+1+k})."""
+    return np.matmul(beta, transport.mirrored, out=transport.node_ghost)
 
 
-def _advance(plan: _StepPlan) -> None:
-    """Upwind transport over the plan's dt plus the exact implicit relaxation, in
-    place, on the plan's cells. Each sign's upwind values are the buffer's
+def _transport(transport: _Transport) -> None:
+    """Upwind transport of the block's rows into the plan's scratch,
+    new = old - scale (old - upwind), copied back into the buffer by every
+    transport but the plan's last. Each sign's upwind values are the buffer's
     neighbouring columns, the inflows of the first and last cells included."""
-    # upwind transport into the scratch: new = old - scale (old - up)
-    old, upwind, new = plan.positive
-    np.subtract(old, upwind, out=new)
-    old, upwind, new = plan.negative
-    np.subtract(upwind, old, out=new)
-    old, new, scale = plan.both
-    np.multiply(new, scale, out=new)
-    np.subtract(old, new, out=new)
+    for first, second, new in transport.differences:
+        np.subtract(first, second, out=new)
+    for old, new, scale in transport.updates:
+        np.multiply(new, scale, out=new)
+        np.subtract(old, new, out=new)
+    for cells, moved in transport.copies:
+        np.copyto(cells, moved)
 
-    # exact implicit relaxation back into the buffer in one pass: f <- f K
+
+def _relax(plan: _StepPlan) -> None:
+    """Exact implicit relaxation of the plan's scratch back into its cells: f <- f K."""
     np.matmul(plan.relax_t, plan.moved, out=plan.cells)
 
 
-def _book_outflow(state: NetworkState, dt: float, book: tuple | None = None) -> None:
-    """Book the net mass flux out through the outer ends over dt.
-
-    ``book`` is a multirate transport's (last cells, outflow weights, ghost
-    inflow), whose weights are divided by each velocity's substep count; by
-    default every velocity moves over dt.
+def _book_outflow(state: NetworkState, dt: float, book: tuple) -> None:
+    """Book the net mass flux out through the outer ends over dt from a
+    transport's ``book``, see :func:`_outer_booking`.
 
     The node books nothing: for a column-stochastic beta the reflected ghosts
     carry back exactly the mass the node cells send in, so a node that leaks
     shows up in :func:`conservation_residual`.
     """
-    if book is None:
-        N = state.rule.half
-        # state.f[:, -1, N:], no full view per step
-        book = (state.buffer[N:, :, -2].T, state.outflow_weights, state.outer_ghost_flux)
     last_cell, weights, ghost_flux = book
     outflow = np.sqrt(2.0) * (last_cell @ weights + ghost_flux)
     state.mass_inflow -= dt * float(outflow.sum())
 
 
 def step(state: NetworkState, dt: float) -> NetworkState:
-    """One upwind transport step plus the exact implicit relaxation update."""
+    """One upwind transport step plus the exact implicit relaxation update: the
+    multirate step with every velocity in one class."""
     if not (_finite("dt", dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if dt > state.cfl_dt * (1.0 + 1e-12):
         raise ValueError(f"dt = {dt:.3e} violates the CFL bound {state.cfl_dt:.3e}")
-    plan = _step_plan(state, dt, 0, state.dx.size)
-    _book_outflow(state, dt)
-    _node_ghost(state.beta, plan)
-    _advance(plan)
-    state.time += dt
+    _multirate_step(state, dt, np.ones(state.speeds.size))
     return state
 
 
@@ -539,23 +512,16 @@ def _multirate_step(state: NetworkState, dt: float, classes: np.ndarray) -> None
     then every velocity one exact relaxation over dt.
 
     Transport couples velocities only through the relaxation: the node maps
-    each speed onto itself. So the substeps before the last move only the
+    each speed onto itself. So the transports before the last move only the
     fastest rows of each sign and copy them back, and the last moves every row
     into the scratch the relaxation reads. With every class 1 this is `step`.
     """
     plan = _step_plan(state, dt, 0, state.dx.size, classes)
-    for sub in plan.substeps:
-        _book_outflow(state, dt, sub.book)
-        _node_ghost(state.beta, sub)
-        for first, second, old, new, scale in sub.spans:
-            np.subtract(first, second, out=new)
-            np.multiply(new, scale, out=new)
-            np.subtract(old, new, out=new)
-        for cells, moved in sub.copies:
-            np.copyto(cells, moved)
-    _book_outflow(state, dt, plan.book)
-    _node_ghost(state.beta, plan)
-    _advance(plan)
+    for transport in plan.transports:
+        _book_outflow(state, dt, transport.book)
+        _node_ghost(state.beta, transport)
+        _transport(transport)
+    _relax(plan)
     state.time += dt
 
 
@@ -592,8 +558,10 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
     of ``state.buffer``, the coarse step's upwind column, and the node ghosts
     and fine cells are copied back over it after the coarse step.
     """
-    fine_plan = _step_plan(state, dt, 0, fine)
-    coarse_plan = _step_plan(state, k * dt, fine, state.dx.size)
+    ones = np.ones(state.speeds.size)
+    fine_plan = _step_plan(state, dt, 0, fine, ones)
+    coarse_plan = _step_plan(state, k * dt, fine, state.dx.size, ones)
+    (fine_move,), (coarse_move,) = fine_plan.transports, coarse_plan.transports
     compact = fine_plan.buffer
     compact[...] = state.buffer[:, :, :fine + 2]
     last_fine = fine_plan.cells[:, state.rule.half:, -1]
@@ -601,11 +569,13 @@ def _two_level_step(state: NetworkState, k: int, fine: int, dt: float) -> None:
     inflow[...] = 0.0
     for _ in range(k):
         inflow += last_fine
-        _node_ghost(state.beta, fine_plan)
-        _advance(fine_plan)
+        _node_ghost(state.beta, fine_move)
+        _transport(fine_move)
+        _relax(fine_plan)
     inflow /= k
-    _book_outflow(state, k * dt)
-    _advance(coarse_plan)
+    _book_outflow(state, k * dt, coarse_move.book)
+    _transport(coarse_move)
+    _relax(coarse_plan)
     state.buffer[:, :, :fine + 1] = compact[:, :, :fine + 1]
     state.time += k * dt
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .hermite import _flush, _golub_welsch, _mirrored, _squares, check_half_order, readonly
+from .hermite import (_flush, _golub_welsch, _mirrored, _real_array, _squares,
+                      check_half_order, readonly)
 
 # A layer mode holds no nonzero entry below 2^-122 ~ 1.9e-37, and so neither
 # does the lift: the rule's table floor (hermite._FLOOR = 2^-900) keeps every
@@ -170,9 +171,11 @@ def stable_manifold(matrix: LayerMatrix) -> LayerSpectrum:
 def build_lift(r2: np.ndarray) -> np.ndarray:
     """The read-only 2N x (N+1) lift from (D, C, B, gamma) to (g_0, ..., g_{2N-1}) at x = 0,
     from the 2(N-2) x (N-2) stable-manifold basis ``LayerSpectrum.R2plus``."""
-    r2 = np.asarray(r2)
+    r2 = _real_array("r2", r2)
     if r2.ndim != 2 or r2.shape[1] < 1 or r2.shape[0] != 2 * r2.shape[1]:
         raise ValueError(f"r2 must be a 2-d (2m, m) array with m >= 1, got shape {r2.shape}")
+    if not np.all(np.isfinite(r2)):
+        raise ValueError("r2 must be finite")
     N = r2.shape[1] + 2
     e1r = r2[0, :]
     T = np.zeros((2 * N, N + 1))

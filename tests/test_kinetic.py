@@ -132,6 +132,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^spacing must"):
             small_config(spacing=spacing)
 
+    @pytest.mark.parametrize("spacing", [np.array([]), np.full(5, 1e-3),
+                                         np.full(20, 1e-3 + 1e-4j)],
+                             ids=["empty", "five-widths", "complex"])
+    def test_too_few_or_complex_widths_name_spacing(self, spacing):
+        # not the edge length or cell count derived from them
+        with pytest.raises(ValueError, match="^spacing must"):
+            small_config(spacing=spacing)
+
     @pytest.mark.parametrize("beta", [
         np.eye(2),
         np.array([[-0.5, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.0, 0.0]]),
@@ -205,7 +213,7 @@ def stepped_node_ghost(state):
     before = state.f.copy()
     step(state, state.cfl_dt)
     (plan,) = state.step_plans.values()
-    return plan.node_ghost, before
+    return plan.transports[-1].node_ghost, before
 
 
 class TestGhostValues:
@@ -698,16 +706,19 @@ class TestMultirate:
             assert multirate.mass_inflow == single.mass_inflow
             assert multirate.time == single.time
 
-    def test_matches_loop_form_scheme(self):
+    @pytest.mark.parametrize("spacing", [None, graded_spacing(2e-4, 1e-3, 1e-3, 0.01)],
+                             ids=["uniform", "graded"])
+    def test_matches_loop_form_scheme(self, spacing):
         # oracle: each velocity pair +-s takes its k substeps of dt/k cell by
         # cell, with its own node ghosts and outer-flux booking, then one
-        # implicit relaxation over dt; a non-symmetric column-stochastic node
+        # implicit relaxation over dt; a non-symmetric column-stochastic node,
+        # on a uniform mesh and on a graded one, whose scale varies per cell
         rng = np.random.default_rng(13)
         beta = rng.uniform(0.1, 1.0, (3, 3))
         beta /= beta.sum(axis=0)
         data = InitialData(rho0=rng.uniform(0.5, 1.5, 3), q0=rng.uniform(-1, 1, 3),
                            S0=rng.uniform(0.5, 1.5, 3))
-        state = initialize(small_config(N=4, beta=beta), data)
+        state = initialize(small_config(N=4, beta=beta, spacing=spacing), data)
         state.f += rng.normal(scale=1e-2, size=state.f.shape)
         state.mass_initial = total_mass(state)
         classes, base = _velocity_classes(state.speeds)

@@ -374,6 +374,16 @@ class TestLift:
         with pytest.raises(ValueError, match="^r2 must be a 2-d"):
             build_lift(np.zeros(shape))
 
+    @pytest.mark.parametrize("entry, rule", [(1e-3j, "real"), (np.nan, "finite"),
+                                             (-np.inf, "finite")],
+                             ids=["complex", "nan", "inf"])
+    def test_complex_or_non_finite_basis_is_named(self, entry, rule):
+        # a cast would drop the imaginary part, and a NaN would reach the lift
+        r2 = stable_manifold(build_layer_matrix(6)).R2plus.astype(type(entry))
+        r2[3, 1] += entry
+        with pytest.raises(ValueError, match=f"^r2 must be {rule}"):
+            build_lift(r2)
+
 
 class TestLayerProfile:
     def test_zero_amplitudes(self):
